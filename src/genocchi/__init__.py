@@ -13,7 +13,7 @@ from .numbers import (
     tangent,
 )
 from .polyalg import Poly, basis_matrix, fib_poly, lucas_poly
-from .reports import FactorizationCheck, IdentityReport, UnknownIdentityError
+from .reports import IdentityReport, UnknownIdentityError
 from .stirling import (
     PRESETS,
     WeightSpec,
@@ -27,7 +27,6 @@ from .stirling import (
 from .trimat import SingularMatrixError, TriMatrix
 
 __all__ = [
-    "FactorizationCheck",
     "IdentityReport",
     "PRESETS",
     "Poly",

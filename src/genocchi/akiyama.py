@@ -13,14 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import Callable, Dict, Tuple
+from typing import Callable, Iterator, Tuple
 
 from . import numbers
-from .reports import IdentityReport, UnknownIdentityError
-from .stirling import WeightSpec, preset, shift_weight, stirling1, stirling2
-
-_SQUARES_FROM_1 = shift_weight(preset("central-factorial"))  # (n+1)**2
-_SQUARES_FROM_2 = shift_weight(_SQUARES_FROM_1)  # (n+2)**2
+from .reports import Case
+from .stirling import SQUARES_FROM_2, WeightSpec, preset, stirling1, stirling2
 
 
 @dataclass(frozen=True)
@@ -87,163 +84,151 @@ def odd_double_factorial(k: int) -> int:
     return result
 
 
-def _pair_66(n: int) -> Tuple[Fraction, Fraction]:
-    tri = stirling2(preset("stirling-shift"), n + 1)
-    lhs = sum(
-        (tri[n, j] * (-1) ** j * Fraction(factorial(j), j + 1) for j in range(n + 1)),
-        Fraction(0),
-    )
-    return (lhs, numbers.bernoulli_b(n))
+# ----------------------------------------------------------------------
+# summation identities 6.6 to 6.17, as case generators for the catalog in
+# connect.  Each builds its triangle once, at the largest order it needs,
+# and yields (where, lhs, rhs) for every n from its first meaningful value
+# up to the depth.
 
 
-def _pair_67(n: int) -> Tuple[Fraction, Fraction]:
-    tri = stirling1(preset("stirling-shift"), n + 1)
-    lhs = sum((tri[n, j] * numbers.bernoulli_b(j) for j in range(n + 1)), Fraction(0))
-    return (lhs, Fraction((-1) ** n * factorial(n), n + 1))
+def cases_6_6(depth: int) -> Iterator[Case]:
+    tri = stirling2(preset("stirling-shift"), depth + 1)
+    for n in range(depth + 1):
+        lhs = sum(
+            (tri[n, j] * (-1) ** j * Fraction(factorial(j), j + 1) for j in range(n + 1)),
+            Fraction(0),
+        )
+        yield (f"n={n}", lhs, numbers.bernoulli_b(n))
 
 
-def _pair_68(n: int) -> Tuple[Fraction, Fraction]:
-    tri = stirling2(preset("central-factorial"), n + 1)
-    lhs = sum(
-        ((-1) ** (k - 1) * tri[n, k] * k * factorial(k - 1) ** 2 for k in range(1, n + 1)),
-        Fraction(0),
-    )
-    return (lhs, Fraction((-1) ** (n - 1) * numbers.genocchi(n)))
+def cases_6_7(depth: int) -> Iterator[Case]:
+    tri = stirling1(preset("stirling-shift"), depth + 1)
+    for n in range(depth + 1):
+        lhs = sum((tri[n, j] * numbers.bernoulli_b(j) for j in range(n + 1)), Fraction(0))
+        yield (f"n={n}", lhs, Fraction((-1) ** n * factorial(n), n + 1))
 
 
-def _pair_69(n: int) -> Tuple[Fraction, Fraction]:
-    tri = stirling1(preset("central-factorial"), n + 1)
-    lhs = sum(
-        ((-1) ** (n - k) * tri[n, k] * numbers.genocchi(k) for k in range(1, n + 1)),
-        Fraction(0),
-    )
-    return (lhs, Fraction(factorial(n) * factorial(n - 1)))
+def cases_6_8(depth: int) -> Iterator[Case]:
+    tri = stirling2(preset("central-factorial"), depth + 1)
+    for n in range(1, depth + 1):
+        lhs = sum(
+            ((-1) ** (k - 1) * tri[n, k] * k * factorial(k - 1) ** 2 for k in range(1, n + 1)),
+            Fraction(0),
+        )
+        yield (f"n={n}", lhs, Fraction((-1) ** (n - 1) * numbers.genocchi(n)))
 
 
-def _pair_610(n: int) -> Tuple[Fraction, Fraction]:
-    tri = stirling2(preset("central-factorial"), n + 1)
-    lhs = sum(
-        ((-1) ** (k - 1) * tri[n, k] * factorial(k) ** 2 for k in range(1, n + 1)),
-        Fraction(0),
-    )
-    return (lhs, Fraction((-1) ** (n - 1) * numbers.genocchi(n + 1)))
+def cases_6_9(depth: int) -> Iterator[Case]:
+    tri = stirling1(preset("central-factorial"), depth + 1)
+    for n in range(1, depth + 1):
+        lhs = sum(
+            ((-1) ** (n - k) * tri[n, k] * numbers.genocchi(k) for k in range(1, n + 1)),
+            Fraction(0),
+        )
+        yield (f"n={n}", lhs, Fraction(factorial(n) * factorial(n - 1)))
 
 
-def _pair_611(n: int) -> Tuple[Fraction, Fraction]:
-    tri = stirling1(preset("central-factorial"), n + 1)
-    lhs = sum(
-        ((-1) ** (n - k) * tri[n, k] * numbers.genocchi(k + 1) for k in range(n + 1)),
-        Fraction(0),
-    )
-    return (lhs, Fraction(factorial(n) ** 2))
+def cases_6_10(depth: int) -> Iterator[Case]:
+    tri = stirling2(preset("central-factorial"), depth + 1)
+    for n in range(1, depth + 1):
+        lhs = sum(
+            ((-1) ** (k - 1) * tri[n, k] * factorial(k) ** 2 for k in range(1, n + 1)),
+            Fraction(0),
+        )
+        yield (f"n={n}", lhs, Fraction((-1) ** (n - 1) * numbers.genocchi(n + 1)))
 
 
-def _pair_612(n: int) -> Tuple[Fraction, Fraction]:
-    tri = stirling2(preset("legendre-stirling"), n + 2)
-    lhs = sum(
-        (
-            (-1) ** (n - k) * tri[n + 1, k + 1] * factorial(k + 1) ** 2
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-    return (lhs, Fraction(numbers.median_genocchi(n + 1)))
+def cases_6_11(depth: int) -> Iterator[Case]:
+    tri = stirling1(preset("central-factorial"), depth + 1)
+    for n in range(depth + 1):
+        lhs = sum(
+            ((-1) ** (n - k) * tri[n, k] * numbers.genocchi(k + 1) for k in range(n + 1)),
+            Fraction(0),
+        )
+        yield (f"n={n}", lhs, Fraction(factorial(n) ** 2))
 
 
-def _pair_613(n: int) -> Tuple[Fraction, Fraction]:
-    tri = stirling2(_SQUARES_FROM_2, n + 1)
-    lhs = sum(
-        (
-            (-1) ** (n - k) * tri[n, k] * factorial(k + 1) * factorial(k + 2)
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-    return (lhs, Fraction(numbers.genocchi(n + 1) + numbers.genocchi(n + 2)))
+def cases_6_12(depth: int) -> Iterator[Case]:
+    tri = stirling2(preset("legendre-stirling"), depth + 2)
+    for n in range(depth + 1):
+        lhs = sum(
+            (
+                (-1) ** (n - k) * tri[n + 1, k + 1] * factorial(k + 1) ** 2
+                for k in range(n + 1)
+            ),
+            Fraction(0),
+        )
+        yield (f"n={n}", lhs, Fraction(numbers.median_genocchi(n + 1)))
 
 
-def _pair_614(n: int) -> Tuple[Fraction, Fraction]:
-    tri = stirling1(_SQUARES_FROM_2, n + 1)
-    lhs = sum(
-        (
-            (-1) ** (n - k)
-            * tri[n, k]
-            * (numbers.genocchi(k + 1) + numbers.genocchi(k + 2))
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-    return (lhs, Fraction(factorial(n + 1) * factorial(n + 2)))
+def cases_6_13(depth: int) -> Iterator[Case]:
+    tri = stirling2(SQUARES_FROM_2, depth + 1)
+    for n in range(depth + 1):
+        lhs = sum(
+            (
+                (-1) ** (n - k) * tri[n, k] * factorial(k + 1) * factorial(k + 2)
+                for k in range(n + 1)
+            ),
+            Fraction(0),
+        )
+        yield (f"n={n}", lhs, Fraction(numbers.genocchi(n + 1) + numbers.genocchi(n + 2)))
 
 
-def _pair_615(n: int) -> Tuple[Fraction, Fraction]:
-    tri = stirling2(preset("central-factorial"), n + 2)
-    lhs = sum(
-        (
-            (-1) ** j * Fraction(factorial(j) ** 2, j + 1) * tri[n + 1, j + 1]
-            for j in range(n + 1)
-        ),
-        Fraction(0),
-    )
-    return (lhs, (2 * n + 1) * numbers.bernoulli(2 * n))
+def cases_6_14(depth: int) -> Iterator[Case]:
+    tri = stirling1(SQUARES_FROM_2, depth + 1)
+    for n in range(depth + 1):
+        lhs = sum(
+            (
+                (-1) ** (n - k)
+                * tri[n, k]
+                * (numbers.genocchi(k + 1) + numbers.genocchi(k + 2))
+                for k in range(n + 1)
+            ),
+            Fraction(0),
+        )
+        yield (f"n={n}", lhs, Fraction(factorial(n + 1) * factorial(n + 2)))
 
 
-def _pair_616(n: int) -> Tuple[Fraction, Fraction]:
-    tri = stirling2(preset("u-half-odd"), n + 1)
-    lhs = sum(
-        (
-            (-1) ** (n - k)
-            * 4 ** (n - k)
-            * tri[n, k]
-            * (2 * k + 1)
-            * odd_double_factorial(k) ** 2
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-    return (lhs, Fraction(numbers.tangent(n)))
+def cases_6_15(depth: int) -> Iterator[Case]:
+    tri = stirling2(preset("central-factorial"), depth + 2)
+    for n in range(depth + 1):
+        lhs = sum(
+            (
+                (-1) ** j * Fraction(factorial(j) ** 2, j + 1) * tri[n + 1, j + 1]
+                for j in range(n + 1)
+            ),
+            Fraction(0),
+        )
+        yield (f"n={n}", lhs, (2 * n + 1) * numbers.bernoulli(2 * n))
 
 
-def _pair_617(n: int) -> Tuple[Fraction, Fraction]:
-    tri = stirling2(preset("u-half-odd"), n + 1)
-    lhs = sum(
-        (
-            (-1) ** k
-            * tri[n, k]
-            * Fraction(odd_double_factorial(k) ** 2, (2 * k + 1) * 4**k)
-            for k in range(n + 1)
-        ),
-        Fraction(0),
-    )
-    return (lhs, numbers.bernoulli(2 * n))
+def cases_6_16(depth: int) -> Iterator[Case]:
+    tri = stirling2(preset("u-half-odd"), depth + 1)
+    for n in range(depth + 1):
+        lhs = sum(
+            (
+                (-1) ** (n - k)
+                * 4 ** (n - k)
+                * tri[n, k]
+                * (2 * k + 1)
+                * odd_double_factorial(k) ** 2
+                for k in range(n + 1)
+            ),
+            Fraction(0),
+        )
+        yield (f"n={n}", lhs, Fraction(numbers.tangent(n)))
 
 
-# Each entry: (pair function, smallest meaningful n).
-_SUM_IDENTITIES: Dict[str, Tuple[Callable[[int], Tuple[Fraction, Fraction]], int]] = {
-    "6.6": (_pair_66, 0),
-    "6.7": (_pair_67, 0),
-    "6.8": (_pair_68, 1),
-    "6.9": (_pair_69, 1),
-    "6.10": (_pair_610, 1),
-    "6.11": (_pair_611, 0),
-    "6.12": (_pair_612, 0),
-    "6.13": (_pair_613, 0),
-    "6.14": (_pair_614, 0),
-    "6.15": (_pair_615, 0),
-    "6.16": (_pair_616, 0),
-    "6.17": (_pair_617, 0),
-}
-
-SUM_IDENTITY_IDS: Tuple[str, ...] = tuple(_SUM_IDENTITIES)
-
-
-def verify_sum_identity(ident: str, depth: int) -> IdentityReport:
-    """Evaluate both sides of a catalog sum exactly for all n up to depth."""
-    if ident not in _SUM_IDENTITIES:
-        raise UnknownIdentityError(ident, SUM_IDENTITY_IDS)
-    pair, start = _SUM_IDENTITIES[ident]
-    for n in range(start, depth + 1):
-        lhs, rhs = pair(n)
-        if lhs != rhs:
-            return IdentityReport(ident, depth, False, (f"n={n}", str(lhs), str(rhs)))
-    return IdentityReport(ident, depth, True)
+def cases_6_17(depth: int) -> Iterator[Case]:
+    tri = stirling2(preset("u-half-odd"), depth + 1)
+    for n in range(depth + 1):
+        lhs = sum(
+            (
+                (-1) ** k
+                * tri[n, k]
+                * Fraction(odd_double_factorial(k) ** 2, (2 * k + 1) * 4**k)
+                for k in range(n + 1)
+            ),
+            Fraction(0),
+        )
+        yield (f"n={n}", lhs, numbers.bernoulli(2 * n))

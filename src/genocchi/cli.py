@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence
 
 from . import akiyama, connect, numbers, seidel
@@ -29,6 +30,21 @@ def render_rational(x: Fraction | int) -> str:
 
 def parse_rational(text: str) -> Fraction:
     return Fraction(text)
+
+
+def positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
+
+
+def _int_at_least(text: str, low: int) -> int:
+    value = int(text)
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
 
 
 # ----------------------------------------------------------------------
@@ -83,24 +99,10 @@ def build_triangle(name: str, rows: int, kind: str) -> TriMatrix:
 # ----------------------------------------------------------------------
 # identity catalog
 
-CATALOG: Dict[str, Callable[[int], IdentityReport]] = {}
-for _fid in connect.FACTORIZATION_IDS:
-    CATALOG[_fid] = lambda depth, _f=_fid: connect.verify_factorization(_f, depth).to_report()
-for _cid in connect.CONNECTION_IDS:
-    CATALOG[_cid] = lambda depth, _c=_cid: connect.verify_connection(_c, depth)
-CATALOG["4.17"] = seidel.seidel_identity_check
-CATALOG["4.48"] = seidel.kaneko_check
-for _sid in akiyama.SUM_IDENTITY_IDS:
-    CATALOG[_sid] = lambda depth, _s=_sid: akiyama.verify_sum_identity(_s, depth)
-
-
-def _catalog_key(ident: str) -> tuple:
-    head = ident.split("/")[0]
-    major, minor = head.split(".")
-    return (int(major), int(minor), ident)
-
-
-CATALOG_ORDER: tuple = tuple(sorted(CATALOG, key=_catalog_key))
+CATALOG: Dict[str, Callable[[int], IdentityReport]] = {
+    label: partial(connect.verify, label) for label in connect.CATALOG
+}
+CATALOG_ORDER: tuple = tuple(CATALOG)
 
 
 # ----------------------------------------------------------------------
@@ -294,13 +296,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sequence", help="print the first terms of a sequence")
     p.add_argument("name", help=f"one of: {', '.join(SEQUENCES)}")
-    p.add_argument("-n", "--count", type=int, default=10)
+    p.add_argument("-n", "--count", type=positive_int, default=10)
     p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(handler=_cmd_sequence)
 
     p = sub.add_parser("triangle", help="print a triangle or named matrix")
     p.add_argument("name", help=f"one of: {', '.join(TRIANGLE_NAMES)}")
-    p.add_argument("-n", "--rows", type=int, default=8)
+    p.add_argument("-n", "--rows", type=positive_int, default=8)
     p.add_argument("--kind", choices=("second", "first"), default="second",
                    help="triangle kind for weight presets; ignored for named matrices")
     p.add_argument("--format", choices=FORMATS, default="table")
@@ -308,14 +310,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run identity checks from the catalog")
     p.add_argument("ids", nargs="+", help='catalog labels, or "all"')
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=positive_int, default=12)
     p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("seidel", help="print a boustrophedon difference array")
     p.add_argument("variant", help=f"one of: {', '.join(seidel.VARIANTS)}")
-    p.add_argument("-k", type=int, default=0, help="column parameter (ignored by genocchi)")
-    p.add_argument("-n", "--rows", type=int, default=10)
+    p.add_argument("-k", type=non_negative_int, default=0,
+                   help="column parameter (ignored by genocchi)")
+    p.add_argument("-n", "--rows", type=positive_int, default=10)
     p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(handler=_cmd_seidel)
 
@@ -323,8 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", default="stirling-shift",
                    help="weight preset name, with optional -shifted suffixes")
     p.add_argument("--seed", default="harmonic", help=f"one of: {', '.join(SEEDS)}")
-    p.add_argument("--rows", type=int, default=6)
-    p.add_argument("--cols", type=int, default=6)
+    p.add_argument("--rows", type=positive_int, default=6)
+    p.add_argument("--cols", type=positive_int, default=6)
     p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(handler=_cmd_at)
 

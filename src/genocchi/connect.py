@@ -1,4 +1,4 @@
-"""Connection matrices between polynomial bases and their identity catalogs.
+"""Connection matrices between polynomial bases and the identity catalog.
 
 The central object is the triangular matrix that rewrites the odd-index
 Fibonacci basis as the even-index one; its entries are scaled Genocchi
@@ -6,11 +6,13 @@ numbers, its eigenvalues are 1, 2, 3, ... with central-factorial columns as
 eigenvectors, and its inverse carries scaled Bernoulli numbers.  The Lucas
 analogue does the same with tangent numbers and half-odd eigenvalues.
 
-Two verification entry points cover everything here: verify_factorization
-compares whole-matrix builds entrywise, verify_connection expands both
-sides of a polynomial or scalar identity for every index up to a bound.
-Catalog labels are fixed strings such as "3.9" or "5.10" and form part of
-the command line contract.
+CATALOG holds all 56 identities in label order.  Each one is a generator of
+cases (where, reference, *others): a factorization is one case of whole
+matrices compared entrywise, a connection identity has one case per index n
+(polynomial, compared coefficientwise) or per (n, k) pair (scalar), and a
+summation identity one per n.  verify runs the cases of one label through
+first_mismatch.  Catalog labels are fixed strings such as "3.9" or "5.10"
+and form part of the command line contract.
 """
 
 from __future__ import annotations
@@ -18,13 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
-from . import numbers
+from . import akiyama, numbers, seidel
 from .polyalg import Poly, basis_matrix, fib_poly, lucas_poly
-from .reports import FactorizationCheck, IdentityReport, UnknownIdentityError
+from .reports import Case, IdentityReport, UnknownIdentityError
 from .stirling import (
-    WeightSpec,
+    SQUARES_FROM_2,
     preset,
     stirling1,
     stirling1_shifted,
@@ -32,10 +34,6 @@ from .stirling import (
     stirling2_shifted,
 )
 from .trimat import TriMatrix
-
-# Weights (n+2)**2, the once-shifted version of (n+1)**2.
-_SQUARES_FROM_2 = WeightSpec("squares-from-2", lambda n: Fraction((n + 2) ** 2))
-
 
 # ----------------------------------------------------------------------
 # matrix builders
@@ -246,7 +244,7 @@ def phi_functional(k: int, depth: int) -> LinearFunctional:
 
 
 # ----------------------------------------------------------------------
-# factorization catalog
+# identity catalog
 
 _T = lambda n: stirling2(preset("central-factorial"), n)  # noqa: E731
 _LS = lambda n: stirling2(preset("legendre-stirling"), n)  # noqa: E731
@@ -264,111 +262,20 @@ _Feven = lambda n: basis_matrix("F_even", n)  # noqa: E731
 _Leven = lambda n: basis_matrix("L_even", n)  # noqa: E731
 _Lodd = lambda n: basis_matrix("L_odd", n)  # noqa: E731
 
-_FACTORIZATIONS: Dict[str, Callable[[int], Tuple[TriMatrix, ...]]] = {
-    "2.15/2.16-inverse": lambda n: (
-        TriMatrix.identity(n),
-        c_matrix(n) @ c_matrix_inverse(n),
-    ),
-    "3.9": lambda n: (
-        c_matrix(n),
-        pascal_plus_matrix(n) @ pascal_matrix(n).inverse(),
-        _Ssh(n) @ _nat_diag(n) @ _ssh(n),
-    ),
-    "3.10": lambda n: (pascal_plus_matrix(n), c_matrix(n) @ pascal_matrix(n)),
-    "3.11": lambda n: (_Ssh(n), pascal_matrix(n) @ _S(n)),
-    "3.12": lambda n: (_Ssh(n) @ _nat_diag(n), pascal_plus_matrix(n) @ _S(n)),
-    "3.13": lambda n: (
-        pascal_matrix(n).inverse() @ pascal_plus_matrix(n),
-        _S(n) @ _nat_diag(n) @ _s(n),
-    ),
-    "3.16": lambda n: (_Tsh(n), _Fodd(n) @ _LS(n)),
-    "3.17": lambda n: (_Tsh(n) @ _nat_diag(n), _Feven(n) @ _LS(n)),
-    "3.18": lambda n: (
-        _Feven(n) @ _Fodd(n).inverse(),
-        _Tsh(n) @ _nat_diag(n) @ _Tsh(n).inverse(),
-    ),
-    "3.19": lambda n: (
-        _Fodd(n).inverse() @ _Feven(n),
-        _LS(n) @ _nat_diag(n) @ _LS(n).inverse(),
-    ),
-    "3.22": lambda n: (_LSsh(n), choose_even_matrix(n) @ _Tsh(n)),
-    "3.23": lambda n: (_LSsh(n) @ _nat_diag(n), choose_odd_matrix(n) @ _Tsh(n)),
-    "3.24": lambda n: (
-        choose_even_matrix(n).inverse() @ choose_odd_matrix(n),
-        _Tsh(n) @ _nat_diag(n) @ _Tsh(n).inverse(),
-    ),
-    "3.25": lambda n: (
-        choose_odd_matrix(n) @ choose_even_matrix(n).inverse(),
-        _LSsh(n) @ _nat_diag(n) @ _LSsh(n).inverse(),
-    ),
-    "3.26": lambda n: (
-        _Feven(n) @ _Fodd(n).inverse(),
-        choose_even_matrix(n).inverse() @ choose_odd_matrix(n),
-    ),
-    "3.27": lambda n: (
-        choose_even_matrix(n) @ _Feven(n),
-        choose_odd_matrix(n) @ _Fodd(n),
-        _LSsh(n) @ _nat_diag(n) @ _LS(n).inverse(),
-    ),
-    "4.11": lambda n: (genocchi_matrix(n), _Feven(n) @ _Fodd(n).inverse()),
-    "4.12": lambda n: (
-        genocchi_matrix(n),
-        _Tsh(n) @ _nat_diag(n) @ _Tsh(n).inverse(),
-    ),
-    "4.13": lambda n: (
-        genocchi_matrix(n),
-        choose_even_matrix(n).inverse() @ choose_odd_matrix(n),
-    ),
-    "4.14": lambda n: (genocchi_matrix(n), _Feven(n) @ _Fodd(n).inverse()),
-    "4.15": lambda n: (
-        genocchi_matrix(n),
-        choose_even_matrix(n).inverse() @ choose_odd_matrix(n),
-    ),
-    "4.16": lambda n: (genocchi_matrix(n), _Tsh(n) @ _nat_diag(n) @ _tsh(n)),
-    "4.21": lambda n: (
-        (_Fodd(n + 1).inverse() @ _Feven(n + 1)).drop_leading(),
-        _LSsh(n) @ _diag(n, lambda j: j + 2) @ _LSsh(n).inverse(),
-    ),
-    "4.43": lambda n: (
-        a2_matrix(n),
-        stirling2(_SQUARES_FROM_2, n)
-        @ _diag(n, lambda j: j + 2)
-        @ stirling1(_SQUARES_FROM_2, n),
-    ),
-    "4.49": lambda n: (
-        genocchi_matrix_inverse(n),
-        _Tsh(n) @ _diag(n, lambda j: Fraction(1, j + 1)) @ _tsh(n),
-    ),
-    "5.7": lambda n: (tangent_matrix(n), _Lodd(n) @ _Leven(n).inverse()),
-    "5.10": lambda n: (
-        tangent_matrix(n),
-        _U(n) @ _diag(n, lambda j: Fraction(2 * j + 1, 2)) @ _u(n),
-    ),
-}
-
-FACTORIZATION_IDS: Tuple[str, ...] = tuple(_FACTORIZATIONS)
+Cases = Callable[[int], Iterable[Case]]
 
 
-def verify_factorization(ident: str, order: int) -> FactorizationCheck:
-    """Build every side of a catalog factorization and compare entrywise."""
-    if ident not in _FACTORIZATIONS:
-        raise UnknownIdentityError(ident, FACTORIZATION_IDS)
-    sides = _FACTORIZATIONS[ident](order)
-    reference = sides[0]
-    for other in sides[1:]:
-        if other != reference:
-            return FactorizationCheck(ident, order, reference, other)
-    return FactorizationCheck(ident, order, reference, sides[1])
+def _matrices(sides: Callable[[int], Tuple[TriMatrix, ...]]) -> Cases:
+    """A factorization as one case: every side built whole at the order."""
+
+    def cases(order: int) -> Iterator[Case]:
+        yield ("entry", *sides(order))
+
+    return cases
 
 
-# ----------------------------------------------------------------------
-# connection-constant catalog
-
-PairFn = Callable[[int], Tuple[Poly, ...]]
-
-
-def _poly_21(depth: int) -> PairFn:
-    def at(n: int) -> Tuple[Poly, ...]:
+def _poly_21(depth: int) -> Iterator[Case]:
+    for n in range(depth + 1):
         rhs = Poly()
         for k in range(n + 1):
             coeff = Fraction(
@@ -376,24 +283,20 @@ def _poly_21(depth: int) -> PairFn:
                 2 * k + 1,
             )
             rhs = rhs + coeff * fib_poly(2 * k + 1)
-        return (fib_poly(2 * n + 2), rhs)
-
-    return at
+        yield (f"n={n}", fib_poly(2 * n + 2), rhs)
 
 
-def _poly_22(depth: int) -> PairFn:
-    def at(n: int) -> Tuple[Poly, ...]:
+def _poly_22(depth: int) -> Iterator[Case]:
+    for n in range(depth + 1):
         rhs = Poly()
         for k in range(n + 1):
             coeff = comb(2 * n + 1, 2 * k + 1) * numbers.bernoulli(2 * n - 2 * k) / (k + 1)
             rhs = rhs + coeff * fib_poly(2 * k + 2)
-        return (fib_poly(2 * n + 1), rhs)
-
-    return at
+        yield (f"n={n}", fib_poly(2 * n + 1), rhs)
 
 
-def _poly_23(depth: int) -> PairFn:
-    def at(n: int) -> Tuple[Poly, ...]:
+def _poly_23(depth: int) -> Iterator[Case]:
+    for n in range(depth + 1):
         via_tangent = Poly()
         via_genocchi = Poly()
         for k in range(n + 1):
@@ -405,192 +308,267 @@ def _poly_23(depth: int) -> PairFn:
             via_genocchi = via_genocchi + (
                 Fraction(base * numbers.genocchi(d + 1), 2 * d + 2) * lucas_poly(2 * k)
             )
-        return (lucas_poly(2 * n + 1), via_tangent, via_genocchi)
-
-    return at
+        yield (f"n={n}", lucas_poly(2 * n + 1), via_tangent, via_genocchi)
 
 
-def _poly_24(depth: int) -> PairFn:
-    def at(n: int) -> Tuple[Poly, ...]:
+def _poly_24(depth: int) -> Iterator[Case]:
+    for n in range(depth + 1):
         rhs = Poly()
         for j in range(n + 1):
             coeff = comb(2 * n, 2 * j) * numbers.bernoulli(2 * n - 2 * j) / (2 * j + 1)
             rhs = rhs + coeff * lucas_poly(2 * j + 1)
-        return (lucas_poly(2 * n), 2 * rhs)
-
-    return at
+        yield (f"n={n}", lucas_poly(2 * n), 2 * rhs)
 
 
-def _poly_46(depth: int) -> PairFn:
+def _poly_46(depth: int) -> Iterator[Case]:
     a = genocchi_matrix(depth + 1)
-
-    def at(n: int) -> Tuple[Poly, ...]:
+    for n in range(depth + 1):
         rhs = Poly()
         for k in range(n + 1):
             rhs = rhs + a[n, k] * fib_poly(2 * k + 1)
-        return (fib_poly(2 * n + 2), rhs)
-
-    return at
+        yield (f"n={n}", fib_poly(2 * n + 2), rhs)
 
 
-def _poly_440(depth: int) -> PairFn:
+def _poly_440(depth: int) -> Iterator[Case]:
     a1 = a1_matrix(depth + 1)
-
-    def at(n: int) -> Tuple[Poly, ...]:
+    for n in range(depth + 1):
         rhs = Poly()
         for k in range(n + 1):
             rhs = rhs + a1[n, k] * (fib_poly(2 * k) + fib_poly(2 * k + 1))
-        return (fib_poly(2 * n + 1), rhs)
-
-    return at
+        yield (f"n={n}", fib_poly(2 * n + 1), rhs)
 
 
-def _poly_442(depth: int) -> PairFn:
+def _poly_442(depth: int) -> Iterator[Case]:
     a2 = a2_matrix(depth + 1)
-
-    def at(n: int) -> Tuple[Poly, ...]:
+    for n in range(depth + 1):
         rhs = Poly()
         for k in range(n + 1):
             rhs = rhs + a2[n, k] * (fib_poly(2 * k) + fib_poly(2 * k + 1))
-        return (fib_poly(2 * n + 1) + fib_poly(2 * n + 2), rhs)
-
-    return at
+        yield (f"n={n}", fib_poly(2 * n + 1) + fib_poly(2 * n + 2), rhs)
 
 
-def _poly_450(depth: int) -> PairFn:
+def _poly_450(depth: int) -> Iterator[Case]:
     z = z_matrix(depth + 1)
-
-    def at(n: int) -> Tuple[Poly, ...]:
+    for n in range(depth + 1):
         rhs = Poly()
         for k in range(n + 1):
             rhs = rhs + z[n, k] * (fib_poly(2 * k + 1) + fib_poly(2 * k + 2))
-        return (fib_poly(2 * n) + fib_poly(2 * n + 1), rhs)
-
-    return at
+        yield (f"n={n}", fib_poly(2 * n) + fib_poly(2 * n + 1), rhs)
 
 
-_POLY_CONNECTIONS: Dict[str, Callable[[int], PairFn]] = {
-    "2.1": _poly_21,
-    "2.2": _poly_22,
-    "2.3": _poly_23,
-    "2.4": _poly_24,
-    "4.6": _poly_46,
-    "4.40": _poly_440,
-    "4.42": _poly_442,
-    "4.46": _poly_22,
-    "4.50": _poly_450,
-}
-
-ScalarFn = Callable[[int, int], Tuple[Fraction, Fraction]]
-
-
-def _scalar_314(depth: int) -> ScalarFn:
+def _scalar_314(depth: int) -> Iterator[Case]:
     ls = _LS(depth + 1)
     t2 = _T(depth + 2)
-
-    def at(n: int, k: int) -> Tuple[Fraction, Fraction]:
-        lhs = sum((comb(2 * n - j, j) * ls[j, k] for j in range(n + 1)), Fraction(0))
-        return (lhs, t2[n + 1, k + 1])
-
-    return at
+    for n in range(depth + 1):
+        for k in range(n + 1):
+            lhs = sum((comb(2 * n - j, j) * ls[j, k] for j in range(n + 1)), Fraction(0))
+            yield (f"n={n},k={k}", lhs, t2[n + 1, k + 1])
 
 
-def _scalar_315(depth: int) -> ScalarFn:
+def _scalar_315(depth: int) -> Iterator[Case]:
     ls = _LS(depth + 1)
     t2 = _T(depth + 2)
-
-    def at(n: int, k: int) -> Tuple[Fraction, Fraction]:
-        lhs = sum((comb(2 * n + 1 - j, j) * ls[j, k] for j in range(n + 1)), Fraction(0))
-        return (lhs, (k + 1) * t2[n + 1, k + 1])
-
-    return at
+    for n in range(depth + 1):
+        for k in range(n + 1):
+            lhs = sum((comb(2 * n + 1 - j, j) * ls[j, k] for j in range(n + 1)), Fraction(0))
+            yield (f"n={n},k={k}", lhs, (k + 1) * t2[n + 1, k + 1])
 
 
-def _scalar_320(depth: int) -> ScalarFn:
+def _scalar_320(depth: int) -> Iterator[Case]:
     ls = _LS(depth + 2)
     t2 = _T(depth + 2)
-
-    def at(n: int, k: int) -> Tuple[Fraction, Fraction]:
-        lhs = sum(
-            (comb(n + 1, 2 * n - 2 * j) * t2[j + 1, k + 1] for j in range(n + 1)),
-            Fraction(0),
-        )
-        return (lhs, ls[n + 1, k + 1])
-
-    return at
+    for n in range(depth + 1):
+        for k in range(n + 1):
+            lhs = sum(
+                (comb(n + 1, 2 * n - 2 * j) * t2[j + 1, k + 1] for j in range(n + 1)),
+                Fraction(0),
+            )
+            yield (f"n={n},k={k}", lhs, ls[n + 1, k + 1])
 
 
-def _scalar_321(depth: int) -> ScalarFn:
+def _scalar_321(depth: int) -> Iterator[Case]:
     ls = _LS(depth + 2)
     t2 = _T(depth + 2)
-
-    def at(n: int, k: int) -> Tuple[Fraction, Fraction]:
-        lhs = sum(
-            (comb(n + 1, 2 * n - 2 * j + 1) * t2[j + 1, k + 1] for j in range(n + 1)),
-            Fraction(0),
-        )
-        return (lhs, (k + 1) * ls[n + 1, k + 1])
-
-    return at
+    for n in range(depth + 1):
+        for k in range(n + 1):
+            lhs = sum(
+                (comb(n + 1, 2 * n - 2 * j + 1) * t2[j + 1, k + 1] for j in range(n + 1)),
+                Fraction(0),
+            )
+            yield (f"n={n},k={k}", lhs, (k + 1) * ls[n + 1, k + 1])
 
 
-def _scalar_58(depth: int) -> ScalarFn:
+def _scalar_58(depth: int) -> Iterator[Case]:
     uu = _U(depth + 1)
     vv = stirling2(preset("v-product-quarter"), depth + 1)
-
-    def at(n: int, k: int) -> Tuple[Fraction, Fraction]:
+    for n in range(depth + 1):
         row = lucas_poly(2 * n).coeffs
-        lhs = sum((row[j] * vv[j, k] for j in range(len(row))), Fraction(0))
-        return (lhs, 2 * uu[n, k])
+        for k in range(n + 1):
+            lhs = sum((row[j] * vv[j, k] for j in range(len(row))), Fraction(0))
+            yield (f"n={n},k={k}", lhs, 2 * uu[n, k])
 
-    return at
 
-
-def _scalar_59(depth: int) -> ScalarFn:
+def _scalar_59(depth: int) -> Iterator[Case]:
     uu = _U(depth + 1)
     vv = stirling2(preset("v-product-quarter"), depth + 2)
-
-    def at(n: int, k: int) -> Tuple[Fraction, Fraction]:
+    for n in range(depth + 1):
         row = lucas_poly(2 * n + 1).coeffs
-        lhs = sum((row[j] * vv[j, k] for j in range(len(row))), Fraction(0))
-        return (lhs, (2 * k + 1) * uu[n, k])
+        for k in range(n + 1):
+            lhs = sum((row[j] * vv[j, k] for j in range(len(row))), Fraction(0))
+            yield (f"n={n},k={k}", lhs, (2 * k + 1) * uu[n, k])
 
-    return at
 
+_genocchi_via_fibonacci = _matrices(
+    lambda n: (genocchi_matrix(n), _Feven(n) @ _Fodd(n).inverse())
+)
+_genocchi_via_choose = _matrices(
+    lambda n: (genocchi_matrix(n), choose_even_matrix(n).inverse() @ choose_odd_matrix(n))
+)
 
-_SCALAR_CONNECTIONS: Dict[str, Callable[[int], ScalarFn]] = {
-    "3.14": _scalar_314,
-    "3.15": _scalar_315,
-    "3.20": _scalar_320,
-    "3.21": _scalar_321,
-    "5.8": _scalar_58,
-    "5.9": _scalar_59,
+# label -> (kind, cases), in label order, which is the order "verify all"
+# reports in.  Labels 4.14, 4.15 and 4.46 restate 4.11, 4.13 and 2.2.
+CATALOG: Dict[str, Tuple[str, Cases]] = {
+    "2.1": ("connection", _poly_21),
+    "2.2": ("connection", _poly_22),
+    "2.3": ("connection", _poly_23),
+    "2.4": ("connection", _poly_24),
+    "2.15/2.16-inverse": ("factorization", _matrices(
+        lambda n: (TriMatrix.identity(n), c_matrix(n) @ c_matrix_inverse(n))
+    )),
+    "3.9": ("factorization", _matrices(lambda n: (
+        c_matrix(n),
+        pascal_plus_matrix(n) @ pascal_matrix(n).inverse(),
+        _Ssh(n) @ _nat_diag(n) @ _ssh(n),
+    ))),
+    "3.10": ("factorization", _matrices(
+        lambda n: (pascal_plus_matrix(n), c_matrix(n) @ pascal_matrix(n))
+    )),
+    "3.11": ("factorization", _matrices(lambda n: (_Ssh(n), pascal_matrix(n) @ _S(n)))),
+    "3.12": ("factorization", _matrices(
+        lambda n: (_Ssh(n) @ _nat_diag(n), pascal_plus_matrix(n) @ _S(n))
+    )),
+    "3.13": ("factorization", _matrices(lambda n: (
+        pascal_matrix(n).inverse() @ pascal_plus_matrix(n),
+        _S(n) @ _nat_diag(n) @ _s(n),
+    ))),
+    "3.14": ("connection", _scalar_314),
+    "3.15": ("connection", _scalar_315),
+    "3.16": ("factorization", _matrices(lambda n: (_Tsh(n), _Fodd(n) @ _LS(n)))),
+    "3.17": ("factorization", _matrices(lambda n: (_Tsh(n) @ _nat_diag(n), _Feven(n) @ _LS(n)))),
+    "3.18": ("factorization", _matrices(lambda n: (
+        _Feven(n) @ _Fodd(n).inverse(),
+        _Tsh(n) @ _nat_diag(n) @ _Tsh(n).inverse(),
+    ))),
+    "3.19": ("factorization", _matrices(lambda n: (
+        _Fodd(n).inverse() @ _Feven(n),
+        _LS(n) @ _nat_diag(n) @ _LS(n).inverse(),
+    ))),
+    "3.20": ("connection", _scalar_320),
+    "3.21": ("connection", _scalar_321),
+    "3.22": ("factorization", _matrices(lambda n: (_LSsh(n), choose_even_matrix(n) @ _Tsh(n)))),
+    "3.23": ("factorization", _matrices(
+        lambda n: (_LSsh(n) @ _nat_diag(n), choose_odd_matrix(n) @ _Tsh(n))
+    )),
+    "3.24": ("factorization", _matrices(lambda n: (
+        choose_even_matrix(n).inverse() @ choose_odd_matrix(n),
+        _Tsh(n) @ _nat_diag(n) @ _Tsh(n).inverse(),
+    ))),
+    "3.25": ("factorization", _matrices(lambda n: (
+        choose_odd_matrix(n) @ choose_even_matrix(n).inverse(),
+        _LSsh(n) @ _nat_diag(n) @ _LSsh(n).inverse(),
+    ))),
+    "3.26": ("factorization", _matrices(lambda n: (
+        _Feven(n) @ _Fodd(n).inverse(),
+        choose_even_matrix(n).inverse() @ choose_odd_matrix(n),
+    ))),
+    "3.27": ("factorization", _matrices(lambda n: (
+        choose_even_matrix(n) @ _Feven(n),
+        choose_odd_matrix(n) @ _Fodd(n),
+        _LSsh(n) @ _nat_diag(n) @ _LS(n).inverse(),
+    ))),
+    "4.6": ("connection", _poly_46),
+    "4.11": ("factorization", _genocchi_via_fibonacci),
+    "4.12": ("factorization", _matrices(lambda n: (
+        genocchi_matrix(n),
+        _Tsh(n) @ _nat_diag(n) @ _Tsh(n).inverse(),
+    ))),
+    "4.13": ("factorization", _genocchi_via_choose),
+    "4.14": ("factorization", _genocchi_via_fibonacci),
+    "4.15": ("factorization", _genocchi_via_choose),
+    "4.16": ("factorization", _matrices(
+        lambda n: (genocchi_matrix(n), _Tsh(n) @ _nat_diag(n) @ _tsh(n))
+    )),
+    "4.17": ("summation", seidel.seidel_identity_cases),
+    "4.21": ("factorization", _matrices(lambda n: (
+        (_Fodd(n + 1).inverse() @ _Feven(n + 1)).drop_leading(),
+        _LSsh(n) @ _diag(n, lambda j: j + 2) @ _LSsh(n).inverse(),
+    ))),
+    "4.40": ("connection", _poly_440),
+    "4.42": ("connection", _poly_442),
+    "4.43": ("factorization", _matrices(lambda n: (
+        a2_matrix(n),
+        stirling2(SQUARES_FROM_2, n) @ _diag(n, lambda j: j + 2) @ stirling1(SQUARES_FROM_2, n),
+    ))),
+    "4.46": ("connection", _poly_22),
+    "4.48": ("summation", seidel.kaneko_cases),
+    "4.49": ("factorization", _matrices(lambda n: (
+        genocchi_matrix_inverse(n),
+        _Tsh(n) @ _diag(n, lambda j: Fraction(1, j + 1)) @ _tsh(n),
+    ))),
+    "4.50": ("connection", _poly_450),
+    "5.7": ("factorization", _matrices(
+        lambda n: (tangent_matrix(n), _Lodd(n) @ _Leven(n).inverse())
+    )),
+    "5.8": ("connection", _scalar_58),
+    "5.9": ("connection", _scalar_59),
+    "5.10": ("factorization", _matrices(lambda n: (
+        tangent_matrix(n),
+        _U(n) @ _diag(n, lambda j: Fraction(2 * j + 1, 2)) @ _u(n),
+    ))),
+    "6.6": ("summation", akiyama.cases_6_6),
+    "6.7": ("summation", akiyama.cases_6_7),
+    "6.8": ("summation", akiyama.cases_6_8),
+    "6.9": ("summation", akiyama.cases_6_9),
+    "6.10": ("summation", akiyama.cases_6_10),
+    "6.11": ("summation", akiyama.cases_6_11),
+    "6.12": ("summation", akiyama.cases_6_12),
+    "6.13": ("summation", akiyama.cases_6_13),
+    "6.14": ("summation", akiyama.cases_6_14),
+    "6.15": ("summation", akiyama.cases_6_15),
+    "6.16": ("summation", akiyama.cases_6_16),
+    "6.17": ("summation", akiyama.cases_6_17),
 }
 
-CONNECTION_IDS: Tuple[str, ...] = tuple(_POLY_CONNECTIONS) + tuple(_SCALAR_CONNECTIONS)
+FACTORIZATION_IDS: Tuple[str, ...] = tuple(
+    label for label, (kind, _) in CATALOG.items() if kind == "factorization"
+)
+CONNECTION_IDS: Tuple[str, ...] = tuple(
+    label for label, (kind, _) in CATALOG.items() if kind == "connection"
+)
 
 
-def verify_connection(ident: str, depth: int) -> IdentityReport:
-    """Check one polynomial or scalar connection identity for all n <= depth."""
-    if ident in _POLY_CONNECTIONS:
-        at = _POLY_CONNECTIONS[ident](depth)
-        for n in range(depth + 1):
-            values = at(n)
-            reference = values[0]
-            for other in values[1:]:
-                if other != reference:
-                    return IdentityReport(
-                        ident, depth, False, (f"n={n}", str(reference), str(other))
-                    )
-        return IdentityReport(ident, depth, True)
-    if ident in _SCALAR_CONNECTIONS:
-        at = _SCALAR_CONNECTIONS[ident](depth)
-        for n in range(depth + 1):
-            for k in range(n + 1):
-                lhs, rhs = at(n, k)
-                if lhs != rhs:
-                    return IdentityReport(
-                        ident, depth, False, (f"n={n},k={k}", str(lhs), str(rhs))
-                    )
-        return IdentityReport(ident, depth, True)
-    raise UnknownIdentityError(ident, CONNECTION_IDS)
+def first_mismatch(cases: Iterable[Case]) -> Optional[Tuple[str, str, str]]:
+    """The (where, lhs, rhs) strings of the first case whose sides differ.
+
+    Matrix sides are compared whole and located at their first differing
+    entry in row-major order, so their where reads "entry (i,j)".  Returns
+    None when every case holds.
+    """
+    for where, reference, *others in cases:
+        for other in others:
+            if other != reference:
+                if isinstance(reference, TriMatrix):
+                    i, j = reference.first_difference(other)
+                    return (f"{where} ({i},{j})", str(reference[i, j]), str(other[i, j]))
+                return (where, str(reference), str(other))
+    return None
+
+
+def verify(label: str, depth: int) -> IdentityReport:
+    """Check one catalog identity at every case up to the depth bound."""
+    if label not in CATALOG:
+        raise UnknownIdentityError(label, tuple(CATALOG))
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    counterexample = first_mismatch(CATALOG[label][1](depth))
+    return IdentityReport(label, depth, counterexample is None, counterexample)

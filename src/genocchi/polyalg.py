@@ -3,7 +3,8 @@
 The Fibonacci variant used here has F(0) = 0, F(1) = 1 and the recursion
 F(n) = F(n-1) + s*F(n-2); the Lucas companion starts from L(0) = 2,
 L(1) = 1 with the same recursion.  Both families are built twice (closed
-binomial form and recursion) and the two routes are asserted equal.
+binomial form and recursion); if the two routes disagree, ArithmeticError
+is raised.
 """
 
 from __future__ import annotations
@@ -149,7 +150,8 @@ def fib_poly(n: int) -> Poly:
         m = len(_fib)
         nxt = _fib[m - 1] + _fib[m - 2].shift(1)
         closed = _fib_closed(m)
-        assert nxt == closed, f"fibonacci routes disagree at {m}"
+        if nxt != closed:
+            raise ArithmeticError(f"fibonacci routes disagree at {m}")
         _fib.append(closed)
     return _fib[n]
 
@@ -162,10 +164,10 @@ def lucas_poly(n: int) -> Poly:
         m = len(_lucas)
         nxt = _lucas[m - 1] + _lucas[m - 2].shift(1)
         closed = _lucas_closed(m)
-        assert nxt == closed, f"lucas routes disagree at {m}"
-        assert closed == fib_poly(m + 1) + fib_poly(m - 1).shift(1), (
-            f"lucas/fibonacci bridge fails at {m}"
-        )
+        if nxt != closed:
+            raise ArithmeticError(f"lucas routes disagree at {m}")
+        if closed != fib_poly(m + 1) + fib_poly(m - 1).shift(1):
+            raise ArithmeticError(f"lucas/fibonacci bridge fails at {m}")
         _lucas.append(closed)
     return _lucas[n]
 
@@ -199,5 +201,6 @@ def basis_matrix(which: str, order: int) -> TriMatrix:
     else:
         raise ValueError(f"unknown basis {which!r}; expected one of {BASIS_KINDS}")
     for i in range(order):
-        assert m.rows[i] == polys[i].coeffs, f"basis row {i} disagrees with polynomial"
+        if m.rows[i] != polys[i].coeffs:
+            raise ArithmeticError(f"basis row {i} disagrees with polynomial")
     return m

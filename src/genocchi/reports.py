@@ -1,11 +1,14 @@
-"""Shared result types for the identity and factorization catalogs."""
+"""Shared result types for the identity catalog."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Any, Optional, Sequence, Tuple
 
-from .trimat import TriMatrix
+# One check of a catalog identity: (where, reference, *others).  It holds
+# when every other side equals the reference; the sides are matrices,
+# polynomials or scalars.
+Case = Tuple[Any, ...]
 
 
 class UnknownIdentityError(ValueError):
@@ -35,33 +38,3 @@ class IdentityReport:
             return f"{self.ident}: pass (depth {self.depth})"
         where, lhs, rhs = self.counterexample
         return f"{self.ident}: FAIL at {where}: lhs={lhs} rhs={rhs}"
-
-
-@dataclass(frozen=True)
-class FactorizationCheck:
-    """Two builds of the same matrix identity, compared entrywise."""
-
-    ident: str
-    order: int
-    lhs: TriMatrix
-    rhs: TriMatrix
-
-    @property
-    def passed(self) -> bool:
-        return self.lhs == self.rhs
-
-    @property
-    def first_difference(self):
-        return self.lhs.first_difference(self.rhs)
-
-    def to_report(self) -> IdentityReport:
-        diff = self.first_difference
-        if diff is None:
-            return IdentityReport(self.ident, self.order, True)
-        i, j = diff
-        return IdentityReport(
-            self.ident,
-            self.order,
-            False,
-            (f"entry ({i},{j})", str(self.lhs[i, j]), str(self.rhs[i, j])),
-        )

@@ -1,4 +1,4 @@
-"""Boustrophedon difference arrays and two classical summation checks.
+"""Boustrophedon difference arrays and two classical summation identities.
 
 Every array follows the same cell rule h(i, j) = h(i, j-1) - h(i-1, j-1)
 for 1 <= j <= floor(i/2), with zeros beyond; the variants differ only in
@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
-from typing import Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from . import numbers
-from .reports import IdentityReport
+from .reports import Case
 from .stirling import preset, stirling2
 
 VARIANTS = ("ls-from-T", "v-from-U", "genocchi")
@@ -93,21 +93,16 @@ def seidel_diagonal(arr: SeidelArray, n: int) -> Fraction:
     return arr.rows[2 * n][n]
 
 
-def seidel_identity_check(depth: int) -> IdentityReport:
+def seidel_identity_cases(depth: int) -> Iterator[Case]:
     """Alternating binomial sum of Genocchi numbers: 1 at n = 1, else 0."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
     for n in range(1, depth + 1):
         total = sum(
             (-1) ** k * comb(n, 2 * k) * numbers.genocchi(n - k) for k in range(n // 2 + 1)
         )
-        expected = 1 if n == 1 else 0
-        if total != expected:
-            return IdentityReport("4.17", depth, False, (f"n={n}", str(total), str(expected)))
-    return IdentityReport("4.17", depth, True)
+        yield (f"n={n}", total, 1 if n == 1 else 0)
 
 
-def kaneko_check(depth: int) -> IdentityReport:
+def kaneko_cases(depth: int) -> Iterator[Case]:
     """Weighted Bernoulli recurrence over a shifted binomial row.
 
     Two forms are checked for every n up to the bound: the full sum over
@@ -115,20 +110,13 @@ def kaneko_check(depth: int) -> IdentityReport:
     even-index partial sum over C(n+1, 2n-2j+1) (2j+1) B(2j), which equals
     C(n+1, 2n), that is 1 for n <= 1 and 0 afterwards.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     for n in range(depth + 1):
         full = sum(
             comb(n + 1, i) * (n + i + 1) * numbers.bernoulli(n + i) for i in range(n + 2)
         )
-        if full != 0:
-            return IdentityReport("4.48", depth, False, (f"n={n}", str(full), "0"))
+        yield (f"n={n}", full, 0)
         partial = sum(
             comb(n + 1, 2 * n - 2 * j + 1) * (2 * j + 1) * numbers.bernoulli(2 * j)
             for j in range(n + 1)
         )
-        if partial != comb(n + 1, 2 * n):
-            return IdentityReport(
-                "4.48", depth, False, (f"n={n} (partial form)", str(partial), str(comb(n + 1, 2 * n)))
-            )
-    return IdentityReport("4.48", depth, True)
+        yield (f"n={n} (partial form)", partial, comb(n + 1, 2 * n))

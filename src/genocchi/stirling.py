@@ -51,6 +51,10 @@ def preset(name: str) -> WeightSpec:
         ) from None
 
 
+# Weights (n+2)**2: the central-factorial weights advanced by two positions.
+SQUARES_FROM_2 = WeightSpec("squares-from-2", lambda n: Fraction((n + 2) ** 2))
+
+
 def shift_weight(spec: WeightSpec) -> WeightSpec:
     """Weight sequence advanced by one position."""
     inner = spec.w

@@ -90,9 +90,6 @@ class TriMatrix:
     def diagonal_entries(self) -> Tuple[Fraction, ...]:
         return tuple(self._rows[i][i] for i in range(self.order))
 
-    def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._rows]
-
     # ------------------------------------------------------------------
     # algebra
 

@@ -12,12 +12,7 @@ from math import comb
 
 import golden
 from genocchi import cli, connect, numbers, seidel
-from genocchi.akiyama import (
-    ATSpec,
-    SUM_IDENTITY_IDS,
-    at_matrix,
-    verify_sum_identity,
-)
+from genocchi.akiyama import ATSpec, at_matrix
 from genocchi.polyalg import basis_matrix, fib_poly
 from genocchi.stirling import (
     PRESETS,
@@ -110,17 +105,17 @@ def test_criterion_2_sequence_lists():
 def test_criterion_3_factorization_suite():
     with criterion(3, "every factorization id passes at order 12", budget=5.0):
         for ident in connect.FACTORIZATION_IDS:
-            check = connect.verify_factorization(ident, 12)
-            assert check.passed, f"{ident} differs at {check.first_difference}"
+            report = connect.verify(ident, 12)
+            assert report.passed, report.describe()
         # the scalar companions of the section-3 theorems, same depth
         for ident in ("3.14", "3.15", "3.20", "3.21"):
-            assert connect.verify_connection(ident, 12).passed
+            assert connect.verify(ident, 12).passed
 
 
 def test_criterion_4_connection_suite():
     with criterion(4, "connection-constant identities hold for n <= 15", budget=5.0):
         for ident in ("2.1", "2.2", "2.3", "2.4", "4.6", "4.40", "4.42", "4.46", "4.50", "5.8", "5.9"):
-            report = connect.verify_connection(ident, 15)
+            report = connect.verify(ident, 15)
             assert report.passed, report.describe()
 
 
@@ -137,10 +132,10 @@ def test_criterion_5_eigen_relation():
 
 def test_criterion_6_summation_identities():
     with criterion(6, "summation identities hold at full depth", budget=10.0):
-        assert seidel.seidel_identity_check(40).passed
-        assert seidel.kaneko_check(40).passed
-        for ident in SUM_IDENTITY_IDS:
-            report = verify_sum_identity(ident, 25)
+        assert connect.verify("4.17", 40).passed
+        assert connect.verify("4.48", 40).passed
+        for ident in (f"6.{i}" for i in range(6, 18)):
+            report = connect.verify(ident, 25)
             assert report.passed, report.describe()
 
 
@@ -233,7 +228,7 @@ def test_criterion_8_property_suite():
                 rhs = sum(f1(n, j) - f1(n + 1, j) for j in range(k + 1))
                 assert lhs == rhs
         # and the transfer target is the row-difference matrix itself
-        assert connect.verify_factorization("4.43", depth).passed
+        assert connect.verify("4.43", depth).passed
 
 
 def test_full_catalog_through_cli_dispatch():

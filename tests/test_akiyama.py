@@ -4,15 +4,13 @@ from math import factorial
 import pytest
 
 import golden
-from genocchi import numbers
+from genocchi import connect, numbers
 from genocchi.akiyama import (
     ATSpec,
-    SUM_IDENTITY_IDS,
     at_first_column,
     at_matrix,
     conjugation_first_column,
     odd_double_factorial,
-    verify_sum_identity,
 )
 from genocchi.reports import UnknownIdentityError
 from genocchi.stirling import WeightSpec, preset, shift_weight, stirling1
@@ -157,17 +155,18 @@ def test_double_factorial():
 
 
 def test_sum_identity_catalog():
-    assert SUM_IDENTITY_IDS == tuple(
-        f"6.{i}" for i in range(6, 18)
-    )
-    for ident in SUM_IDENTITY_IDS:
-        report = verify_sum_identity(ident, 12)
+    sum_ids = tuple(f"6.{i}" for i in range(6, 18))
+    assert tuple(
+        label for label, (kind, _) in connect.CATALOG.items() if kind == "summation"
+    ) == ("4.17", "4.48", *sum_ids)
+    for ident in sum_ids:
+        report = connect.verify(ident, 12)
         assert report.passed, report.describe()
 
 
 def test_sum_identity_unknown():
     with pytest.raises(UnknownIdentityError):
-        verify_sum_identity("6.99", 4)
+        connect.verify("6.99", 4)
 
 
 def test_sum_identity_hand_instances():

@@ -199,8 +199,13 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     assert "FAIL at n=2" in out
 
 
+def _label_key(ident):
+    major, minor = ident.split("/")[0].split(".")
+    return (int(major), int(minor), ident)
+
+
 def test_catalog_order_is_stable():
-    assert cli.CATALOG_ORDER == tuple(sorted(cli.CATALOG_ORDER, key=cli._catalog_key))
+    assert cli.CATALOG_ORDER == tuple(sorted(cli.CATALOG_ORDER, key=_label_key))
     assert cli.CATALOG_ORDER[0] == "2.1"
     assert cli.CATALOG_ORDER[-1] == "6.17"
     assert "2.15/2.16-inverse" in cli.CATALOG_ORDER
@@ -282,6 +287,29 @@ def test_at_zero_weight_rejected(capsys):
 def test_usage_error_exit_code(capsys):
     assert cli.main(["triangle", "central-factorial", "--format", "nope"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["verify", "all", "--depth", "0"], "--depth"),
+        (["verify", "2.1", "--depth", "-5"], "--depth"),
+        (["verify", "6.8", "--depth", "0"], "--depth"),
+        (["sequence", "genocchi", "-n", "-3"], "-n/--count"),
+        (["triangle", "central-factorial", "-n", "0"], "-n/--rows"),
+        (["seidel", "genocchi", "-n", "0"], "-n/--rows"),
+        (["seidel", "ls-from-T", "-k", "-1"], "-k"),
+        (["at", "--rows", "0"], "--rows"),
+        (["at", "--cols", "-2"], "--cols"),
+        (["verify", "all", "--depth", "two"], "--depth"),
+    ],
+)
+def test_bad_extent_is_a_usage_error(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert f"argument {name}:" in err
+    assert "Traceback" not in err
 
 
 def test_help_exits_zero(capsys):

@@ -228,41 +228,69 @@ def test_functional_apply_insufficient_moments():
 
 def test_factorization_catalog_passes():
     for ident in connect.FACTORIZATION_IDS:
-        check = connect.verify_factorization(ident, 8)
-        assert check.passed, f"{ident}: first difference {check.first_difference}"
-        report = check.to_report()
-        assert report.passed and report.counterexample is None
+        report = connect.verify(ident, 8)
+        assert report.passed, report.describe()
+        assert report.counterexample is None
 
 
 def test_factorization_unknown_id():
     with pytest.raises(UnknownIdentityError):
-        connect.verify_factorization("9.99", 5)
+        connect.verify("9.99", 5)
+
+
+def _mismatch_with_last_side(label, depth, change):
+    """first_mismatch over the label's cases with the last side of the last case changed."""
+    _, cases = connect.CATALOG[label]
+    cases = list(cases(depth))
+    where, *sides = cases[-1]
+    sides[-1] = change(sides[-1])
+    cases[-1] = (where, *sides)
+    return where, sides[-1], connect.first_mismatch(cases)
 
 
 def test_factorization_reports_difference():
-    check = connect.verify_factorization("4.16", 5)
-    doctored = type(check)(
-        check.ident,
-        check.order,
-        check.lhs,
-        TriMatrix.diagonal([1] * 5),
+    _, doctored, found = _mismatch_with_last_side(
+        "4.16", 5, lambda side: TriMatrix.diagonal([1] * 5)
     )
-    assert not doctored.passed
-    assert doctored.first_difference == (1, 0)
-    report = doctored.to_report()
-    assert not report.passed
-    assert report.counterexample[0] == "entry (1,0)"
+    reference = connect.genocchi_matrix(5)
+    assert reference.first_difference(doctored) == (1, 0)
+    assert found == ("entry (1,0)", str(reference[1, 0]), "0")
+
+
+def _bump(side):
+    """The side with 1 added: to its last row's first entry, if it is a matrix."""
+    if isinstance(side, TriMatrix):
+        rows = [list(row) for row in side.rows]
+        rows[-1][0] += 1
+        return TriMatrix(rows)
+    if isinstance(side, Poly):
+        return side + Poly.one()
+    return side + 1
+
+
+@pytest.mark.parametrize("label", list(connect.CATALOG))
+def test_every_label_reports_a_perturbed_side(label):
+    with pytest.raises(ValueError):
+        connect.verify(label, 0)
+    assert connect.verify(label, 1).passed
+    depth = 6
+    assert connect.verify(label, depth).passed
+    where, bumped, found = _mismatch_with_last_side(label, depth, _bump)
+    if isinstance(bumped, TriMatrix):
+        assert found[0] == f"{where} ({bumped.order - 1},0)"
+    else:
+        assert found[0] == where and found[2] == str(bumped)
 
 
 def test_connection_catalog_passes():
     for ident in connect.CONNECTION_IDS:
-        report = connect.verify_connection(ident, 10)
+        report = connect.verify(ident, 10)
         assert report.passed, report.describe()
 
 
 def test_connection_unknown_id():
     with pytest.raises(UnknownIdentityError):
-        connect.verify_connection("1.23", 5)
+        connect.verify("1.23", 5)
 
 
 def test_connection_hand_instances():

@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
+from genocchi import polyalg
 from genocchi.polyalg import BASIS_KINDS, Poly, basis_matrix, fib_poly, lucas_poly
 from genocchi.trimat import TriMatrix
 
@@ -153,3 +158,39 @@ def test_basis_matrix_rejects_bad_input():
     with pytest.raises(ValueError):
         basis_matrix("nope", 3)
     assert set(BASIS_KINDS) == {"F_odd", "F_even", "L_even", "L_odd"}
+
+
+# ----------------------------------------------------------------------
+# cross-checks hold without assertions
+
+
+def test_broken_closed_form_raises(monkeypatch):
+    monkeypatch.setattr(polyalg, "_fib_closed", lambda n: Poly([1] * n))
+    monkeypatch.setattr(polyalg, "_fib", [Poly(), Poly([1])])
+    with pytest.raises(ArithmeticError, match="fibonacci routes disagree at 2"):
+        fib_poly(5)
+
+
+BROKEN_CLOSED_FORM = """
+from genocchi import polyalg
+if __debug__:
+    raise SystemExit("assertions are enabled")
+polyalg._fib_closed = lambda n: polyalg.Poly([1] * n)
+polyalg._fib = [polyalg.Poly(), polyalg.Poly([1])]
+try:
+    polyalg.fib_poly(5)
+except ArithmeticError as exc:
+    print(exc)
+"""
+
+
+def test_broken_closed_form_raises_under_optimize():
+    src = str(Path(polyalg.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", BROKEN_CLOSED_FORM],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "fibonacci routes disagree at 2"

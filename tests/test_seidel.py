@@ -4,12 +4,11 @@ import pytest
 
 import golden
 from genocchi import numbers
+from genocchi.connect import verify
 from genocchi.seidel import (
     VARIANTS,
-    kaneko_check,
     seidel_array,
     seidel_diagonal,
-    seidel_identity_check,
 )
 from genocchi.stirling import preset, stirling2
 
@@ -103,8 +102,8 @@ def test_seidel_identity_instances():
     # n = 1 by hand: the only term is G(2) = 1; n = 2: G(4) - G(2) = 0
     assert numbers.genocchi(1) == 1
     assert numbers.genocchi(2) - numbers.genocchi(1) == 0
-    assert seidel_identity_check(1).passed
-    report = seidel_identity_check(40)
+    assert verify("4.17", 1).passed
+    report = verify("4.17", 40)
     assert report.passed
     assert report.depth == 40
 
@@ -119,13 +118,13 @@ def test_kaneko_instances():
         ]
     )
     assert total == 0
-    assert kaneko_check(5).passed
-    assert kaneko_check(40).passed
+    assert verify("4.48", 5).passed
+    assert verify("4.48", 40).passed
 
 
 def test_check_reports_have_ids():
-    assert seidel_identity_check(6).ident == "4.17"
-    assert kaneko_check(6).ident == "4.48"
+    assert verify("4.17", 6).ident == "4.17"
+    assert verify("4.48", 6).ident == "4.48"
 
 
 def test_bounds_validation():
@@ -134,4 +133,4 @@ def test_bounds_validation():
     with pytest.raises(ValueError):
         seidel_array("ls-from-T", k=-1, rows=3)
     with pytest.raises(ValueError):
-        seidel_identity_check(0)
+        verify("4.17", 0)
