@@ -95,8 +95,7 @@ def cases_6_6(depth: int) -> Iterator[Case]:
     tri = stirling2(preset("stirling-shift"), depth + 1)
     for n in range(depth + 1):
         lhs = sum(
-            (tri[n, j] * (-1) ** j * Fraction(factorial(j), j + 1) for j in range(n + 1)),
-            Fraction(0),
+            tri[n, j] * (-1) ** j * Fraction(factorial(j), j + 1) for j in range(n + 1)
         )
         yield (f"n={n}", lhs, numbers.bernoulli_b(n))
 
@@ -104,7 +103,7 @@ def cases_6_6(depth: int) -> Iterator[Case]:
 def cases_6_7(depth: int) -> Iterator[Case]:
     tri = stirling1(preset("stirling-shift"), depth + 1)
     for n in range(depth + 1):
-        lhs = sum((tri[n, j] * numbers.bernoulli_b(j) for j in range(n + 1)), Fraction(0))
+        lhs = sum(tri[n, j] * numbers.bernoulli_b(j) for j in range(n + 1))
         yield (f"n={n}", lhs, Fraction((-1) ** n * factorial(n), n + 1))
 
 
@@ -112,8 +111,7 @@ def cases_6_8(depth: int) -> Iterator[Case]:
     tri = stirling2(preset("central-factorial"), depth + 1)
     for n in range(1, depth + 1):
         lhs = sum(
-            ((-1) ** (k - 1) * tri[n, k] * k * factorial(k - 1) ** 2 for k in range(1, n + 1)),
-            Fraction(0),
+            (-1) ** (k - 1) * tri[n, k] * k * factorial(k - 1) ** 2 for k in range(1, n + 1)
         )
         yield (f"n={n}", lhs, Fraction((-1) ** (n - 1) * numbers.genocchi(n)))
 
@@ -122,8 +120,7 @@ def cases_6_9(depth: int) -> Iterator[Case]:
     tri = stirling1(preset("central-factorial"), depth + 1)
     for n in range(1, depth + 1):
         lhs = sum(
-            ((-1) ** (n - k) * tri[n, k] * numbers.genocchi(k) for k in range(1, n + 1)),
-            Fraction(0),
+            (-1) ** (n - k) * tri[n, k] * numbers.genocchi(k) for k in range(1, n + 1)
         )
         yield (f"n={n}", lhs, Fraction(factorial(n) * factorial(n - 1)))
 
@@ -132,8 +129,7 @@ def cases_6_10(depth: int) -> Iterator[Case]:
     tri = stirling2(preset("central-factorial"), depth + 1)
     for n in range(1, depth + 1):
         lhs = sum(
-            ((-1) ** (k - 1) * tri[n, k] * factorial(k) ** 2 for k in range(1, n + 1)),
-            Fraction(0),
+            (-1) ** (k - 1) * tri[n, k] * factorial(k) ** 2 for k in range(1, n + 1)
         )
         yield (f"n={n}", lhs, Fraction((-1) ** (n - 1) * numbers.genocchi(n + 1)))
 
@@ -142,8 +138,7 @@ def cases_6_11(depth: int) -> Iterator[Case]:
     tri = stirling1(preset("central-factorial"), depth + 1)
     for n in range(depth + 1):
         lhs = sum(
-            ((-1) ** (n - k) * tri[n, k] * numbers.genocchi(k + 1) for k in range(n + 1)),
-            Fraction(0),
+            (-1) ** (n - k) * tri[n, k] * numbers.genocchi(k + 1) for k in range(n + 1)
         )
         yield (f"n={n}", lhs, Fraction(factorial(n) ** 2))
 
@@ -152,11 +147,8 @@ def cases_6_12(depth: int) -> Iterator[Case]:
     tri = stirling2(preset("legendre-stirling"), depth + 2)
     for n in range(depth + 1):
         lhs = sum(
-            (
-                (-1) ** (n - k) * tri[n + 1, k + 1] * factorial(k + 1) ** 2
-                for k in range(n + 1)
-            ),
-            Fraction(0),
+            (-1) ** (n - k) * tri[n + 1, k + 1] * factorial(k + 1) ** 2
+            for k in range(n + 1)
         )
         yield (f"n={n}", lhs, Fraction(numbers.median_genocchi(n + 1)))
 
@@ -165,11 +157,8 @@ def cases_6_13(depth: int) -> Iterator[Case]:
     tri = stirling2(SQUARES_FROM_2, depth + 1)
     for n in range(depth + 1):
         lhs = sum(
-            (
-                (-1) ** (n - k) * tri[n, k] * factorial(k + 1) * factorial(k + 2)
-                for k in range(n + 1)
-            ),
-            Fraction(0),
+            (-1) ** (n - k) * tri[n, k] * factorial(k + 1) * factorial(k + 2)
+            for k in range(n + 1)
         )
         yield (f"n={n}", lhs, Fraction(numbers.genocchi(n + 1) + numbers.genocchi(n + 2)))
 
@@ -178,13 +167,10 @@ def cases_6_14(depth: int) -> Iterator[Case]:
     tri = stirling1(SQUARES_FROM_2, depth + 1)
     for n in range(depth + 1):
         lhs = sum(
-            (
-                (-1) ** (n - k)
-                * tri[n, k]
-                * (numbers.genocchi(k + 1) + numbers.genocchi(k + 2))
-                for k in range(n + 1)
-            ),
-            Fraction(0),
+            (-1) ** (n - k)
+            * tri[n, k]
+            * (numbers.genocchi(k + 1) + numbers.genocchi(k + 2))
+            for k in range(n + 1)
         )
         yield (f"n={n}", lhs, Fraction(factorial(n + 1) * factorial(n + 2)))
 
@@ -193,11 +179,8 @@ def cases_6_15(depth: int) -> Iterator[Case]:
     tri = stirling2(preset("central-factorial"), depth + 2)
     for n in range(depth + 1):
         lhs = sum(
-            (
-                (-1) ** j * Fraction(factorial(j) ** 2, j + 1) * tri[n + 1, j + 1]
-                for j in range(n + 1)
-            ),
-            Fraction(0),
+            (-1) ** j * Fraction(factorial(j) ** 2, j + 1) * tri[n + 1, j + 1]
+            for j in range(n + 1)
         )
         yield (f"n={n}", lhs, (2 * n + 1) * numbers.bernoulli(2 * n))
 
@@ -206,15 +189,12 @@ def cases_6_16(depth: int) -> Iterator[Case]:
     tri = stirling2(preset("u-half-odd"), depth + 1)
     for n in range(depth + 1):
         lhs = sum(
-            (
-                (-1) ** (n - k)
-                * 4 ** (n - k)
-                * tri[n, k]
-                * (2 * k + 1)
-                * odd_double_factorial(k) ** 2
-                for k in range(n + 1)
-            ),
-            Fraction(0),
+            (-1) ** (n - k)
+            * 4 ** (n - k)
+            * tri[n, k]
+            * (2 * k + 1)
+            * odd_double_factorial(k) ** 2
+            for k in range(n + 1)
         )
         yield (f"n={n}", lhs, Fraction(numbers.tangent(n)))
 
@@ -223,12 +203,9 @@ def cases_6_17(depth: int) -> Iterator[Case]:
     tri = stirling2(preset("u-half-odd"), depth + 1)
     for n in range(depth + 1):
         lhs = sum(
-            (
-                (-1) ** k
-                * tri[n, k]
-                * Fraction(odd_double_factorial(k) ** 2, (2 * k + 1) * 4**k)
-                for k in range(n + 1)
-            ),
-            Fraction(0),
+            (-1) ** k
+            * tri[n, k]
+            * Fraction(odd_double_factorial(k) ** 2, (2 * k + 1) * 4**k)
+            for k in range(n + 1)
         )
         yield (f"n={n}", lhs, numbers.bernoulli(2 * n))

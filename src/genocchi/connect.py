@@ -19,7 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import sub
 from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from . import akiyama, numbers, seidel
@@ -109,18 +111,13 @@ def tangent_matrix_inverse_printed(order: int) -> TriMatrix:
 
 def a1_matrix(order: int) -> TriMatrix:
     """Partial row sums of the Genocchi matrix."""
-    a = genocchi_matrix(order)
-    return TriMatrix(
-        [[sum(a.rows[n][: k + 1], Fraction(0)) for k in range(n + 1)] for n in range(order)]
-    )
+    return TriMatrix([list(accumulate(row)) for row in genocchi_matrix(order).rows])
 
 
 def a2_matrix(order: int) -> TriMatrix:
     """Difference of consecutive rows of the partial-sum matrix."""
-    a1 = a1_matrix(order + 1)
-    return TriMatrix(
-        [[a1[n, k] - a1[n + 1, k] for k in range(n + 1)] for n in range(order)]
-    )
+    a1 = a1_matrix(order + 1).rows
+    return TriMatrix([list(map(sub, a1[n], a1[n + 1])) for n in range(order)])
 
 
 def z_matrix(order: int) -> TriMatrix:
@@ -129,16 +126,8 @@ def z_matrix(order: int) -> TriMatrix:
     Entry (n, k) sums the first k+1 column-wise differences of consecutive
     rows of the inverse Genocchi matrix.
     """
-    w = genocchi_matrix_inverse(order + 1)
-    return TriMatrix(
-        [
-            [
-                sum((w[n, j] - w[n + 1, j] for j in range(k + 1)), Fraction(0))
-                for k in range(n + 1)
-            ]
-            for n in range(order)
-        ]
-    )
+    w = genocchi_matrix_inverse(order + 1).rows
+    return TriMatrix([list(accumulate(map(sub, w[n], w[n + 1]))) for n in range(order)])
 
 
 def c_matrix(order: int) -> TriMatrix:
@@ -361,7 +350,7 @@ def _scalar_314(depth: int) -> Iterator[Case]:
     t2 = _T(depth + 2)
     for n in range(depth + 1):
         for k in range(n + 1):
-            lhs = sum((comb(2 * n - j, j) * ls[j, k] for j in range(n + 1)), Fraction(0))
+            lhs = sum(comb(2 * n - j, j) * ls[j, k] for j in range(n + 1))
             yield (f"n={n},k={k}", lhs, t2[n + 1, k + 1])
 
 
@@ -370,7 +359,7 @@ def _scalar_315(depth: int) -> Iterator[Case]:
     t2 = _T(depth + 2)
     for n in range(depth + 1):
         for k in range(n + 1):
-            lhs = sum((comb(2 * n + 1 - j, j) * ls[j, k] for j in range(n + 1)), Fraction(0))
+            lhs = sum(comb(2 * n + 1 - j, j) * ls[j, k] for j in range(n + 1))
             yield (f"n={n},k={k}", lhs, (k + 1) * t2[n + 1, k + 1])
 
 
@@ -380,8 +369,7 @@ def _scalar_320(depth: int) -> Iterator[Case]:
     for n in range(depth + 1):
         for k in range(n + 1):
             lhs = sum(
-                (comb(n + 1, 2 * n - 2 * j) * t2[j + 1, k + 1] for j in range(n + 1)),
-                Fraction(0),
+                comb(n + 1, 2 * n - 2 * j) * t2[j + 1, k + 1] for j in range(n + 1)
             )
             yield (f"n={n},k={k}", lhs, ls[n + 1, k + 1])
 
@@ -392,8 +380,7 @@ def _scalar_321(depth: int) -> Iterator[Case]:
     for n in range(depth + 1):
         for k in range(n + 1):
             lhs = sum(
-                (comb(n + 1, 2 * n - 2 * j + 1) * t2[j + 1, k + 1] for j in range(n + 1)),
-                Fraction(0),
+                comb(n + 1, 2 * n - 2 * j + 1) * t2[j + 1, k + 1] for j in range(n + 1)
             )
             yield (f"n={n},k={k}", lhs, (k + 1) * ls[n + 1, k + 1])
 
@@ -404,7 +391,7 @@ def _scalar_58(depth: int) -> Iterator[Case]:
     for n in range(depth + 1):
         row = lucas_poly(2 * n).coeffs
         for k in range(n + 1):
-            lhs = sum((row[j] * vv[j, k] for j in range(len(row))), Fraction(0))
+            lhs = sum(row[j] * vv[j, k] for j in range(len(row)))
             yield (f"n={n},k={k}", lhs, 2 * uu[n, k])
 
 
@@ -414,7 +401,7 @@ def _scalar_59(depth: int) -> Iterator[Case]:
     for n in range(depth + 1):
         row = lucas_poly(2 * n + 1).coeffs
         for k in range(n + 1):
-            lhs = sum((row[j] * vv[j, k] for j in range(len(row))), Fraction(0))
+            lhs = sum(row[j] * vv[j, k] for j in range(len(row)))
             yield (f"n={n},k={k}", lhs, (2 * k + 1) * uu[n, k])
 
 

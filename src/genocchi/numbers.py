@@ -4,15 +4,15 @@ Each sequence is produced by a primary route and pinned to an independent
 one: Genocchi values must come out integral and positive, tangent values
 integral, and median Genocchi values are read off a matrix inverse and then
 re-checked against the Genocchi numbers.  All functions are pure; the
-internal caches only memoize deterministic values.
+internal caches only memoize deterministic values, and each value is
+checked once, when it enters its cache.  Bernoulli numbers are Fractions;
+the Genocchi, tangent and median Genocchi functions return ints.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-
-from .trimat import TriMatrix
 
 _bernoulli: list[Fraction] = [Fraction(1)]
 
@@ -35,6 +35,10 @@ def bernoulli_b(n: int) -> Fraction:
     return bernoulli(n)
 
 
+# _genocchi[n - 1] is the Genocchi number with index 2n.
+_genocchi: list[int] = []
+
+
 def genocchi(n: int) -> int:
     """Positive Genocchi number with even index 2n, for n >= 1.
 
@@ -43,10 +47,15 @@ def genocchi(n: int) -> int:
     """
     if n < 1:
         raise ValueError("index must be >= 1")
-    value = (-1) ** n * 2 * (1 - Fraction(4) ** n) * bernoulli(2 * n)
-    if value.denominator != 1 or value <= 0:
-        raise ArithmeticError(f"genocchi({n}) came out as {value}, expected a positive integer")
-    return int(value)
+    while len(_genocchi) < n:
+        m = len(_genocchi) + 1
+        value = (-1) ** m * 2 * (1 - 4**m) * bernoulli(2 * m)
+        if value.denominator != 1 or value <= 0:
+            raise ArithmeticError(
+                f"genocchi({m}) came out as {value}, expected a positive integer"
+            )
+        _genocchi.append(value.numerator)
+    return _genocchi[n - 1]
 
 
 def genocchi_signed(n: int) -> Fraction:
@@ -75,37 +84,36 @@ def tangent(k: int) -> int:
     return int(value)
 
 
+# _medians[n] is the median Genocchi number with index 2n+1.
 _medians: list[int] = []
-
-
-def _extend_medians(count: int) -> None:
-    inv = TriMatrix.from_rule(lambda i, j: comb(2 * i - j, j), count).inverse()
-    values = []
-    for i in range(count):
-        v = (-1) ** i * inv[i, 0]
-        if v.denominator != 1 or v <= 0:
-            raise ArithmeticError(f"median genocchi {i} came out as {v}")
-        values.append(int(v))
-    _medians[:] = values
 
 
 def median_genocchi(n: int) -> int:
     """Median Genocchi number with odd index 2n+1, for n >= 0.
 
     Computed as (-1)**n times the first-column entry of the inverse of the
-    binomial matrix whose rows hold the odd-index Fibonacci polynomial
-    coefficients.  Each value is cross-checked against the Genocchi numbers
-    through the alternating binomial sum they generate; a mismatch raises.
+    binomial matrix C(2i-j, j) whose rows hold the odd-index Fibonacci
+    polynomial coefficients.  That matrix has a unit diagonal, so the
+    column x is extended one row at a time by integer forward substitution,
+    x_i = [i = 0] - sum_{j < i} C(2i-j, j) x_j, without building or
+    inverting the matrix.  Each new value must be positive and must
+    reproduce the Genocchi numbers through the alternating binomial sum
+    they generate; a violation raises.
     """
     if n < 0:
         raise ValueError("index must be >= 0")
-    if n >= len(_medians):
-        _extend_medians(max(n + 1, 8))
-    check = sum(
-        (-1) ** (n - j) * comb(2 * n + 1 - j, j) * _medians[j] for j in range(n + 1)
-    )
-    if check != genocchi(n + 1):
-        raise ArithmeticError(
-            f"median genocchi cross-check failed at n={n}: {check} != {genocchi(n + 1)}"
+    while len(_medians) <= n:
+        i = len(_medians)
+        x = (1 if i == 0 else 0) - sum(
+            comb(2 * i - j, j) * (-1) ** j * m for j, m in enumerate(_medians)
         )
+        values = [*_medians, (-1) ** i * x]
+        if values[i] <= 0:
+            raise ArithmeticError(f"median genocchi {i} came out as {values[i]}")
+        check = sum((-1) ** (i - j) * comb(2 * i + 1 - j, j) * m for j, m in enumerate(values))
+        if check != genocchi(i + 1):
+            raise ArithmeticError(
+                f"median genocchi cross-check failed at n={i}: {check} != {genocchi(i + 1)}"
+            )
+        _medians.append(values[i])
     return _medians[n]

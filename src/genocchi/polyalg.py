@@ -11,25 +11,28 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+from operator import add
 from typing import Iterable, Tuple
 
-from .trimat import TriMatrix
+from .trimat import Scalar, TriMatrix, _exact
 
 
 class Poly:
-    """Immutable dense polynomial over Fraction in one variable s.
+    """Immutable dense polynomial with exact coefficients in one variable s.
 
     coeffs[k] is the coefficient of s**k; trailing zeros are trimmed and the
-    zero polynomial has an empty coefficient tuple.
+    zero polynomial has an empty coefficient tuple.  A coefficient is an int
+    when it is integral and a Fraction otherwise, so equal polynomials
+    compare and hash equal.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [Fraction(c) for c in coeffs]
+        cs = list(map(_exact, coeffs))
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs: Tuple[Fraction, ...] = tuple(cs)
+        self.coeffs: Tuple[Scalar, ...] = tuple(cs)
 
     @classmethod
     def zero(cls) -> "Poly":
@@ -48,8 +51,8 @@ class Poly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+    def coeff(self, k: int) -> Scalar:
+        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -67,7 +70,7 @@ class Poly:
         """Multiply by s**k."""
         if self.is_zero():
             return self
-        return Poly((Fraction(0),) * k + self.coeffs)
+        return Poly((0,) * k + self.coeffs)
 
     def truncate(self, n: int) -> "Poly":
         """Drop all terms of degree >= n."""
@@ -77,7 +80,7 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        return Poly([a[i] + (b[i] if i < len(b) else 0) for i in range(len(a))])
+        return Poly([*map(add, a, b), *a[len(b) :]])
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -89,7 +92,7 @@ class Poly:
         if isinstance(other, Poly):
             if self.is_zero() or other.is_zero():
                 return Poly()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+            out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
             for i, a in enumerate(self.coeffs):
                 for j, b in enumerate(other.coeffs):
                     out[i + j] += a * b

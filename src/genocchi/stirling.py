@@ -12,28 +12,33 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, sub
 from typing import Callable
 
 from .polyalg import Poly
-from .trimat import TriMatrix
+from .trimat import Scalar, TriMatrix, _exact
 
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """A named total weight sequence n -> w(n)."""
+    """A named total weight sequence n -> w(n).
+
+    Calling the spec gives w(n) as an int when it is integral and as a
+    Fraction otherwise.
+    """
 
     name: str
-    w: Callable[[int], Fraction]
+    w: Callable[[int], Scalar]
 
-    def __call__(self, n: int) -> Fraction:
-        return Fraction(self.w(n))
+    def __call__(self, n: int) -> Scalar:
+        return _exact(self.w(n))
 
 
 PRESETS: dict[str, WeightSpec] = {
-    "stirling": WeightSpec("stirling", lambda n: Fraction(n)),
-    "stirling-shift": WeightSpec("stirling-shift", lambda n: Fraction(n + 1)),
-    "central-factorial": WeightSpec("central-factorial", lambda n: Fraction(n * n)),
-    "legendre-stirling": WeightSpec("legendre-stirling", lambda n: Fraction(n * (n + 1))),
+    "stirling": WeightSpec("stirling", lambda n: n),
+    "stirling-shift": WeightSpec("stirling-shift", lambda n: n + 1),
+    "central-factorial": WeightSpec("central-factorial", lambda n: n * n),
+    "legendre-stirling": WeightSpec("legendre-stirling", lambda n: n * (n + 1)),
     "u-half-odd": WeightSpec("u-half-odd", lambda n: Fraction((2 * n + 1) ** 2, 4)),
     "v-product-quarter": WeightSpec(
         "v-product-quarter", lambda n: Fraction((2 * n - 1) * (2 * n + 1), 4)
@@ -52,28 +57,25 @@ def preset(name: str) -> WeightSpec:
 
 
 # Weights (n+2)**2: the central-factorial weights advanced by two positions.
-SQUARES_FROM_2 = WeightSpec("squares-from-2", lambda n: Fraction((n + 2) ** 2))
+SQUARES_FROM_2 = WeightSpec("squares-from-2", lambda n: (n + 2) ** 2)
 
 
 def shift_weight(spec: WeightSpec) -> WeightSpec:
     """Weight sequence advanced by one position."""
     inner = spec.w
-    return WeightSpec(f"{spec.name}-shifted", lambda n: Fraction(inner(n + 1)))
+    return WeightSpec(f"{spec.name}-shifted", lambda n: inner(n + 1))
 
 
 def stirling2(spec: WeightSpec, order: int) -> TriMatrix:
     """Second-kind triangle for the given weights, as an order-N matrix."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    rows: list[list[Fraction]] = [[Fraction(1)]]
-    for n in range(1, order):
+    weights = [spec(k) for k in range(order - 1)]
+    rows: list[list[Scalar]] = [[1]]
+    for _ in range(1, order):
         prev = rows[-1]
-        row = []
-        for k in range(n + 1):
-            above = prev[k] if k < len(prev) else Fraction(0)
-            left = prev[k - 1] if k >= 1 else Fraction(0)
-            row.append(left + spec(k) * above)
-        rows.append(row)
+        # S(n, k) = S(n-1, k-1) + w(k) S(n-1, k), with S(n-1, -1) = S(n-1, n) = 0
+        rows.append(list(map(add, [0, *prev], [*map(mul, weights, prev), 0])))
     return TriMatrix(rows)
 
 
@@ -81,16 +83,12 @@ def stirling1(spec: WeightSpec, order: int) -> TriMatrix:
     """First-kind triangle for the given weights; inverse of stirling2."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    rows: list[list[Fraction]] = [[Fraction(1)]]
+    rows: list[list[Scalar]] = [[1]]
     for n in range(1, order):
         prev = rows[-1]
         wn = spec(n - 1)
-        row = []
-        for k in range(n + 1):
-            above = prev[k] if k < len(prev) else Fraction(0)
-            left = prev[k - 1] if k >= 1 else Fraction(0)
-            row.append(left - wn * above)
-        rows.append(row)
+        # s(n, k) = s(n-1, k-1) - w(n-1) s(n-1, k), with s(n-1, -1) = s(n-1, n) = 0
+        rows.append(list(map(sub, [0, *prev], [*(wn * x for x in prev), 0])))
     return TriMatrix(rows)
 
 

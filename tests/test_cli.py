@@ -54,6 +54,12 @@ def test_sequence_median_genocchi(capsys):
     assert out == "1 1 2 8 56 608"
 
 
+def test_sequences_yield_fractions():
+    for name, values in cli.SEQUENCES.items():
+        got = values(5)
+        assert len(got) == 5 and all(type(x) is Fraction for x in got), name
+
+
 def test_sequence_json(capsys):
     code, out, _ = run(capsys, "sequence", "bernoulli", "-n", "13", "--format", "json")
     assert code == 0

@@ -51,6 +51,22 @@ def test_a2_matrix_golden():
     assert a2[0, 0] == 2
 
 
+def test_partial_sum_matrices_match_definitions():
+    # a1 sums row prefixes of A, a2 takes differences of consecutive a1 rows
+    # and z sums prefixes of differences of consecutive rows of A^-1.
+    order = 12
+    a, w = connect.genocchi_matrix(order + 1), connect.genocchi_matrix_inverse(order + 1)
+    a1 = [[sum(a[n, j] for j in range(k + 1)) for k in range(n + 1)] for n in range(order + 1)]
+    a2 = [[a1[n][k] - a1[n + 1][k] for k in range(n + 1)] for n in range(order)]
+    z = [
+        [sum(w[n, j] - w[n + 1, j] for j in range(k + 1)) for k in range(n + 1)]
+        for n in range(order)
+    ]
+    assert connect.a1_matrix(order + 1) == TriMatrix(a1)
+    assert connect.a2_matrix(order) == TriMatrix(a2)
+    assert connect.z_matrix(order) == TriMatrix(z)
+
+
 def test_inverse_binomial_golden():
     fib_odd = basis_matrix("F_odd", 6)
     assert fib_odd.inverse().rows == golden.FIB_ODD_INVERSE_6

@@ -6,6 +6,7 @@ import pytest
 import golden
 from genocchi import numbers
 from genocchi.seidel import seidel_array
+from genocchi.trimat import TriMatrix
 
 
 def test_bernoulli_values():
@@ -73,6 +74,15 @@ def test_median_genocchi_values():
     assert [numbers.median_genocchi(n) for n in range(6)] == golden.MEDIAN_GENOCCHI_6
 
 
+def test_median_genocchi_matches_full_inverse():
+    # the forward substitution reproduces the first column of the inverse
+    inv = TriMatrix.from_rule(lambda i, j: comb(2 * i - j, j), 40).inverse()
+    for n in range(40):
+        value = numbers.median_genocchi(n)
+        assert type(value) is int
+        assert value == (-1) ** n * inv[n, 0]
+
+
 def test_median_genocchi_binomial_cross_check():
     # the alternating binomial transform of the medians gives the Genocchi run
     for n in range(13):
@@ -93,6 +103,25 @@ def test_three_way_genocchi_oracle():
         assert from_array == from_bernoulli
         if n >= 1:
             assert abs(numbers.genocchi_signed(2 * n)) == from_bernoulli
+
+
+def test_genocchi_check_runs_as_a_value_enters_the_cache(monkeypatch):
+    monkeypatch.setattr(numbers, "_genocchi", [])
+    # G_2 would come out as (-1) * 2 * (1 - 4) * 1/5 = 6/5
+    monkeypatch.setattr(numbers, "bernoulli", lambda n: Fraction(1, 5))
+    with pytest.raises(ArithmeticError):
+        numbers.genocchi(1)
+    assert numbers._genocchi == []
+
+
+def test_median_genocchi_cross_check_runs_as_a_value_enters_the_cache(monkeypatch):
+    monkeypatch.setattr(numbers, "_medians", [1, 1, 2])
+    # the true value G_8 is 17; cached values are served without a check
+    monkeypatch.setattr(numbers, "genocchi", lambda n: 18)
+    assert numbers.median_genocchi(2) == 2
+    with pytest.raises(ArithmeticError, match="cross-check failed at n=3"):
+        numbers.median_genocchi(3)
+    assert numbers._medians == [1, 1, 2]
 
 
 def test_index_validation():
