@@ -87,125 +87,110 @@ def odd_double_factorial(k: int) -> int:
 # ----------------------------------------------------------------------
 # summation identities 6.6 to 6.17, as case generators for the catalog in
 # connect.  Each builds its triangle once, at the largest order it needs,
-# and yields (where, lhs, rhs) for every n from its first meaningful value
-# up to the depth.
+# reads its rows directly, and yields (where, lhs, rhs) for every n from its
+# first meaningful value up to the depth.  Integral sides are ints; they
+# print exactly as the equal Fractions would.
 
 
 def cases_6_6(depth: int) -> Iterator[Case]:
-    tri = stirling2(preset("stirling-shift"), depth + 1)
-    for n in range(depth + 1):
-        lhs = sum(
-            tri[n, j] * (-1) ** j * Fraction(factorial(j), j + 1) for j in range(n + 1)
-        )
+    rows = stirling2(preset("stirling-shift"), depth + 1).rows
+    for n, row in enumerate(rows):
+        lhs = sum(x * (-1) ** j * Fraction(factorial(j), j + 1) for j, x in enumerate(row))
         yield (f"n={n}", lhs, numbers.bernoulli_b(n))
 
 
 def cases_6_7(depth: int) -> Iterator[Case]:
-    tri = stirling1(preset("stirling-shift"), depth + 1)
-    for n in range(depth + 1):
-        lhs = sum(tri[n, j] * numbers.bernoulli_b(j) for j in range(n + 1))
+    rows = stirling1(preset("stirling-shift"), depth + 1).rows
+    for n, row in enumerate(rows):
+        lhs = sum(x * numbers.bernoulli_b(j) for j, x in enumerate(row))
         yield (f"n={n}", lhs, Fraction((-1) ** n * factorial(n), n + 1))
 
 
 def cases_6_8(depth: int) -> Iterator[Case]:
-    tri = stirling2(preset("central-factorial"), depth + 1)
+    rows = stirling2(preset("central-factorial"), depth + 1).rows
     for n in range(1, depth + 1):
         lhs = sum(
-            (-1) ** (k - 1) * tri[n, k] * k * factorial(k - 1) ** 2 for k in range(1, n + 1)
+            (-1) ** (k - 1) * x * k * factorial(k - 1) ** 2 for k, x in enumerate(rows[n][1:], 1)
         )
-        yield (f"n={n}", lhs, Fraction((-1) ** (n - 1) * numbers.genocchi(n)))
+        yield (f"n={n}", lhs, (-1) ** (n - 1) * numbers.genocchi(n))
 
 
 def cases_6_9(depth: int) -> Iterator[Case]:
-    tri = stirling1(preset("central-factorial"), depth + 1)
+    rows = stirling1(preset("central-factorial"), depth + 1).rows
     for n in range(1, depth + 1):
         lhs = sum(
-            (-1) ** (n - k) * tri[n, k] * numbers.genocchi(k) for k in range(1, n + 1)
+            (-1) ** (n - k) * x * numbers.genocchi(k) for k, x in enumerate(rows[n][1:], 1)
         )
-        yield (f"n={n}", lhs, Fraction(factorial(n) * factorial(n - 1)))
+        yield (f"n={n}", lhs, factorial(n) * factorial(n - 1))
 
 
 def cases_6_10(depth: int) -> Iterator[Case]:
-    tri = stirling2(preset("central-factorial"), depth + 1)
+    rows = stirling2(preset("central-factorial"), depth + 1).rows
     for n in range(1, depth + 1):
-        lhs = sum(
-            (-1) ** (k - 1) * tri[n, k] * factorial(k) ** 2 for k in range(1, n + 1)
-        )
-        yield (f"n={n}", lhs, Fraction((-1) ** (n - 1) * numbers.genocchi(n + 1)))
+        lhs = sum((-1) ** (k - 1) * x * factorial(k) ** 2 for k, x in enumerate(rows[n][1:], 1))
+        yield (f"n={n}", lhs, (-1) ** (n - 1) * numbers.genocchi(n + 1))
 
 
 def cases_6_11(depth: int) -> Iterator[Case]:
-    tri = stirling1(preset("central-factorial"), depth + 1)
-    for n in range(depth + 1):
-        lhs = sum(
-            (-1) ** (n - k) * tri[n, k] * numbers.genocchi(k + 1) for k in range(n + 1)
-        )
-        yield (f"n={n}", lhs, Fraction(factorial(n) ** 2))
+    rows = stirling1(preset("central-factorial"), depth + 1).rows
+    for n, row in enumerate(rows):
+        lhs = sum((-1) ** (n - k) * x * numbers.genocchi(k + 1) for k, x in enumerate(row))
+        yield (f"n={n}", lhs, factorial(n) ** 2)
 
 
 def cases_6_12(depth: int) -> Iterator[Case]:
-    tri = stirling2(preset("legendre-stirling"), depth + 2)
+    rows = stirling2(preset("legendre-stirling"), depth + 2).rows
     for n in range(depth + 1):
         lhs = sum(
-            (-1) ** (n - k) * tri[n + 1, k + 1] * factorial(k + 1) ** 2
-            for k in range(n + 1)
+            (-1) ** (n - k) * x * factorial(k + 1) ** 2 for k, x in enumerate(rows[n + 1][1:])
         )
-        yield (f"n={n}", lhs, Fraction(numbers.median_genocchi(n + 1)))
+        yield (f"n={n}", lhs, numbers.median_genocchi(n + 1))
 
 
 def cases_6_13(depth: int) -> Iterator[Case]:
-    tri = stirling2(SQUARES_FROM_2, depth + 1)
-    for n in range(depth + 1):
+    rows = stirling2(SQUARES_FROM_2, depth + 1).rows
+    for n, row in enumerate(rows):
         lhs = sum(
-            (-1) ** (n - k) * tri[n, k] * factorial(k + 1) * factorial(k + 2)
-            for k in range(n + 1)
+            (-1) ** (n - k) * x * factorial(k + 1) * factorial(k + 2) for k, x in enumerate(row)
         )
-        yield (f"n={n}", lhs, Fraction(numbers.genocchi(n + 1) + numbers.genocchi(n + 2)))
+        yield (f"n={n}", lhs, numbers.genocchi(n + 1) + numbers.genocchi(n + 2))
 
 
 def cases_6_14(depth: int) -> Iterator[Case]:
-    tri = stirling1(SQUARES_FROM_2, depth + 1)
-    for n in range(depth + 1):
+    rows = stirling1(SQUARES_FROM_2, depth + 1).rows
+    for n, row in enumerate(rows):
         lhs = sum(
-            (-1) ** (n - k)
-            * tri[n, k]
-            * (numbers.genocchi(k + 1) + numbers.genocchi(k + 2))
-            for k in range(n + 1)
+            (-1) ** (n - k) * x * (numbers.genocchi(k + 1) + numbers.genocchi(k + 2))
+            for k, x in enumerate(row)
         )
-        yield (f"n={n}", lhs, Fraction(factorial(n + 1) * factorial(n + 2)))
+        yield (f"n={n}", lhs, factorial(n + 1) * factorial(n + 2))
 
 
 def cases_6_15(depth: int) -> Iterator[Case]:
-    tri = stirling2(preset("central-factorial"), depth + 2)
+    rows = stirling2(preset("central-factorial"), depth + 2).rows
     for n in range(depth + 1):
         lhs = sum(
-            (-1) ** j * Fraction(factorial(j) ** 2, j + 1) * tri[n + 1, j + 1]
-            for j in range(n + 1)
+            (-1) ** j * Fraction(factorial(j) ** 2, j + 1) * x
+            for j, x in enumerate(rows[n + 1][1:])
         )
         yield (f"n={n}", lhs, (2 * n + 1) * numbers.bernoulli(2 * n))
 
 
 def cases_6_16(depth: int) -> Iterator[Case]:
-    tri = stirling2(preset("u-half-odd"), depth + 1)
-    for n in range(depth + 1):
+    rows = stirling2(preset("u-half-odd"), depth + 1).rows
+    for n, row in enumerate(rows):
         lhs = sum(
-            (-1) ** (n - k)
-            * 4 ** (n - k)
-            * tri[n, k]
-            * (2 * k + 1)
-            * odd_double_factorial(k) ** 2
-            for k in range(n + 1)
+            (-1) ** (n - k) * 4 ** (n - k) * x * (2 * k + 1) * odd_double_factorial(k) ** 2
+            for k, x in enumerate(row)
         )
-        yield (f"n={n}", lhs, Fraction(numbers.tangent(n)))
+        yield (f"n={n}", lhs, numbers.tangent(n))
 
 
 def cases_6_17(depth: int) -> Iterator[Case]:
-    tri = stirling2(preset("u-half-odd"), depth + 1)
-    for n in range(depth + 1):
+    rows = stirling2(preset("u-half-odd"), depth + 1).rows
+    for n, row in enumerate(rows):
         lhs = sum(
-            (-1) ** k
-            * tri[n, k]
-            * Fraction(odd_double_factorial(k) ** 2, (2 * k + 1) * 4**k)
-            for k in range(n + 1)
+            (-1) ** k * x * Fraction(odd_double_factorial(k) ** 2, (2 * k + 1) * 4**k)
+            for k, x in enumerate(row)
         )
         yield (f"n={n}", lhs, numbers.bernoulli(2 * n))

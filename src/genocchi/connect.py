@@ -10,9 +10,12 @@ CATALOG holds all 56 identities in label order.  Each one is a generator of
 cases (where, reference, *others): a factorization is one case of whole
 matrices compared entrywise, a connection identity has one case per index n
 (polynomial, compared coefficientwise) or per (n, k) pair (scalar), and a
-summation identity one per n.  verify runs the cases of one label through
-first_mismatch.  Catalog labels are fixed strings such as "3.9" or "5.10"
-and form part of the command line contract.
+summation identity one per n.  A connection case is a row or an entry of
+one matrix product, a coefficient matrix times a basis coefficient matrix,
+so each side is built whole and its cases are read off it.  verify runs
+the cases of one label through first_mismatch.  Catalog labels are fixed
+strings such as "3.9" or "5.10" and form part of the command line
+contract.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from .stirling import (
     stirling2,
     stirling2_shifted,
 )
-from .trimat import TriMatrix
+from .trimat import TriMatrix, _exact
 
 # ----------------------------------------------------------------------
 # matrix builders
@@ -235,7 +238,6 @@ def phi_functional(k: int, depth: int) -> LinearFunctional:
 # ----------------------------------------------------------------------
 # identity catalog
 
-_T = lambda n: stirling2(preset("central-factorial"), n)  # noqa: E731
 _LS = lambda n: stirling2(preset("legendre-stirling"), n)  # noqa: E731
 _Tsh = lambda n: stirling2_shifted(preset("central-factorial"), n)  # noqa: E731
 _tsh = lambda n: stirling1_shifted(preset("central-factorial"), n)  # noqa: E731
@@ -263,147 +265,73 @@ def _matrices(sides: Callable[[int], Tuple[TriMatrix, ...]]) -> Cases:
     return cases
 
 
-def _poly_21(depth: int) -> Iterator[Case]:
-    for n in range(depth + 1):
-        rhs = Poly()
-        for k in range(n + 1):
-            coeff = Fraction(
-                (-1) ** (n - k) * numbers.genocchi(n - k + 1) * comb(2 * n + 2, 2 * k),
-                2 * k + 1,
-            )
-            rhs = rhs + coeff * fib_poly(2 * k + 1)
-        yield (f"n={n}", fib_poly(2 * n + 2), rhs)
+def _poly_rows(
+    reference: Callable[[int], Poly],
+    basis: Callable[[int], Poly],
+    *coefficients: Callable[[int], TriMatrix],
+) -> Cases:
+    """A connection identity as the rows of coefficient @ basis matrices.
+
+    Case n compares reference(n) with sum_k C[n, k] basis(k) for each
+    coefficient matrix C, as row n of the product C @ B, where row k of B
+    holds the coefficients of basis(k), a polynomial of degree k.
+    """
+
+    def cases(depth: int) -> Iterator[Case]:
+        order = depth + 1
+        b = TriMatrix([basis(k).coeffs for k in range(order)])
+        products = [c(order) @ b for c in coefficients]
+        for n in range(order):
+            yield (f"n={n}", reference(n), *(Poly(p.rows[n]) for p in products))
+
+    return cases
 
 
-def _poly_22(depth: int) -> Iterator[Case]:
-    for n in range(depth + 1):
-        rhs = Poly()
-        for k in range(n + 1):
-            coeff = comb(2 * n + 1, 2 * k + 1) * numbers.bernoulli(2 * n - 2 * k) / (k + 1)
-            rhs = rhs + coeff * fib_poly(2 * k + 2)
-        yield (f"n={n}", fib_poly(2 * n + 1), rhs)
+def _entries(
+    product: Callable[[int], TriMatrix],
+    triangle: Callable[[int], TriMatrix],
+    scale: Callable[[int], int] = lambda k: 1,
+) -> Cases:
+    """A connection identity as the entries of one matrix product.
+
+    Case (n, k) compares entry (n, k) of product(depth + 1) with scale(k)
+    times entry (n, k) of triangle(depth + 1); both sides are ints when
+    integral.
+    """
+
+    def cases(depth: int) -> Iterator[Case]:
+        lhs, rhs = product(depth + 1).rows, triangle(depth + 1).rows
+        for n in range(depth + 1):
+            for k in range(n + 1):
+                yield (f"n={n},k={k}", lhs[n][k], _exact(scale(k) * rhs[n][k]))
+
+    return cases
 
 
-def _poly_23(depth: int) -> Iterator[Case]:
-    for n in range(depth + 1):
-        via_tangent = Poly()
-        via_genocchi = Poly()
-        for k in range(n + 1):
-            d = n - k
-            base = (-1) ** d * comb(2 * n + 1, 2 * k)
-            via_tangent = via_tangent + (
-                Fraction(base * numbers.tangent(d), 2 ** (2 * d + 1)) * lucas_poly(2 * k)
-            )
-            via_genocchi = via_genocchi + (
-                Fraction(base * numbers.genocchi(d + 1), 2 * d + 2) * lucas_poly(2 * k)
-            )
-        yield (f"n={n}", lucas_poly(2 * n + 1), via_tangent, via_genocchi)
+def _genocchi_over_lucas(order: int) -> TriMatrix:
+    """The tangent matrix in Genocchi numbers: (-1)**d C(2n+1, 2k) G(d+1) / (2d+2), d = n-k."""
+
+    def rule(n: int, k: int) -> Fraction:
+        d = n - k
+        return Fraction((-1) ** d * comb(2 * n + 1, 2 * k) * numbers.genocchi(d + 1), 2 * d + 2)
+
+    return TriMatrix.from_rule(rule, order)
 
 
-def _poly_24(depth: int) -> Iterator[Case]:
-    for n in range(depth + 1):
-        rhs = Poly()
-        for j in range(n + 1):
-            coeff = comb(2 * n, 2 * j) * numbers.bernoulli(2 * n - 2 * j) / (2 * j + 1)
-            rhs = rhs + coeff * lucas_poly(2 * j + 1)
-        yield (f"n={n}", lucas_poly(2 * n), 2 * rhs)
+# The left factors of 3.14/3.15 are built from the binomial rule alone and
+# the Fibonacci bases of the polynomial cases from fib_poly alone, as the
+# identities state them; basis_matrix would also cross-check the two routes.
+_Fodd_rule = lambda n: TriMatrix.from_rule(lambda i, j: comb(2 * i - j, j), n)  # noqa: E731
+_Feven_rule = lambda n: TriMatrix.from_rule(lambda i, j: comb(2 * i + 1 - j, j), n)  # noqa: E731
+_V = lambda n: stirling2(preset("v-product-quarter"), n)  # noqa: E731
+_fib_sum = lambda m: fib_poly(m) + fib_poly(m + 1)  # noqa: E731
 
-
-def _poly_46(depth: int) -> Iterator[Case]:
-    a = genocchi_matrix(depth + 1)
-    for n in range(depth + 1):
-        rhs = Poly()
-        for k in range(n + 1):
-            rhs = rhs + a[n, k] * fib_poly(2 * k + 1)
-        yield (f"n={n}", fib_poly(2 * n + 2), rhs)
-
-
-def _poly_440(depth: int) -> Iterator[Case]:
-    a1 = a1_matrix(depth + 1)
-    for n in range(depth + 1):
-        rhs = Poly()
-        for k in range(n + 1):
-            rhs = rhs + a1[n, k] * (fib_poly(2 * k) + fib_poly(2 * k + 1))
-        yield (f"n={n}", fib_poly(2 * n + 1), rhs)
-
-
-def _poly_442(depth: int) -> Iterator[Case]:
-    a2 = a2_matrix(depth + 1)
-    for n in range(depth + 1):
-        rhs = Poly()
-        for k in range(n + 1):
-            rhs = rhs + a2[n, k] * (fib_poly(2 * k) + fib_poly(2 * k + 1))
-        yield (f"n={n}", fib_poly(2 * n + 1) + fib_poly(2 * n + 2), rhs)
-
-
-def _poly_450(depth: int) -> Iterator[Case]:
-    z = z_matrix(depth + 1)
-    for n in range(depth + 1):
-        rhs = Poly()
-        for k in range(n + 1):
-            rhs = rhs + z[n, k] * (fib_poly(2 * k + 1) + fib_poly(2 * k + 2))
-        yield (f"n={n}", fib_poly(2 * n) + fib_poly(2 * n + 1), rhs)
-
-
-def _scalar_314(depth: int) -> Iterator[Case]:
-    ls = _LS(depth + 1)
-    t2 = _T(depth + 2)
-    for n in range(depth + 1):
-        for k in range(n + 1):
-            lhs = sum(comb(2 * n - j, j) * ls[j, k] for j in range(n + 1))
-            yield (f"n={n},k={k}", lhs, t2[n + 1, k + 1])
-
-
-def _scalar_315(depth: int) -> Iterator[Case]:
-    ls = _LS(depth + 1)
-    t2 = _T(depth + 2)
-    for n in range(depth + 1):
-        for k in range(n + 1):
-            lhs = sum(comb(2 * n + 1 - j, j) * ls[j, k] for j in range(n + 1))
-            yield (f"n={n},k={k}", lhs, (k + 1) * t2[n + 1, k + 1])
-
-
-def _scalar_320(depth: int) -> Iterator[Case]:
-    ls = _LS(depth + 2)
-    t2 = _T(depth + 2)
-    for n in range(depth + 1):
-        for k in range(n + 1):
-            lhs = sum(
-                comb(n + 1, 2 * n - 2 * j) * t2[j + 1, k + 1] for j in range(n + 1)
-            )
-            yield (f"n={n},k={k}", lhs, ls[n + 1, k + 1])
-
-
-def _scalar_321(depth: int) -> Iterator[Case]:
-    ls = _LS(depth + 2)
-    t2 = _T(depth + 2)
-    for n in range(depth + 1):
-        for k in range(n + 1):
-            lhs = sum(
-                comb(n + 1, 2 * n - 2 * j + 1) * t2[j + 1, k + 1] for j in range(n + 1)
-            )
-            yield (f"n={n},k={k}", lhs, (k + 1) * ls[n + 1, k + 1])
-
-
-def _scalar_58(depth: int) -> Iterator[Case]:
-    uu = _U(depth + 1)
-    vv = stirling2(preset("v-product-quarter"), depth + 1)
-    for n in range(depth + 1):
-        row = lucas_poly(2 * n).coeffs
-        for k in range(n + 1):
-            lhs = sum(row[j] * vv[j, k] for j in range(len(row)))
-            yield (f"n={n},k={k}", lhs, 2 * uu[n, k])
-
-
-def _scalar_59(depth: int) -> Iterator[Case]:
-    uu = _U(depth + 1)
-    vv = stirling2(preset("v-product-quarter"), depth + 2)
-    for n in range(depth + 1):
-        row = lucas_poly(2 * n + 1).coeffs
-        for k in range(n + 1):
-            lhs = sum(row[j] * vv[j, k] for j in range(len(row)))
-            yield (f"n={n},k={k}", lhs, (2 * k + 1) * uu[n, k])
-
+_even_fibonacci_via_genocchi = _poly_rows(
+    lambda n: fib_poly(2 * n + 2), lambda k: fib_poly(2 * k + 1), genocchi_matrix
+)
+_odd_fibonacci_via_bernoulli = _poly_rows(
+    lambda n: fib_poly(2 * n + 1), lambda k: fib_poly(2 * k + 2), genocchi_matrix_inverse
+)
 
 _genocchi_via_fibonacci = _matrices(
     lambda n: (genocchi_matrix(n), _Feven(n) @ _Fodd(n).inverse())
@@ -413,12 +341,19 @@ _genocchi_via_choose = _matrices(
 )
 
 # label -> (kind, cases), in label order, which is the order "verify all"
-# reports in.  Labels 4.14, 4.15 and 4.46 restate 4.11, 4.13 and 2.2.
+# reports in.  Labels 4.6, 4.14, 4.15 and 4.46 restate 2.1, 4.11, 4.13 and 2.2.
 CATALOG: Dict[str, Tuple[str, Cases]] = {
-    "2.1": ("connection", _poly_21),
-    "2.2": ("connection", _poly_22),
-    "2.3": ("connection", _poly_23),
-    "2.4": ("connection", _poly_24),
+    "2.1": ("connection", _even_fibonacci_via_genocchi),
+    "2.2": ("connection", _odd_fibonacci_via_bernoulli),
+    "2.3": ("connection", _poly_rows(
+        lambda n: lucas_poly(2 * n + 1),
+        lambda k: lucas_poly(2 * k),
+        tangent_matrix,
+        _genocchi_over_lucas,
+    )),
+    "2.4": ("connection", _poly_rows(
+        lambda n: lucas_poly(2 * n), lambda k: lucas_poly(2 * k + 1), tangent_matrix_inverse
+    )),
     "2.15/2.16-inverse": ("factorization", _matrices(
         lambda n: (TriMatrix.identity(n), c_matrix(n) @ c_matrix_inverse(n))
     )),
@@ -438,8 +373,10 @@ CATALOG: Dict[str, Tuple[str, Cases]] = {
         pascal_matrix(n).inverse() @ pascal_plus_matrix(n),
         _S(n) @ _nat_diag(n) @ _s(n),
     ))),
-    "3.14": ("connection", _scalar_314),
-    "3.15": ("connection", _scalar_315),
+    "3.14": ("connection", _entries(lambda n: _Fodd_rule(n) @ _LS(n), _Tsh)),
+    "3.15": ("connection", _entries(
+        lambda n: _Feven_rule(n) @ _LS(n), _Tsh, lambda k: k + 1
+    )),
     "3.16": ("factorization", _matrices(lambda n: (_Tsh(n), _Fodd(n) @ _LS(n)))),
     "3.17": ("factorization", _matrices(lambda n: (_Tsh(n) @ _nat_diag(n), _Feven(n) @ _LS(n)))),
     "3.18": ("factorization", _matrices(lambda n: (
@@ -450,8 +387,10 @@ CATALOG: Dict[str, Tuple[str, Cases]] = {
         _Fodd(n).inverse() @ _Feven(n),
         _LS(n) @ _nat_diag(n) @ _LS(n).inverse(),
     ))),
-    "3.20": ("connection", _scalar_320),
-    "3.21": ("connection", _scalar_321),
+    "3.20": ("connection", _entries(lambda n: choose_even_matrix(n) @ _Tsh(n), _LSsh)),
+    "3.21": ("connection", _entries(
+        lambda n: choose_odd_matrix(n) @ _Tsh(n), _LSsh, lambda k: k + 1
+    )),
     "3.22": ("factorization", _matrices(lambda n: (_LSsh(n), choose_even_matrix(n) @ _Tsh(n)))),
     "3.23": ("factorization", _matrices(
         lambda n: (_LSsh(n) @ _nat_diag(n), choose_odd_matrix(n) @ _Tsh(n))
@@ -473,7 +412,7 @@ CATALOG: Dict[str, Tuple[str, Cases]] = {
         choose_odd_matrix(n) @ _Fodd(n),
         _LSsh(n) @ _nat_diag(n) @ _LS(n).inverse(),
     ))),
-    "4.6": ("connection", _poly_46),
+    "4.6": ("connection", _even_fibonacci_via_genocchi),
     "4.11": ("factorization", _genocchi_via_fibonacci),
     "4.12": ("factorization", _matrices(lambda n: (
         genocchi_matrix(n),
@@ -490,24 +429,30 @@ CATALOG: Dict[str, Tuple[str, Cases]] = {
         (_Fodd(n + 1).inverse() @ _Feven(n + 1)).drop_leading(),
         _LSsh(n) @ _diag(n, lambda j: j + 2) @ _LSsh(n).inverse(),
     ))),
-    "4.40": ("connection", _poly_440),
-    "4.42": ("connection", _poly_442),
+    "4.40": ("connection", _poly_rows(
+        lambda n: fib_poly(2 * n + 1), lambda k: _fib_sum(2 * k), a1_matrix
+    )),
+    "4.42": ("connection", _poly_rows(
+        lambda n: _fib_sum(2 * n + 1), lambda k: _fib_sum(2 * k), a2_matrix
+    )),
     "4.43": ("factorization", _matrices(lambda n: (
         a2_matrix(n),
         stirling2(SQUARES_FROM_2, n) @ _diag(n, lambda j: j + 2) @ stirling1(SQUARES_FROM_2, n),
     ))),
-    "4.46": ("connection", _poly_22),
+    "4.46": ("connection", _odd_fibonacci_via_bernoulli),
     "4.48": ("summation", seidel.kaneko_cases),
     "4.49": ("factorization", _matrices(lambda n: (
         genocchi_matrix_inverse(n),
         _Tsh(n) @ _diag(n, lambda j: Fraction(1, j + 1)) @ _tsh(n),
     ))),
-    "4.50": ("connection", _poly_450),
+    "4.50": ("connection", _poly_rows(
+        lambda n: _fib_sum(2 * n), lambda k: _fib_sum(2 * k + 1), z_matrix
+    )),
     "5.7": ("factorization", _matrices(
         lambda n: (tangent_matrix(n), _Lodd(n) @ _Leven(n).inverse())
     )),
-    "5.8": ("connection", _scalar_58),
-    "5.9": ("connection", _scalar_59),
+    "5.8": ("connection", _entries(lambda n: _Leven(n) @ _V(n), _U, lambda k: 2)),
+    "5.9": ("connection", _entries(lambda n: _Lodd(n) @ _V(n), _U, lambda k: 2 * k + 1)),
     "5.10": ("factorization", _matrices(lambda n: (
         tangent_matrix(n),
         _U(n) @ _diag(n, lambda j: Fraction(2 * j + 1, 2)) @ _u(n),

@@ -56,15 +56,17 @@ def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
     if k < 0:
         raise ValueError("column parameter must be >= 0")
 
+    # A seeded array reads column k of its triangle only in rows up to its
+    # last even row's seed, so only those rows are built; an entry right of
+    # the diagonal (k past the row) is 0, however large k is.
+    top = (rows - 1) // 2
     if variant == "ls-from-T":
-        top = (rows - 1) // 2
-        tri = stirling2(preset("central-factorial"), max(top + 2, k + 2))
-        even_seed = lambda i: tri[i + 1, k + 1]  # noqa: E731
+        tri = stirling2(preset("central-factorial"), top + 2).rows
+        even_seed = lambda i: tri[i + 1][k + 1] if k <= i else 0  # noqa: E731
         odd_factor = Fraction(k + 1)
     elif variant == "v-from-U":
-        top = (rows - 1) // 2
-        tri = stirling2(preset("u-half-odd"), max(top + 1, k + 1))
-        even_seed = lambda i: tri[i, k]  # noqa: E731
+        tri = stirling2(preset("u-half-odd"), top + 1).rows
+        even_seed = lambda i: tri[i][k] if k <= i else 0  # noqa: E731
         odd_factor = Fraction(2 * k + 1, 2)
     else:
         even_seed = lambda i: Fraction(1 if i == 0 else 0)  # noqa: E731

@@ -5,13 +5,17 @@ lower-triangular matrix, so truncation consistency (the order-k block of an
 order-N build equals the order-k build) is a tested property throughout.
 
 Exact values are held as an int when integral and as a Fraction otherwise
-(see _exact); the connection matrices are mostly integral with unit
-diagonals, so their products and inverses stay in int arithmetic.
+(see _exact).  Products and inverses run on a scaled-integer kernel: each
+rational row or column is scaled once to ints by the lcm of its
+denominators, the work is done in int arithmetic, and each result entry is
+divided back once.  Integral matrices skip the scaling, and an integral
+matrix with a +1/-1 diagonal is inverted in int arithmetic throughout.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
@@ -26,6 +30,26 @@ def _exact(x) -> Scalar:
     if type(x) is not Fraction:
         x = Fraction(x)
     return x.numerator if x.denominator == 1 else x
+
+
+def _ratio(num: int, den: int) -> Scalar:
+    """num / den for ints with den > 0, as an int when it divides."""
+    if den == 1:
+        return num
+    q, r = divmod(num, den)
+    return q if r == 0 else Fraction(num, den)
+
+
+def _scaled(values: Sequence[Scalar]) -> Tuple[Sequence[int], int]:
+    """(ints, d): the values times d, the lcm of their denominators.
+
+    A Fraction is scaled through its numerator, since x * d would give an
+    integral Fraction rather than an int.
+    """
+    d = lcm(*(x.denominator for x in values if type(x) is not int))
+    if d == 1:
+        return values, 1
+    return [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in values], d
 
 
 class SingularMatrixError(ValueError):
@@ -59,6 +83,17 @@ class TriMatrix:
         if not packed:
             raise ValueError("order must be >= 1")
         self._rows: Tuple[Tuple[Scalar, ...], ...] = tuple(packed)
+
+    @classmethod
+    def _trusted(cls, rows: Iterable[Tuple[Scalar, ...]]) -> "TriMatrix":
+        """A matrix over rows that are already exact tuples of lengths 1, 2, ...
+
+        Skips the per-entry normalisation of __init__; only the kernel's own
+        results and slices of existing matrices come through here.
+        """
+        m = object.__new__(cls)
+        m._rows = tuple(rows)
+        return m
 
     # ------------------------------------------------------------------
     # construction
@@ -110,15 +145,25 @@ class TriMatrix:
     # algebra
 
     def mul(self, other: "TriMatrix") -> "TriMatrix":
-        """Exact product; both operands must have the same order."""
+        """Exact product; both operands must have the same order.
+
+        Each row of self and each column of other is scaled to ints by the
+        lcm of its denominators, so every entry is an int dot product
+        divided back once by the two scales.
+        """
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
         n, a, b = self.order, self._rows, other._rows
         # cols[j] holds the entries (j, j), ..., (n-1, j) of other, so entry
         # (i, j) of the product is the dot product of a[i][j:] with it.
         cols = [[b[k][j] for k in range(j, n)] for j in range(n)]
-        return TriMatrix(
-            [[sum(map(mul, row[j:], cols[j])) for j in range(i + 1)] for i, row in enumerate(a)]
+        right = [_scaled(col) for col in cols]
+        return TriMatrix._trusted(
+            tuple(
+                _ratio(sum(map(mul, row[j:], col)), dr * dc)
+                for j, (col, dc) in zip(range(i + 1), right)
+            )
+            for i, (row, dr) in enumerate(map(_scaled, a))
         )
 
     __matmul__ = mul
@@ -126,9 +171,13 @@ class TriMatrix:
     def inverse(self) -> "TriMatrix":
         """Exact inverse by forward substitution.
 
-        A diagonal entry of +1 or -1 is its own reciprocal, so an integral
-        matrix with a unit diagonal is inverted in int arithmetic; any other
-        diagonal entry is divided through as a Fraction.
+        An integral matrix with a +1/-1 diagonal is inverted in int
+        arithmetic, each diagonal entry being its own reciprocal.  Any other
+        matrix is first scaled row by row to an int matrix R = D A, with D
+        diagonal, and R is inverted fraction-free one column at a time: the
+        column's entries are int numerators over one common denominator,
+        which grows by lcm as entries arrive.  Then inverse(A) =
+        inverse(R) D, so column j is scaled back by D[j].
 
         Raises SingularMatrixError naming the first zero diagonal index.
         """
@@ -136,34 +185,63 @@ class TriMatrix:
         for i, row in enumerate(rows):
             if row[i] == 0:
                 raise SingularMatrixError(i)
+        integral = all(type(x) is int for row in rows for x in row)
+        if integral and all(row[i] in (1, -1) for i, row in enumerate(rows)):
+            return self._unit_inverse()
+        n = len(rows)
+        r, scales = zip(*map(_scaled, rows))
+        inv: list[list[Scalar]] = [[] for _ in range(n)]
+        for j in range(n):
+            # column j of inverse(R): entry (j + t, j) is p[t] / den
+            rjj = r[j][j]
+            p, den = [1 if rjj > 0 else -1], abs(rjj)
+            for i in range(j + 1, n):
+                num = -sum(map(mul, r[i][j:i], p))
+                dd = den * r[i][i]
+                if dd < 0:
+                    num, dd = -num, -dd
+                g = gcd(num, dd)
+                num, dd = num // g, dd // g
+                if den % dd:
+                    grown = lcm(den, dd)
+                    f = grown // den
+                    p = [x * f for x in p]
+                    den = grown
+                p.append(num * (den // dd))
+            dj = scales[j]
+            for t, x in enumerate(p):
+                inv[j + t].append(_ratio(x * dj, den))
+        return TriMatrix._trusted(tuple(map(tuple, inv)))
+
+    def _unit_inverse(self) -> "TriMatrix":
+        """Inverse of an integral matrix whose diagonal entries are +1 or -1."""
         # cols[j] holds the inverse's entries (j, j), (j+1, j), ... computed so far.
-        cols: list[list[Scalar]] = []
+        cols: list[list[int]] = []
         inv = []
-        for i, row in enumerate(rows):
+        for i, row in enumerate(self._rows):
             d = row[i]
-            neg_recip = -d if d == 1 or d == -1 else Fraction(-1, d)
             out = []
             for j in range(i):
-                x = neg_recip * sum(map(mul, row[j:i], cols[j]))
+                x = -d * sum(map(mul, row[j:i], cols[j]))
                 cols[j].append(x)
                 out.append(x)
-            out.append(-neg_recip)
-            cols.append([-neg_recip])
-            inv.append(out)
-        return TriMatrix(inv)
+            out.append(d)
+            cols.append([d])
+            inv.append(tuple(out))
+        return TriMatrix._trusted(tuple(inv))
 
     def leading_submatrix(self, order: int) -> "TriMatrix":
         """Top-left block of the given order."""
         if not (1 <= order <= self.order):
             raise ValueError(f"submatrix order {order} outside 1..{self.order}")
-        return TriMatrix(self._rows[:order])
+        return TriMatrix._trusted(self._rows[:order])
 
     def drop_leading(self, count: int = 1) -> "TriMatrix":
         """Delete the first `count` rows and columns."""
         if not (0 < count < self.order):
             raise ValueError(f"cannot drop {count} rows from order {self.order}")
-        return TriMatrix(
-            [self._rows[i + count][count : i + count + 1] for i in range(self.order - count)]
+        return TriMatrix._trusted(
+            self._rows[i + count][count : i + count + 1] for i in range(self.order - count)
         )
 
     def first_difference(self, other: "TriMatrix") -> Optional[Tuple[int, int]]:

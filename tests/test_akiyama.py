@@ -164,6 +164,15 @@ def test_sum_identity_catalog():
         assert report.passed, report.describe()
 
 
+def test_integral_sum_sides_are_ints():
+    # 6.8 to 6.14 sum integer triangles against integer sequences; 6.16 sums
+    # a rational triangle against the tangent numbers.
+    for ident in ("6.8", "6.9", "6.10", "6.11", "6.12", "6.13", "6.14", "6.16"):
+        for where, lhs, rhs in connect.CATALOG[ident][1](12):
+            assert type(rhs) is int, (ident, where)
+            assert ident == "6.16" or type(lhs) is int, (ident, where)
+
+
 def test_sum_identity_unknown():
     with pytest.raises(UnknownIdentityError):
         connect.verify("6.99", 4)

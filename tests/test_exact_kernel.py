@@ -2,16 +2,18 @@
 
 Every value the kernel holds must be an int when it is integral and a
 Fraction otherwise, never a float; the references below compute the same
-products and inverses with every entry a Fraction, the way the library did
-before integral values were kept as int.
+products and inverses with every entry a Fraction, entry by entry, with no
+scaling to ints.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genocchi.polyalg import Poly
+from genocchi import connect
+from genocchi.polyalg import Poly, basis_matrix
 from genocchi.stirling import PRESETS, stirling1, stirling2
 from genocchi.trimat import TriMatrix
 
@@ -154,3 +156,85 @@ def test_stirling_entries_are_exact():
         for build in (stirling1, stirling2):
             assert_exact_matrix(build(spec, 12))
     assert all(type(x) is int for row in stirling2(PRESETS["stirling"], 12).rows for x in row)
+
+
+# ----------------------------------------------------------------------
+# the scaled-integer kernel on rational operands
+
+
+DENOMINATORS = {
+    "4^n": lambda i, j: 4 ** (i - j),
+    "lcm(1..n)": lambda i, j: lcm(*range(1, i + 2)),
+    "mixed": lambda i, j: (j + 1) * 4**i,
+}
+
+
+@st.composite
+def rational_triangles(draw, order=None, diagonal=None):
+    """Rows whose entry (i, j) has numerator drawn and a 4^n or lcm(1..n) denominator.
+
+    The diagonal is either constant (like the 2s of L_even) or varies from
+    row to row (like (2j+1)/2 in the u-half-odd factorization).
+    """
+    if order is None:
+        order = draw(st.integers(min_value=1, max_value=8))
+    den = DENOMINATORS[draw(st.sampled_from(sorted(DENOMINATORS)))]
+    nums = st.integers(min_value=-50, max_value=50)
+    if diagonal is None:
+        diagonal = draw(st.sampled_from(["constant", "varying"]))
+    if diagonal == "constant":
+        d = draw(fractions_st.filter(lambda x: x != 0))
+        diag = [d] * order
+    else:
+        nonzero = st.one_of(ints_st, fractions_st).filter(lambda x: x != 0)
+        diag = [draw(nonzero) for _ in range(order)]
+    return [
+        [diag[i] if j == i else Fraction(draw(nums), den(i, j)) for j in range(i + 1)]
+        for i in range(order)
+    ]
+
+
+def assert_kernel_outputs_exact(m: TriMatrix):
+    assert_exact_matrix(m)
+    for k in range(1, m.order + 1):
+        assert_exact_matrix(m.leading_submatrix(k))
+    for k in range(1, m.order):
+        assert_exact_matrix(m.drop_leading(k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_triangles(), st.data())
+def test_rational_mul_matches_fraction_reference(rows, data):
+    other = data.draw(st.one_of(rational_triangles(order=len(rows)), triangles(order=len(rows))))
+    got = TriMatrix(rows) @ TriMatrix(other)
+    assert got.rows == tuple(map(tuple, ref_mul(rows, other)))
+    assert_kernel_outputs_exact(got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(rational_triangles(), triangles()))
+def test_inverse_round_trips(rows):
+    a = TriMatrix(rows)
+    inv = a.inverse()
+    assert inv.rows == tuple(map(tuple, ref_inverse(rows)))
+    assert a @ inv == TriMatrix.identity(len(rows))
+    assert inv @ a == TriMatrix.identity(len(rows))
+    assert inv.inverse() == a
+    assert_kernel_outputs_exact(inv)
+
+
+def test_library_factorizations_invert_like_the_reference():
+    order = 10
+    u_half = stirling2(PRESETS["u-half-odd"], order)
+    half_odd = TriMatrix.diagonal([Fraction(2 * j + 1, 2) for j in range(order)])
+    varying = u_half @ half_odd @ stirling1(PRESETS["u-half-odd"], order)
+    l_even = basis_matrix("L_even", order)
+    assert set(l_even.diagonal_entries()) == {2}
+    for m in (varying, l_even, u_half, connect.genocchi_matrix_inverse(order)):
+        inv = m.inverse()
+        assert inv.rows == tuple(map(tuple, ref_inverse(m.rows)))
+        assert m @ inv == TriMatrix.identity(order)
+        assert inv.inverse() == m
+        assert_kernel_outputs_exact(inv)
+        assert_kernel_outputs_exact(m @ m)
+    assert varying == connect.tangent_matrix(order)

@@ -134,3 +134,34 @@ def test_bounds_validation():
         seidel_array("ls-from-T", k=-1, rows=3)
     with pytest.raises(ValueError):
         verify("4.17", 0)
+
+
+def _array_from_whole_triangle(variant, k, rows):
+    """The seeded array with its seed column read from a whole order-(k+2) triangle."""
+    top = (rows - 1) // 2
+    if variant == "ls-from-T":
+        tri = stirling2(preset("central-factorial"), max(top + 2, k + 2))
+        seed, factor = (lambda i: tri[i + 1, k + 1]), F(k + 1)
+    else:
+        tri = stirling2(preset("u-half-odd"), max(top + 1, k + 1))
+        seed, factor = (lambda i: tri[i, k]), F(2 * k + 1, 2)
+    out = []
+    for i in range(rows):
+        row = [seed(i // 2) * (factor if i % 2 else 1)]
+        for j in range(1, i // 2 + 1):
+            row.append(row[j - 1] - out[i - 1][j - 1])
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@pytest.mark.parametrize("variant", ["ls-from-T", "v-from-U"])
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 50, 400])
+def test_seeded_arrays_past_the_seed_column(variant, k):
+    for rows in (1, 2, 5, 12):
+        arr = seidel_array(variant, k=k, rows=rows)
+        if k > (rows - 1) // 2:
+            # every even-row seed lies right of the triangle's diagonal
+            assert arr.rows == tuple((0,) * (i // 2 + 1) for i in range(rows))
+        else:
+            assert arr.rows == _array_from_whole_triangle(variant, k, rows)
+        assert arr.k == k
