@@ -50,32 +50,6 @@ def at_matrix(spec: ATSpec) -> Tuple[Tuple[Fraction, ...], ...]:
     return tuple(out)
 
 
-def at_first_column(weights: WeightSpec, seed: Callable[[int], Fraction], count: int):
-    """First column of an engine run with `count` rows."""
-    matrix = at_matrix(ATSpec(weights, seed, rows=count, cols=1))
-    return tuple(r[0] for r in matrix)
-
-
-def conjugation_first_column(
-    weights: WeightSpec, diag: Callable[[int], Fraction], count: int
-) -> Tuple[Fraction, ...]:
-    """First column of the triangle-diagonal-inverse conjugation product.
-
-    Computed directly from the alternating sum over the second-kind
-    triangle; the engine's first column must reproduce it.
-    """
-    tri = stirling2(weights, count)
-    out = []
-    for n in range(count):
-        prod = Fraction(1)
-        acc = Fraction(0)
-        for j in range(n + 1):
-            acc += (-1) ** j * tri[n, j] * Fraction(diag(j)) * prod
-            prod *= weights(j)
-        out.append(acc)
-    return tuple(out)
-
-
 def odd_double_factorial(k: int) -> int:
     """Product of the first k odd numbers; empty product is 1."""
     result = 1

@@ -2,22 +2,25 @@
 
 Subcommands: sequence, triangle, verify, seidel, at.  All values are
 printed as exact rational strings ("p/q", or bare "p" for integers), never
-as decimals.  Exit codes: 0 on success, 1 when an identity check fails,
-2 on usage errors such as unknown names or labels.
+as decimals, and written a line at a time.  Exit codes: 0 on success, 1 when
+an identity check fails or stdout closes early, 2 on usage errors such as
+unknown names or labels (one line on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence
+from itertools import zip_longest
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence
 
 from . import akiyama, connect, numbers, seidel
 from .polyalg import basis_matrix
-from .reports import IdentityReport, UnknownIdentityError
+from .reports import IdentityReport
 from .stirling import PRESETS, preset, shift_weight, stirling1, stirling2
 from .trimat import TriMatrix
 
@@ -45,6 +48,17 @@ def _int_at_least(text: str, low: int) -> int:
     if value < low:
         raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _lookup(table: Mapping, names: Sequence[str], what: str, valid: str,
+            listing: Optional[Sequence[str]] = None, show: Callable = repr) -> list:
+    """The entries of `table` for `names`, or a ValueError naming every unknown one."""
+    unknown = [show(name) for name in names if name not in table]
+    if unknown:
+        raise ValueError(
+            f"unknown {what} {', '.join(unknown)}; valid {valid}: {', '.join(listing or table)}"
+        )
+    return [table[name] for name in names]
 
 
 # ----------------------------------------------------------------------
@@ -91,9 +105,8 @@ def build_triangle(name: str, rows: int, kind: str) -> TriMatrix:
     if name in PRESETS:
         builder = stirling2 if kind == "second" else stirling1
         return builder(PRESETS[name], rows)
-    if name in _MATRIX_BUILDERS:
-        return _MATRIX_BUILDERS[name](rows)
-    raise ValueError(f"unknown triangle {name!r}; valid names: {', '.join(TRIANGLE_NAMES)}")
+    (build,) = _lookup(_MATRIX_BUILDERS, [name], "triangle", "names", TRIANGLE_NAMES)
+    return build(rows)
 
 
 # ----------------------------------------------------------------------
@@ -132,40 +145,35 @@ def parse_weight_name(name: str):
 # ----------------------------------------------------------------------
 # rendering
 
-Rows = Sequence[Sequence[Fraction]]
+Rows = Sequence[Sequence[Fraction | int]]
 
 
-def _render_table(rows: Rows, marks: Optional[set] = None) -> str:
-    cells = [
-        [
-            f"[{render_rational(x)}]" if marks and (i, j) in marks else render_rational(x)
-            for j, x in enumerate(row)
-        ]
-        for i, row in enumerate(rows)
-    ]
-    widths: Dict[int, int] = {}
-    for row in cells:
-        for j, text in enumerate(row):
-            widths[j] = max(widths.get(j, 0), len(text))
-    return "\n".join(" ".join(text.rjust(widths[j]) for j, text in enumerate(row)) for row in cells)
+def _dump_json(payload) -> None:
+    json.dump(payload, sys.stdout)
+    print()
 
 
-def _render_csv(rows: Rows) -> str:
-    return "\n".join(",".join(render_rational(x) for x in row) for row in rows)
+def render_rows(rows: Rows, fmt: str, name: str, marks: Collection = ()) -> None:
+    """Write rows to stdout, one line per row (table, csv) or one JSON object.
 
-
-def render_rows(rows: Rows, fmt: str, name: str, marks: Optional[set] = None) -> str:
-    if fmt == "table":
-        return _render_table(rows, marks)
-    if fmt == "csv":
-        return _render_csv(rows)
-    return json.dumps(
-        {
+    A table right-aligns each column to its widest cell and brackets the
+    cells at the (i, j) positions in `marks`; csv and JSON ignore marks.
+    """
+    if fmt == "json":
+        _dump_json({
             "name": name,
             "order": len(rows),
             "rows": [[render_rational(x) for x in row] for row in rows],
-        }
-    )
+        })
+    elif fmt == "csv":
+        for row in rows:
+            print(",".join(map(render_rational, row)))
+    else:
+        cells = [[f"[{render_rational(x)}]" if marks and (i, j) in marks else render_rational(x)
+                  for j, x in enumerate(row)] for i, row in enumerate(rows)]
+        widths = [max(map(len, column)) for column in zip_longest(*cells, fillvalue="")]
+        for row in cells:
+            print(" ".join(text.rjust(width) for text, width in zip(row, widths)))
 
 
 def parse_triangle_csv(text: str) -> TriMatrix:
@@ -183,104 +191,52 @@ def parse_triangle_json(text: str) -> TriMatrix:
 
 
 def _cmd_sequence(args) -> int:
-    if args.name not in SEQUENCES:
-        print(
-            f"unknown sequence {args.name!r}; valid names: {', '.join(SEQUENCES)}",
-            file=sys.stderr,
-        )
-        return 2
-    values = SEQUENCES[args.name](args.count)
-    rendered = [render_rational(v) for v in values]
-    if args.format == "table":
-        print(" ".join(rendered))
-    elif args.format == "csv":
-        print(",".join(rendered))
+    (sequence,) = _lookup(SEQUENCES, [args.name], "sequence", "names")
+    values = sequence(args.count)
+    if args.format == "json":
+        _dump_json({"name": args.name, "count": args.count,
+                    "values": [render_rational(v) for v in values]})
     else:
-        print(json.dumps({"name": args.name, "count": args.count, "values": rendered}))
+        render_rows([values], args.format, args.name)
     return 0
 
 
 def _cmd_triangle(args) -> int:
-    try:
-        tri = build_triangle(args.name, args.rows, args.kind)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(render_rows(tri.rows, args.format, args.name))
+    render_rows(build_triangle(args.name, args.rows, args.kind).rows, args.format, args.name)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    idents = list(CATALOG_ORDER) if args.ids == ["all"] else args.ids
-    unknown = [i for i in idents if i not in CATALOG]
-    if unknown:
-        print(
-            f"unknown identity {', '.join(unknown)}; valid labels: {', '.join(CATALOG_ORDER)}",
-            file=sys.stderr,
-        )
-        return 2
-    reports = [CATALOG[i](args.depth) for i in idents]
+    idents = CATALOG_ORDER if args.ids == ["all"] else args.ids
+    checks = _lookup(CATALOG, idents, "identity", "labels", show=str)
+    reports = [check(args.depth) for check in checks]
     if args.format == "json":
-        print(
-            json.dumps(
-                {
-                    "depth": args.depth,
-                    "results": [
-                        {
-                            "id": r.ident,
-                            "pass": r.passed,
-                            "counterexample": None
-                            if r.passed
-                            else {
-                                "where": r.counterexample[0],
-                                "lhs": r.counterexample[1],
-                                "rhs": r.counterexample[2],
-                            },
-                        }
-                        for r in reports
-                    ],
-                }
-            )
-        )
-    elif args.format == "csv":
-        for r in reports:
-            tail = ("", "", "") if r.passed else r.counterexample
-            print(",".join([r.ident, str(r.depth), "pass" if r.passed else "fail", *tail]))
+        _dump_json({"depth": args.depth, "results": [
+            {"id": r.ident, "pass": r.passed, "counterexample":
+             None if r.passed else dict(zip(("where", "lhs", "rhs"), r.counterexample))}
+            for r in reports
+        ]})
     else:
         for r in reports:
-            print(r.describe())
+            tail = ("", "", "") if r.passed else r.counterexample
+            print(r.describe() if args.format == "table"
+                  else ",".join([r.ident, str(r.depth), "pass" if r.passed else "fail", *tail]))
     return 0 if all(r.passed for r in reports) else 1
 
 
 def _cmd_seidel(args) -> int:
-    try:
-        arr = seidel.seidel_array(args.variant, k=args.k, rows=args.rows)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
+    arr = seidel.seidel_array(args.variant, k=args.k, rows=args.rows)
     marks = {(2 * n, n) for n in range((args.rows + 1) // 2)}
     name = args.variant if arr.k is None else f"{args.variant}(k={arr.k})"
-    print(render_rows(arr.rows, args.format, name, marks if args.format == "table" else None))
+    render_rows(arr.rows, args.format, name, marks)
     return 0
 
 
 def _cmd_at(args) -> int:
-    try:
-        weights = parse_weight_name(args.weights)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.seed not in SEEDS:
-        print(f"unknown seed {args.seed!r}; valid seeds: {', '.join(SEEDS)}", file=sys.stderr)
-        return 2
-    try:
-        matrix = akiyama.at_matrix(
-            akiyama.ATSpec(weights, SEEDS[args.seed], rows=args.rows, cols=args.cols)
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(render_rows(matrix, args.format, f"at({weights.name},{args.seed})"))
+    weights = parse_weight_name(args.weights)
+    (seed,) = _lookup(SEEDS, [args.seed], "seed", "seeds")
+    matrix = akiyama.at_matrix(akiyama.ATSpec(weights, seed, rows=args.rows, cols=args.cols))
+    render_rows(matrix, args.format, f"at({weights.name},{args.seed})")
     return 0
 
 
@@ -297,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sequence", help="print the first terms of a sequence")
     p.add_argument("name", help=f"one of: {', '.join(SEQUENCES)}")
     p.add_argument("-n", "--count", type=positive_int, default=10)
-    p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(handler=_cmd_sequence)
 
     p = sub.add_parser("triangle", help="print a triangle or named matrix")
@@ -305,13 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--rows", type=positive_int, default=8)
     p.add_argument("--kind", choices=("second", "first"), default="second",
                    help="triangle kind for weight presets; ignored for named matrices")
-    p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(handler=_cmd_triangle)
 
     p = sub.add_parser("verify", help="run identity checks from the catalog")
     p.add_argument("ids", nargs="+", help='catalog labels, or "all"')
     p.add_argument("--depth", type=positive_int, default=12)
-    p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("seidel", help="print a boustrophedon difference array")
@@ -319,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-k", type=non_negative_int, default=0,
                    help="column parameter (ignored by genocchi)")
     p.add_argument("-n", "--rows", type=positive_int, default=10)
-    p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(handler=_cmd_seidel)
 
     p = sub.add_parser("at", help="run the row-difference-and-scale engine")
@@ -328,9 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", default="harmonic", help=f"one of: {', '.join(SEEDS)}")
     p.add_argument("--rows", type=positive_int, default=6)
     p.add_argument("--cols", type=positive_int, default=6)
-    p.add_argument("--format", choices=FORMATS, default="table")
     p.set_defaults(handler=_cmd_at)
 
+    for p in sub.choices.values():
+        p.add_argument("--format", choices=FORMATS, default="table")
     return parser
 
 
@@ -341,10 +294,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.handler(args)
-    except UnknownIdentityError as exc:
-        print(str(exc), file=sys.stderr)
+        code = args.handler(args)
+        sys.stdout.flush()
+    except ValueError as exc:  # any usage error past argparse, raised before output
+        print(exc, file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # Per the signal module docs: the flush at exit then goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return code
 
 
 if __name__ == "__main__":

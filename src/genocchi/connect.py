@@ -92,22 +92,12 @@ def tangent_matrix(order: int) -> TriMatrix:
 def tangent_matrix_inverse(order: int) -> TriMatrix:
     """Closed form for the inverse of the tangent matrix.
 
-    Carries a leading factor 2; the variant without it is kept below as a
-    regression fixture because it is a near miss that already fails at
-    order 1.
+    Carries a leading factor 2; the variant without it (a regression
+    fixture in the tests) is a near miss that already fails at order 1.
     """
 
     def rule(i: int, j: int) -> Fraction:
         return 2 * comb(2 * i, 2 * j) * numbers.bernoulli(2 * i - 2 * j) / (2 * j + 1)
-
-    return TriMatrix.from_rule(rule, order)
-
-
-def tangent_matrix_inverse_printed(order: int) -> TriMatrix:
-    """The same closed form without the factor 2; wrong on purpose."""
-
-    def rule(i: int, j: int) -> Fraction:
-        return comb(2 * i, 2 * j) * numbers.bernoulli(2 * i - 2 * j) / (2 * j + 1)
 
     return TriMatrix.from_rule(rule, order)
 

@@ -51,9 +51,6 @@ class Poly:
         """Degree of the polynomial; -1 for the zero polynomial."""
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> Scalar:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
     def is_zero(self) -> bool:
         return not self.coeffs
 

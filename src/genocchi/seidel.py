@@ -26,18 +26,14 @@ class SeidelArray:
 
     The genocchi variant is self-seeding: even rows start with zero (one at
     the top) and each odd row starts with the sum of the row above it, so
-    the array produces Genocchi numbers without being given any.
+    the array produces Genocchi numbers without being given any.  The
+    genocchi and ls-from-T arrays are integral and hold ints; v-from-U
+    holds Fractions, and ints where its seed column does.
     """
 
     variant: str
     k: Optional[int]
-    rows: Tuple[Tuple[Fraction, ...], ...]
-
-    def entry(self, i: int, j: int) -> Fraction:
-        if i < 0 or i >= len(self.rows):
-            raise IndexError(f"row {i} outside array of {len(self.rows)} rows")
-        row = self.rows[i]
-        return row[j] if 0 <= j < len(row) else Fraction(0)
+    rows: Tuple[Tuple[Fraction | int, ...], ...]
 
 
 def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
@@ -63,22 +59,22 @@ def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
     if variant == "ls-from-T":
         tri = stirling2(preset("central-factorial"), top + 2).rows
         even_seed = lambda i: tri[i + 1][k + 1] if k <= i else 0  # noqa: E731
-        odd_factor = Fraction(k + 1)
+        odd_factor = k + 1
     elif variant == "v-from-U":
         tri = stirling2(preset("u-half-odd"), top + 1).rows
         even_seed = lambda i: tri[i][k] if k <= i else 0  # noqa: E731
         odd_factor = Fraction(2 * k + 1, 2)
     else:
-        even_seed = lambda i: Fraction(1 if i == 0 else 0)  # noqa: E731
+        even_seed = lambda i: 1 if i == 0 else 0  # noqa: E731
         odd_factor = None
 
-    out: list[Tuple[Fraction, ...]] = []
+    out: list[Tuple[Fraction | int, ...]] = []
     for i in range(rows):
         width = i // 2 + 1
         if i % 2 == 0:
             head = even_seed(i // 2)
         elif variant == "genocchi":
-            head = sum(out[i - 1], Fraction(0))
+            head = sum(out[i - 1])
         else:
             head = odd_factor * even_seed(i // 2)
         row = [head]
@@ -88,7 +84,7 @@ def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
     return SeidelArray(variant, None if variant == "genocchi" else k, tuple(out))
 
 
-def seidel_diagonal(arr: SeidelArray, n: int) -> Fraction:
+def seidel_diagonal(arr: SeidelArray, n: int) -> Fraction | int:
     """The settled value h(2n, n) of the array."""
     if 2 * n >= len(arr.rows):
         raise IndexError(f"diagonal {n} needs {2 * n + 1} rows, array has {len(arr.rows)}")

@@ -4,14 +4,9 @@ from math import factorial
 import pytest
 
 import golden
+from fixtures import at_first_column, conjugation_first_column
 from genocchi import connect, numbers
-from genocchi.akiyama import (
-    ATSpec,
-    at_first_column,
-    at_matrix,
-    conjugation_first_column,
-    odd_double_factorial,
-)
+from genocchi.akiyama import ATSpec, at_matrix, odd_double_factorial
 from genocchi.reports import UnknownIdentityError
 from genocchi.stirling import WeightSpec, preset, shift_weight, stirling1
 

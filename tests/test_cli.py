@@ -1,5 +1,11 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -321,3 +327,114 @@ def test_bad_extent_is_a_usage_error(capsys, argv, name):
 def test_help_exits_zero(capsys):
     assert cli.main(["--help"]) == 0
     capsys.readouterr()
+
+
+# ----------------------------------------------------------------------
+# one usage-error path, one output path
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sequence", "nope"],
+         f"unknown sequence 'nope'; valid names: {', '.join(cli.SEQUENCES)}"),
+        (["triangle", "nope", "--format", "json"],
+         f"unknown triangle 'nope'; valid names: {', '.join(cli.TRIANGLE_NAMES)}"),
+        (["verify", "9.99", "2.1", "8.8"],
+         f"unknown identity 9.99, 8.8; valid labels: {', '.join(cli.CATALOG_ORDER)}"),
+        (["seidel", "nope", "--format", "csv"],
+         "unknown variant 'nope'; valid variants: ls-from-T, v-from-U, genocchi"),
+        (["at", "--weights", "nope-shifted", "--seed", "nope"],
+         "unknown weight preset 'nope'; valid presets: stirling, stirling-shift, "
+         "central-factorial, legendre-stirling, u-half-odd, v-product-quarter"),
+        (["at", "--seed", "nope"],
+         "unknown seed 'nope'; valid seeds: harmonic, linear, squares, ones"),
+        (["at", "--weights", "central-factorial"], "zero weight w(0) encountered"),
+    ],
+)
+def test_usage_error_is_one_stderr_line(capsys, argv, message):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", message + "\n")
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_large_output_is_written_in_pieces(monkeypatch, fmt):
+    out = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", out)
+    assert cli.main(["seidel", "genocchi", "-n", "300", "--format", fmt]) == 0
+    assert out.writes >= 300
+    text = out.getvalue()
+    if fmt == "json":
+        assert len(json.loads(text)["rows"]) == 300
+    else:
+        assert len(text.splitlines()) == 300
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "genocchi", "seidel", "genocchi", "-n", "300"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    # The table is 10 MB, far more than a pipe holds, so the writer is still
+    # writing when the reader goes away.
+    assert len(proc.stdout.read(50)) == 50
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
+_NAMES = st.sampled_from(["nope", "", "all", "Genocchi", "stirling-shifted"])
+_FORMATS = st.sampled_from(cli.FORMATS)
+_EXTENT = st.integers(1, 12).map(str)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["sequence", "triangle", "verify", "seidel", "at"]))
+    if command == "sequence":
+        argv = [command, draw(st.sampled_from(list(cli.SEQUENCES)) | _NAMES), "-n", draw(_EXTENT)]
+    elif command == "triangle":
+        argv = [command, draw(st.sampled_from(cli.TRIANGLE_NAMES) | _NAMES), "-n", draw(_EXTENT),
+                "--kind", draw(st.sampled_from(["second", "first"]))]
+    elif command == "verify":
+        labels = st.sampled_from(cli.CATALOG_ORDER) | _NAMES
+        argv = [command, *draw(st.lists(labels, min_size=1, max_size=3)),
+                "--depth", draw(st.integers(1, 6).map(str))]
+    elif command == "seidel":
+        argv = [command, draw(st.sampled_from(["ls-from-T", "v-from-U", "genocchi"]) | _NAMES),
+                "-k", draw(st.integers(0, 12).map(str)), "-n", draw(_EXTENT)]
+    else:
+        weights = st.sampled_from(["stirling", "central-factorial", "u-half-odd", "v-product-quarter"])
+        # "--weights=..." keeps a name like "-shifted" from reading as an option
+        argv = [command, "--weights=" + draw(weights | _NAMES) + "-shifted" * draw(st.integers(0, 2)),
+                "--seed", draw(st.sampled_from(list(cli.SEEDS)) | _NAMES),
+                "--rows", draw(_EXTENT), "--cols", draw(_EXTENT)]
+    return argv + ["--format", draw(_FORMATS)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""
+        assert len(err.getvalue().splitlines()) == 1
+    else:
+        assert err.getvalue() == ""

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import golden
+from fixtures import tangent_matrix_inverse_printed
 from genocchi import connect, numbers
 from genocchi.polyalg import Poly, basis_matrix, fib_poly
 from genocchi.reports import UnknownIdentityError
@@ -108,7 +109,7 @@ def test_tangent_matrix_inverse_closed_form():
 
 def test_tangent_matrix_inverse_printed_form_fails():
     # the closed form without the factor 2 is wrong already at order 1
-    printed = connect.tangent_matrix_inverse_printed(1)
+    printed = tangent_matrix_inverse_printed(1)
     assert connect.tangent_matrix(1) @ printed != TriMatrix.identity(1)
     assert printed != connect.tangent_matrix(1).inverse()
 
