@@ -12,10 +12,13 @@ matrices compared entrywise, a connection identity has one case per index n
 (polynomial, compared coefficientwise) or per (n, k) pair (scalar), and a
 summation identity one per n.  A connection case is a row or an entry of
 one matrix product, a coefficient matrix times a basis coefficient matrix,
-so each side is built whole and its cases are read off it.  verify runs
-the cases of one label through first_mismatch.  Catalog labels are fixed
-strings such as "3.9" or "5.10" and form part of the command line
-contract.
+so each side is built whole and its cases are read off it.  A summation
+case from 6.6 to 6.17 is a weighted sum along one row of a Stirling
+triangle built once per label, the sum the Akiyama-Tanigawa engine's first
+column computes; 4.17 and 4.48 are classical sums over binomial rows of
+Genocchi and Bernoulli numbers.  verify runs the cases of one label
+through first_mismatch.  Catalog labels are fixed strings such as "3.9" or
+"5.10" and form part of the command line contract.
 """
 
 from __future__ import annotations
@@ -23,13 +26,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from math import comb
+from math import comb, factorial
 from operator import sub
-from typing import Callable, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
 
-from . import akiyama, numbers, seidel
+from . import numbers
+from .akiyama import odd_double_factorial
 from .polyalg import Poly, basis_matrix, fib_poly, lucas_poly
-from .reports import Case, IdentityReport, UnknownIdentityError
+from .reports import IdentityReport, UnknownIdentityError
 from .stirling import (
     SQUARES_FROM_2,
     preset,
@@ -229,6 +233,7 @@ def phi_functional(k: int, depth: int) -> LinearFunctional:
 # identity catalog
 
 _LS = lambda n: stirling2(preset("legendre-stirling"), n)  # noqa: E731
+_t = lambda n: stirling1(preset("central-factorial"), n)  # noqa: E731
 _Tsh = lambda n: stirling2_shifted(preset("central-factorial"), n)  # noqa: E731
 _tsh = lambda n: stirling1_shifted(preset("central-factorial"), n)  # noqa: E731
 _LSsh = lambda n: stirling2_shifted(preset("legendre-stirling"), n)  # noqa: E731
@@ -243,6 +248,10 @@ _Feven = lambda n: basis_matrix("F_even", n)  # noqa: E731
 _Leven = lambda n: basis_matrix("L_even", n)  # noqa: E731
 _Lodd = lambda n: basis_matrix("L_odd", n)  # noqa: E731
 
+# One check of a catalog identity: (where, reference, *others).  It holds
+# when every other side equals the reference; the sides are matrices,
+# polynomials or scalars.
+Case = Tuple[Any, ...]
 Cases = Callable[[int], Iterable[Case]]
 
 
@@ -296,6 +305,55 @@ def _entries(
                 yield (f"n={n},k={k}", lhs[n][k], _exact(scale(k) * rhs[n][k]))
 
     return cases
+
+
+def _row_sums(
+    triangle: Callable[[int], TriMatrix],
+    weight: Callable[[int, int], Fraction | int],
+    rhs: Callable[[int], Fraction | int],
+    first: int = 0,
+) -> Cases:
+    """A summation identity as weighted sums along the rows of one triangle.
+
+    Case n, for first <= n <= depth, compares sum_k weight(n, k) x_k over
+    row n - first of triangle(depth + 1 - first) with rhs(n).
+    """
+
+    def cases(depth: int) -> Iterator[Case]:
+        rows = triangle(depth + 1 - first).rows
+        for n in range(first, depth + 1):
+            yield (f"n={n}", sum(weight(n, k) * x for k, x in enumerate(rows[n - first])), rhs(n))
+
+    return cases
+
+
+def seidel_identity_cases(depth: int) -> Iterator[Case]:
+    """Alternating binomial sum of Genocchi numbers: 1 at n = 1, else 0."""
+    for n in range(1, depth + 1):
+        total = sum(
+            (-1) ** k * comb(n, 2 * k) * numbers.genocchi(n - k) for k in range(n // 2 + 1)
+        )
+        yield (f"n={n}", total, 1 if n == 1 else 0)
+
+
+def kaneko_cases(depth: int) -> Iterator[Case]:
+    """Weighted Bernoulli recurrence over a shifted binomial row.
+
+    Two forms are checked for every n up to the bound: the full sum over
+    C(n+1, i) (n+i+1) B(n+i), which vanishes for all n >= 0, and the
+    even-index partial sum over C(n+1, 2n-2j+1) (2j+1) B(2j), which equals
+    C(n+1, 2n), that is 1 for n <= 1 and 0 afterwards.
+    """
+    for n in range(depth + 1):
+        full = sum(
+            comb(n + 1, i) * (n + i + 1) * numbers.bernoulli(n + i) for i in range(n + 2)
+        )
+        yield (f"n={n}", full, 0)
+        partial = sum(
+            comb(n + 1, 2 * n - 2 * j + 1) * (2 * j + 1) * numbers.bernoulli(2 * j)
+            for j in range(n + 1)
+        )
+        yield (f"n={n} (partial form)", partial, comb(n + 1, 2 * n))
 
 
 def _genocchi_over_lucas(order: int) -> TriMatrix:
@@ -414,7 +472,7 @@ CATALOG: Dict[str, Tuple[str, Cases]] = {
     "4.16": ("factorization", _matrices(
         lambda n: (genocchi_matrix(n), _Tsh(n) @ _nat_diag(n) @ _tsh(n))
     )),
-    "4.17": ("summation", seidel.seidel_identity_cases),
+    "4.17": ("summation", seidel_identity_cases),
     "4.21": ("factorization", _matrices(lambda n: (
         (_Fodd(n + 1).inverse() @ _Feven(n + 1)).drop_leading(),
         _LSsh(n) @ _diag(n, lambda j: j + 2) @ _LSsh(n).inverse(),
@@ -430,7 +488,7 @@ CATALOG: Dict[str, Tuple[str, Cases]] = {
         stirling2(SQUARES_FROM_2, n) @ _diag(n, lambda j: j + 2) @ stirling1(SQUARES_FROM_2, n),
     ))),
     "4.46": ("connection", _odd_fibonacci_via_bernoulli),
-    "4.48": ("summation", seidel.kaneko_cases),
+    "4.48": ("summation", kaneko_cases),
     "4.49": ("factorization", _matrices(lambda n: (
         genocchi_matrix_inverse(n),
         _Tsh(n) @ _diag(n, lambda j: Fraction(1, j + 1)) @ _tsh(n),
@@ -447,18 +505,58 @@ CATALOG: Dict[str, Tuple[str, Cases]] = {
         tangent_matrix(n),
         _U(n) @ _diag(n, lambda j: Fraction(2 * j + 1, 2)) @ _u(n),
     ))),
-    "6.6": ("summation", akiyama.cases_6_6),
-    "6.7": ("summation", akiyama.cases_6_7),
-    "6.8": ("summation", akiyama.cases_6_8),
-    "6.9": ("summation", akiyama.cases_6_9),
-    "6.10": ("summation", akiyama.cases_6_10),
-    "6.11": ("summation", akiyama.cases_6_11),
-    "6.12": ("summation", akiyama.cases_6_12),
-    "6.13": ("summation", akiyama.cases_6_13),
-    "6.14": ("summation", akiyama.cases_6_14),
-    "6.15": ("summation", akiyama.cases_6_15),
-    "6.16": ("summation", akiyama.cases_6_16),
-    "6.17": ("summation", akiyama.cases_6_17),
+    # 6.6 and 6.7 read the stirling-shift preset, not the equal shifted stirling triangle.
+    "6.6": ("summation", _row_sums(
+        lambda n: stirling2(preset("stirling-shift"), n),
+        lambda n, k: Fraction((-1) ** k * factorial(k), k + 1),
+        numbers.bernoulli_b,
+    )),
+    "6.7": ("summation", _row_sums(
+        lambda n: stirling1(preset("stirling-shift"), n),
+        lambda n, k: numbers.bernoulli_b(k),
+        lambda n: Fraction((-1) ** n * factorial(n), n + 1),
+    )),
+    "6.8": ("summation", _row_sums(
+        _Tsh, lambda n, k: (-1) ** k * (k + 1) * factorial(k) ** 2,
+        lambda n: (-1) ** (n - 1) * numbers.genocchi(n), first=1,
+    )),
+    "6.9": ("summation", _row_sums(
+        _tsh, lambda n, k: (-1) ** (n - k - 1) * numbers.genocchi(k + 1),
+        lambda n: factorial(n) * factorial(n - 1), first=1,
+    )),
+    "6.10": ("summation", _row_sums(
+        _Tsh, lambda n, k: (-1) ** k * factorial(k + 1) ** 2,
+        lambda n: (-1) ** (n - 1) * numbers.genocchi(n + 1), first=1,
+    )),
+    "6.11": ("summation", _row_sums(
+        _t, lambda n, k: (-1) ** (n - k) * numbers.genocchi(k + 1), lambda n: factorial(n) ** 2
+    )),
+    "6.12": ("summation", _row_sums(
+        _LSsh, lambda n, k: (-1) ** (n - k) * factorial(k + 1) ** 2,
+        lambda n: numbers.median_genocchi(n + 1),
+    )),
+    "6.13": ("summation", _row_sums(
+        lambda n: stirling2(SQUARES_FROM_2, n),
+        lambda n, k: (-1) ** (n - k) * factorial(k + 1) * factorial(k + 2),
+        lambda n: numbers.genocchi(n + 1) + numbers.genocchi(n + 2),
+    )),
+    "6.14": ("summation", _row_sums(
+        lambda n: stirling1(SQUARES_FROM_2, n),
+        lambda n, k: (-1) ** (n - k) * (numbers.genocchi(k + 1) + numbers.genocchi(k + 2)),
+        lambda n: factorial(n + 1) * factorial(n + 2),
+    )),
+    "6.15": ("summation", _row_sums(
+        _Tsh, lambda n, k: Fraction((-1) ** k * factorial(k) ** 2, k + 1),
+        lambda n: (2 * n + 1) * numbers.bernoulli(2 * n),
+    )),
+    "6.16": ("summation", _row_sums(
+        _U, lambda n, k: (-4) ** (n - k) * (2 * k + 1) * odd_double_factorial(k) ** 2,
+        numbers.tangent,
+    )),
+    "6.17": ("summation", _row_sums(
+        _U, lambda n, k: Fraction((-1) ** k * odd_double_factorial(k) ** 2, (2 * k + 1) * 4**k),
+        lambda n: numbers.bernoulli(2 * n),
+    )),
 }
 
 FACTORIZATION_IDS: Tuple[str, ...] = tuple(

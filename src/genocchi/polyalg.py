@@ -44,7 +44,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, k: int, c: Fraction | int = 1) -> "Poly":
-        return cls([0] * k + [c])
+        return cls((c,)).shift(k)
 
     @property
     def degree(self) -> int:
@@ -64,13 +64,17 @@ class Poly:
     __call__ = eval
 
     def shift(self, k: int) -> "Poly":
-        """Multiply by s**k."""
+        """Multiply by s**k, for k >= 0."""
+        if k < 0:
+            raise ValueError("shift must be >= 0")
         if self.is_zero():
             return self
         return Poly((0,) * k + self.coeffs)
 
     def truncate(self, n: int) -> "Poly":
-        """Drop all terms of degree >= n."""
+        """Drop all terms of degree >= n, for n >= 0."""
+        if n < 0:
+            raise ValueError("truncation degree must be >= 0")
         return Poly(self.coeffs[:n])
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -181,23 +185,23 @@ def basis_matrix(which: str, order: int) -> TriMatrix:
     Row i holds the coefficients of the i-th basis element: F_odd gives the
     odd-index Fibonacci polynomials (binomial entries C(2i-j, j)), F_even
     the even-index ones (C(2i+1-j, j)), and L_even / L_odd the Lucas
-    polynomials with even and odd index.  Rows are cross-checked against the
-    polynomial builders.
+    polynomials with even and odd index.  Fibonacci rows are built from
+    their binomial rule and cross-checked against fib_poly; Lucas rows are
+    read off lucas_poly, which checks each one as it is built (recursion,
+    closed form and the Fibonacci bridge).
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    if which == "L_even":
+        return TriMatrix([lucas_poly(2 * i).coeffs for i in range(order)])
+    if which == "L_odd":
+        return TriMatrix([lucas_poly(2 * i + 1).coeffs for i in range(order)])
     if which == "F_odd":
         m = TriMatrix.from_rule(lambda i, j: comb(2 * i - j, j), order)
         polys = [fib_poly(2 * i + 1) for i in range(order)]
     elif which == "F_even":
         m = TriMatrix.from_rule(lambda i, j: comb(2 * i + 1 - j, j), order)
         polys = [fib_poly(2 * i + 2) for i in range(order)]
-    elif which == "L_even":
-        polys = [lucas_poly(2 * i) for i in range(order)]
-        m = TriMatrix([p.coeffs for p in polys])
-    elif which == "L_odd":
-        polys = [lucas_poly(2 * i + 1) for i in range(order)]
-        m = TriMatrix([p.coeffs for p in polys])
     else:
         raise ValueError(f"unknown basis {which!r}; expected one of {BASIS_KINDS}")
     for i in range(order):

@@ -3,12 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional, Sequence, Tuple
-
-# One check of a catalog identity: (where, reference, *others).  It holds
-# when every other side equals the reference; the sides are matrices,
-# polynomials or scalars.
-Case = Tuple[Any, ...]
+from typing import Optional, Sequence, Tuple
 
 
 class UnknownIdentityError(ValueError):

@@ -1,4 +1,4 @@
-"""Boustrophedon difference arrays and two classical summation identities.
+"""Boustrophedon difference arrays.
 
 Every array follows the same cell rule h(i, j) = h(i, j-1) - h(i-1, j-1)
 for 1 <= j <= floor(i/2), with zeros beyond; the variants differ only in
@@ -10,11 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
-from . import numbers
-from .reports import Case
 from .stirling import preset, stirling2
 
 VARIANTS = ("ls-from-T", "v-from-U", "genocchi")
@@ -86,35 +83,9 @@ def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
 
 def seidel_diagonal(arr: SeidelArray, n: int) -> Fraction | int:
     """The settled value h(2n, n) of the array."""
+    if n < 0:
+        raise ValueError("diagonal index must be >= 0")
     if 2 * n >= len(arr.rows):
         raise IndexError(f"diagonal {n} needs {2 * n + 1} rows, array has {len(arr.rows)}")
     return arr.rows[2 * n][n]
 
-
-def seidel_identity_cases(depth: int) -> Iterator[Case]:
-    """Alternating binomial sum of Genocchi numbers: 1 at n = 1, else 0."""
-    for n in range(1, depth + 1):
-        total = sum(
-            (-1) ** k * comb(n, 2 * k) * numbers.genocchi(n - k) for k in range(n // 2 + 1)
-        )
-        yield (f"n={n}", total, 1 if n == 1 else 0)
-
-
-def kaneko_cases(depth: int) -> Iterator[Case]:
-    """Weighted Bernoulli recurrence over a shifted binomial row.
-
-    Two forms are checked for every n up to the bound: the full sum over
-    C(n+1, i) (n+i+1) B(n+i), which vanishes for all n >= 0, and the
-    even-index partial sum over C(n+1, 2n-2j+1) (2j+1) B(2j), which equals
-    C(n+1, 2n), that is 1 for n <= 1 and 0 afterwards.
-    """
-    for n in range(depth + 1):
-        full = sum(
-            comb(n + 1, i) * (n + i + 1) * numbers.bernoulli(n + i) for i in range(n + 2)
-        )
-        yield (f"n={n}", full, 0)
-        partial = sum(
-            comb(n + 1, 2 * n - 2 * j + 1) * (2 * j + 1) * numbers.bernoulli(2 * j)
-            for j in range(n + 1)
-        )
-        yield (f"n={n} (partial form)", partial, comb(n + 1, 2 * n))

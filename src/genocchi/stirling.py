@@ -129,12 +129,13 @@ def ogf_check(spec: WeightSpec, k: int, order: int) -> bool:
 
     The column's ordinary generating function times the product of the
     factors (1 - w(j) x) for j <= k must reduce to the single monomial x**k,
-    working modulo x**order throughout.
+    working modulo x**order throughout.  The column is zero above the
+    diagonal, so for k >= order both sides vanish.
     """
     if k < 0 or order < 1:
         raise ValueError("column must be >= 0 and order >= 1")
     second = stirling2(spec, order)
-    column = Poly(second[n, k] for n in range(order))
+    column = Poly(second[n, k] if k <= n else 0 for n in range(order))
     denom = Poly.one()
     for j in range(k + 1):
         denom = (denom * Poly([1, -spec(j)])).truncate(order)

@@ -4,10 +4,10 @@ import pytest
 
 import golden
 from fixtures import tangent_matrix_inverse_printed
-from genocchi import connect, numbers
+from genocchi import connect, numbers, stirling
 from genocchi.polyalg import Poly, basis_matrix, fib_poly
 from genocchi.reports import UnknownIdentityError
-from genocchi.stirling import preset, stirling2_shifted
+from genocchi.stirling import WeightSpec, preset, stirling2_shifted
 from genocchi.trimat import TriMatrix
 
 F = Fraction
@@ -297,6 +297,34 @@ def test_every_label_reports_a_perturbed_side(label):
         assert found[0] == f"{where} ({bumped.order - 1},0)"
     else:
         assert found[0] == where and found[2] == str(bumped)
+
+
+# The labels whose triangles read each weight preset, so a change to w(3)
+# of that preset alone must fail them and no other.
+PRESET_LABELS = {
+    "stirling": ["3.9", "3.11", "3.12", "3.13"],
+    "stirling-shift": ["6.6", "6.7"],
+    "central-factorial": [
+        "3.14", "3.15", "3.16", "3.17", "3.18", "3.20", "3.21", "3.22", "3.23", "3.24",
+        "4.12", "4.16", "4.49", "6.8", "6.9", "6.10", "6.11", "6.15",
+    ],
+    "legendre-stirling": [
+        "3.14", "3.15", "3.16", "3.17", "3.19", "3.20", "3.21", "3.22", "3.23", "3.25",
+        "3.27", "4.21", "6.12",
+    ],
+    "u-half-odd": ["5.8", "5.9", "5.10", "6.16", "6.17"],
+    "v-product-quarter": ["5.8", "5.9"],
+}
+
+
+@pytest.mark.parametrize("name", list(PRESET_LABELS))
+def test_perturbed_preset_fails_exactly_its_labels(name, monkeypatch):
+    w = stirling.PRESETS[name].w
+    monkeypatch.setitem(
+        stirling.PRESETS, name, WeightSpec(name, lambda n: w(n) + 1 if n == 3 else w(n))
+    )
+    failed = [label for label in connect.CATALOG if not connect.verify(label, 12).passed]
+    assert failed == PRESET_LABELS[name]
 
 
 def test_connection_catalog_passes():

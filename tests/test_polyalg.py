@@ -50,6 +50,15 @@ def test_arithmetic():
     assert Poly([1, 2, 3]).truncate(2).coeffs == (1, 2)
 
 
+def test_shift_truncate_and_monomial_reject_a_negative_degree():
+    p = Poly([1, 2, 3])
+    assert p.shift(0) == p and p.truncate(0).is_zero()
+    assert Poly.monomial(2, 5).coeffs == (0, 0, 5) and Poly.monomial(3, 0).is_zero()
+    for call in (lambda: p.shift(-1), lambda: p.truncate(-1), lambda: Poly.monomial(-1)):
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_eval_horner():
     p = Poly([1, -2, 3])
     x = Fraction(5, 7)

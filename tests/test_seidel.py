@@ -65,6 +65,8 @@ def test_diagonals():
 
     with pytest.raises(IndexError):
         seidel_diagonal(v, 4)
+    with pytest.raises(ValueError):
+        seidel_diagonal(g, -1)
 
 
 def test_ls_diagonal_matches_legendre_column():

@@ -115,6 +115,13 @@ def test_ogf_check():
             assert ogf_check(spec, k, 12)
 
 
+def test_ogf_check_past_the_last_row():
+    # column k of an order-N triangle is all zeros for k >= N, and so is x**k mod x**N
+    for spec in PRESETS.values():
+        for order in (1, 4):
+            assert ogf_check(spec, order + 2, order)
+
+
 def test_ogf_hand_instance():
     # column 2 of the central-factorial triangle: 1, 5, 21, 85, ... against (1-x)(1-4x)
     t2 = stirling2(preset("central-factorial"), 6)
