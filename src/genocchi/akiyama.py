@@ -32,16 +32,12 @@ def at_matrix(spec: ATSpec) -> Tuple[Tuple[Fraction, ...], ...]:
         raise ValueError("extents must be >= 1")
     width = spec.cols + spec.rows
     row = [Fraction(spec.seed(j)) for j in range(width)]
+    weights = [spec.weights(j) for j in range(width - 1)] if spec.rows > 1 else []
+    if 0 in weights:
+        raise ValueError(f"zero weight w({weights.index(0)}) encountered")
     out = [tuple(row[: spec.cols])]
     for _ in range(1, spec.rows):
-        width -= 1
-        nxt = []
-        for j in range(width):
-            wj = spec.weights(j)
-            if wj == 0:
-                raise ValueError(f"zero weight w({j}) encountered")
-            nxt.append(wj * (row[j] - row[j + 1]))
-        row = nxt
+        row = [w * (a - b) for w, a, b in zip(weights, row, row[1:])]
         out.append(tuple(row[: spec.cols]))
     return tuple(out)
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
-from operator import sub
+from operator import mul, sub
 from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
 
 from . import numbers
@@ -42,7 +42,7 @@ from .stirling import (
     stirling2,
     stirling2_shifted,
 )
-from .trimat import TriMatrix, _exact
+from .trimat import TriMatrix
 
 # ----------------------------------------------------------------------
 # matrix builders
@@ -157,12 +157,10 @@ def choose_odd_matrix(order: int) -> TriMatrix:
     return TriMatrix.from_rule(lambda i, j: comb(i + 1, 2 * i - 2 * j + 1), order)
 
 
-def _diag(order: int, value: Callable[[int], Fraction | int]) -> TriMatrix:
-    return TriMatrix.diagonal([value(j) for j in range(order)])
-
-
-def _nat_diag(order: int) -> TriMatrix:
-    return _diag(order, lambda j: j + 1)
+def _cols(m: TriMatrix, scale: Callable[[int], Fraction | int]) -> TriMatrix:
+    """m with column j multiplied by scale(j), that is m @ diag(scale(0), scale(1), ...)."""
+    scales = [scale(j) for j in range(m.order)]
+    return TriMatrix([map(mul, row, scales) for row in m.rows])
 
 
 # ----------------------------------------------------------------------
@@ -192,6 +190,8 @@ def lambda_functional(depth: int) -> LinearFunctional:
 
     Its monomial moments are the signed median Genocchi numbers.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     return LinearFunctional(
         "lambda",
         tuple(Fraction((-1) ** n * numbers.median_genocchi(n)) for n in range(depth)),
@@ -200,6 +200,8 @@ def lambda_functional(depth: int) -> LinearFunctional:
 
 def lambda_star_functional(depth: int) -> LinearFunctional:
     """Composition of the lambda functional with multiplication by -s."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     return LinearFunctional(
         "lambda-star",
         tuple(Fraction((-1) ** n * numbers.median_genocchi(n + 1)) for n in range(depth)),
@@ -213,6 +215,8 @@ def mu_functional(depth: int) -> LinearFunctional:
     even-index basis, so the even-basis values are definitional while the
     odd-basis values are a theorem pinned down in the tests.
     """
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     inv = basis_matrix("F_even", depth).inverse()
     return LinearFunctional("mu", inv.column(0))
 
@@ -225,6 +229,8 @@ def phi_functional(k: int, depth: int) -> LinearFunctional:
     """
     if k < 1:
         raise ValueError("functional index must be >= 1")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     ls = stirling2(preset("legendre-stirling"), max(depth, k))
     return LinearFunctional(f"phi_{k}", tuple(ls[n, k - 1] for n in range(depth)))
 
@@ -247,6 +253,7 @@ _Fodd = lambda n: basis_matrix("F_odd", n)  # noqa: E731
 _Feven = lambda n: basis_matrix("F_even", n)  # noqa: E731
 _Leven = lambda n: basis_matrix("L_even", n)  # noqa: E731
 _Lodd = lambda n: basis_matrix("L_odd", n)  # noqa: E731
+_nat = lambda j: j + 1  # noqa: E731
 
 # One check of a catalog identity: (where, reference, *others).  It holds
 # when every other side equals the reference; the sides are matrices,
@@ -286,23 +293,18 @@ def _poly_rows(
     return cases
 
 
-def _entries(
-    product: Callable[[int], TriMatrix],
-    triangle: Callable[[int], TriMatrix],
-    scale: Callable[[int], int] = lambda k: 1,
-) -> Cases:
+def _entries(product: Callable[[int], TriMatrix], triangle: Callable[[int], TriMatrix]) -> Cases:
     """A connection identity as the entries of one matrix product.
 
-    Case (n, k) compares entry (n, k) of product(depth + 1) with scale(k)
-    times entry (n, k) of triangle(depth + 1); both sides are ints when
-    integral.
+    Case (n, k) compares entry (n, k) of product(depth + 1) with entry
+    (n, k) of triangle(depth + 1).
     """
 
     def cases(depth: int) -> Iterator[Case]:
         lhs, rhs = product(depth + 1).rows, triangle(depth + 1).rows
         for n in range(depth + 1):
             for k in range(n + 1):
-                yield (f"n={n},k={k}", lhs[n][k], _exact(scale(k) * rhs[n][k]))
+                yield (f"n={n},k={k}", lhs[n][k], rhs[n][k])
 
     return cases
 
@@ -366,11 +368,6 @@ def _genocchi_over_lucas(order: int) -> TriMatrix:
     return TriMatrix.from_rule(rule, order)
 
 
-# The left factors of 3.14/3.15 are built from the binomial rule alone and
-# the Fibonacci bases of the polynomial cases from fib_poly alone, as the
-# identities state them; basis_matrix would also cross-check the two routes.
-_Fodd_rule = lambda n: TriMatrix.from_rule(lambda i, j: comb(2 * i - j, j), n)  # noqa: E731
-_Feven_rule = lambda n: TriMatrix.from_rule(lambda i, j: comb(2 * i + 1 - j, j), n)  # noqa: E731
 _V = lambda n: stirling2(preset("v-product-quarter"), n)  # noqa: E731
 _fib_sum = lambda m: fib_poly(m) + fib_poly(m + 1)  # noqa: E731
 
@@ -408,48 +405,46 @@ CATALOG: Dict[str, Tuple[str, Cases]] = {
     "3.9": ("factorization", _matrices(lambda n: (
         c_matrix(n),
         pascal_plus_matrix(n) @ pascal_matrix(n).inverse(),
-        _Ssh(n) @ _nat_diag(n) @ _ssh(n),
+        _cols(_Ssh(n), _nat) @ _ssh(n),
     ))),
     "3.10": ("factorization", _matrices(
         lambda n: (pascal_plus_matrix(n), c_matrix(n) @ pascal_matrix(n))
     )),
     "3.11": ("factorization", _matrices(lambda n: (_Ssh(n), pascal_matrix(n) @ _S(n)))),
     "3.12": ("factorization", _matrices(
-        lambda n: (_Ssh(n) @ _nat_diag(n), pascal_plus_matrix(n) @ _S(n))
+        lambda n: (_cols(_Ssh(n), _nat), pascal_plus_matrix(n) @ _S(n))
     )),
     "3.13": ("factorization", _matrices(lambda n: (
         pascal_matrix(n).inverse() @ pascal_plus_matrix(n),
-        _S(n) @ _nat_diag(n) @ _s(n),
+        _cols(_S(n), _nat) @ _s(n),
     ))),
-    "3.14": ("connection", _entries(lambda n: _Fodd_rule(n) @ _LS(n), _Tsh)),
-    "3.15": ("connection", _entries(
-        lambda n: _Feven_rule(n) @ _LS(n), _Tsh, lambda k: k + 1
-    )),
+    "3.14": ("connection", _entries(lambda n: _Fodd(n) @ _LS(n), _Tsh)),
+    "3.15": ("connection", _entries(lambda n: _Feven(n) @ _LS(n), lambda n: _cols(_Tsh(n), _nat))),
     "3.16": ("factorization", _matrices(lambda n: (_Tsh(n), _Fodd(n) @ _LS(n)))),
-    "3.17": ("factorization", _matrices(lambda n: (_Tsh(n) @ _nat_diag(n), _Feven(n) @ _LS(n)))),
+    "3.17": ("factorization", _matrices(lambda n: (_cols(_Tsh(n), _nat), _Feven(n) @ _LS(n)))),
     "3.18": ("factorization", _matrices(lambda n: (
         _Feven(n) @ _Fodd(n).inverse(),
-        _Tsh(n) @ _nat_diag(n) @ _Tsh(n).inverse(),
+        _cols(_Tsh(n), _nat) @ _Tsh(n).inverse(),
     ))),
     "3.19": ("factorization", _matrices(lambda n: (
         _Fodd(n).inverse() @ _Feven(n),
-        _LS(n) @ _nat_diag(n) @ _LS(n).inverse(),
+        _cols(_LS(n), _nat) @ _LS(n).inverse(),
     ))),
     "3.20": ("connection", _entries(lambda n: choose_even_matrix(n) @ _Tsh(n), _LSsh)),
     "3.21": ("connection", _entries(
-        lambda n: choose_odd_matrix(n) @ _Tsh(n), _LSsh, lambda k: k + 1
+        lambda n: choose_odd_matrix(n) @ _Tsh(n), lambda n: _cols(_LSsh(n), _nat)
     )),
     "3.22": ("factorization", _matrices(lambda n: (_LSsh(n), choose_even_matrix(n) @ _Tsh(n)))),
     "3.23": ("factorization", _matrices(
-        lambda n: (_LSsh(n) @ _nat_diag(n), choose_odd_matrix(n) @ _Tsh(n))
+        lambda n: (_cols(_LSsh(n), _nat), choose_odd_matrix(n) @ _Tsh(n))
     )),
     "3.24": ("factorization", _matrices(lambda n: (
         choose_even_matrix(n).inverse() @ choose_odd_matrix(n),
-        _Tsh(n) @ _nat_diag(n) @ _Tsh(n).inverse(),
+        _cols(_Tsh(n), _nat) @ _Tsh(n).inverse(),
     ))),
     "3.25": ("factorization", _matrices(lambda n: (
         choose_odd_matrix(n) @ choose_even_matrix(n).inverse(),
-        _LSsh(n) @ _nat_diag(n) @ _LSsh(n).inverse(),
+        _cols(_LSsh(n), _nat) @ _LSsh(n).inverse(),
     ))),
     "3.26": ("factorization", _matrices(lambda n: (
         _Feven(n) @ _Fodd(n).inverse(),
@@ -458,24 +453,24 @@ CATALOG: Dict[str, Tuple[str, Cases]] = {
     "3.27": ("factorization", _matrices(lambda n: (
         choose_even_matrix(n) @ _Feven(n),
         choose_odd_matrix(n) @ _Fodd(n),
-        _LSsh(n) @ _nat_diag(n) @ _LS(n).inverse(),
+        _cols(_LSsh(n), _nat) @ _LS(n).inverse(),
     ))),
     "4.6": ("connection", _even_fibonacci_via_genocchi),
     "4.11": ("factorization", _genocchi_via_fibonacci),
     "4.12": ("factorization", _matrices(lambda n: (
         genocchi_matrix(n),
-        _Tsh(n) @ _nat_diag(n) @ _Tsh(n).inverse(),
+        _cols(_Tsh(n), _nat) @ _Tsh(n).inverse(),
     ))),
     "4.13": ("factorization", _genocchi_via_choose),
     "4.14": ("factorization", _genocchi_via_fibonacci),
     "4.15": ("factorization", _genocchi_via_choose),
     "4.16": ("factorization", _matrices(
-        lambda n: (genocchi_matrix(n), _Tsh(n) @ _nat_diag(n) @ _tsh(n))
+        lambda n: (genocchi_matrix(n), _cols(_Tsh(n), _nat) @ _tsh(n))
     )),
     "4.17": ("summation", seidel_identity_cases),
     "4.21": ("factorization", _matrices(lambda n: (
         (_Fodd(n + 1).inverse() @ _Feven(n + 1)).drop_leading(),
-        _LSsh(n) @ _diag(n, lambda j: j + 2) @ _LSsh(n).inverse(),
+        _cols(_LSsh(n), lambda j: j + 2) @ _LSsh(n).inverse(),
     ))),
     "4.40": ("connection", _poly_rows(
         lambda n: fib_poly(2 * n + 1), lambda k: _fib_sum(2 * k), a1_matrix
@@ -485,13 +480,13 @@ CATALOG: Dict[str, Tuple[str, Cases]] = {
     )),
     "4.43": ("factorization", _matrices(lambda n: (
         a2_matrix(n),
-        stirling2(SQUARES_FROM_2, n) @ _diag(n, lambda j: j + 2) @ stirling1(SQUARES_FROM_2, n),
+        _cols(stirling2(SQUARES_FROM_2, n), lambda j: j + 2) @ stirling1(SQUARES_FROM_2, n),
     ))),
     "4.46": ("connection", _odd_fibonacci_via_bernoulli),
     "4.48": ("summation", kaneko_cases),
     "4.49": ("factorization", _matrices(lambda n: (
         genocchi_matrix_inverse(n),
-        _Tsh(n) @ _diag(n, lambda j: Fraction(1, j + 1)) @ _tsh(n),
+        _cols(_Tsh(n), lambda j: Fraction(1, j + 1)) @ _tsh(n),
     ))),
     "4.50": ("connection", _poly_rows(
         lambda n: _fib_sum(2 * n), lambda k: _fib_sum(2 * k + 1), z_matrix
@@ -499,11 +494,15 @@ CATALOG: Dict[str, Tuple[str, Cases]] = {
     "5.7": ("factorization", _matrices(
         lambda n: (tangent_matrix(n), _Lodd(n) @ _Leven(n).inverse())
     )),
-    "5.8": ("connection", _entries(lambda n: _Leven(n) @ _V(n), _U, lambda k: 2)),
-    "5.9": ("connection", _entries(lambda n: _Lodd(n) @ _V(n), _U, lambda k: 2 * k + 1)),
+    "5.8": ("connection", _entries(
+        lambda n: _Leven(n) @ _V(n), lambda n: _cols(_U(n), lambda k: 2)
+    )),
+    "5.9": ("connection", _entries(
+        lambda n: _Lodd(n) @ _V(n), lambda n: _cols(_U(n), lambda k: 2 * k + 1)
+    )),
     "5.10": ("factorization", _matrices(lambda n: (
         tangent_matrix(n),
-        _U(n) @ _diag(n, lambda j: Fraction(2 * j + 1, 2)) @ _u(n),
+        _cols(_U(n), lambda j: Fraction(2 * j + 1, 2)) @ _u(n),
     ))),
     # 6.6 and 6.7 read the stirling-shift preset, not the equal shifted stirling triangle.
     "6.6": ("summation", _row_sums(

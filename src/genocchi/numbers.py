@@ -3,10 +3,11 @@
 Each sequence is produced by a primary route and pinned to an independent
 one: Genocchi values must come out integral and positive, tangent values
 integral, and median Genocchi values are read off a matrix inverse and then
-re-checked against the Genocchi numbers.  All functions are pure; the
-internal caches only memoize deterministic values, and each value is
-checked once, when it enters its cache.  Bernoulli numbers are Fractions;
-the Genocchi, tangent and median Genocchi functions return ints.
+re-checked against the Genocchi numbers.  All functions are pure; a cached
+value is checked once, when it enters its cache.  tangent has no cache: it
+is derived from genocchi and checked on every call, so a changed Genocchi
+value reaches 2.3, 5.7 and 5.10, which a tangent cache would hide.
+genocchi, tangent and median_genocchi return ints; the others Fractions.
 """
 
 from __future__ import annotations

@@ -66,9 +66,33 @@ def test_at_seed_headroom():
     assert sorted(seen) == list(range(7))
 
 
+def test_at_matrix_reads_each_weight_once():
+    calls = []
+
+    def weight(n):
+        calls.append(n)
+        return (n + 1) ** 2
+
+    m = at_matrix(ATSpec(WeightSpec("counted", weight), seed_linear, rows=80, cols=80))
+    assert sorted(calls) == list(range(159))
+    calls.clear()
+    assert tuple(row[:6] for row in m[:6]) == golden.AT_SQUARES_LINEAR_6
+    assert at_matrix(ATSpec(WeightSpec("counted", weight), seed_linear, rows=1, cols=5)) == (
+        tuple(F(j + 1) for j in range(5)),
+    )
+    assert calls == []
+
+
 def test_at_matrix_zero_weight():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^zero weight w\(0\) encountered$"):
         at_matrix(ATSpec(preset("central-factorial"), seed_linear, rows=3, cols=2))
+    weights = WeightSpec("zeros", lambda n: 0 if n in (2, 4) else n + 1)
+    with pytest.raises(ValueError, match=r"^zero weight w\(2\) encountered$"):
+        at_matrix(ATSpec(weights, seed_linear, rows=3, cols=3))
+    # one row applies no step, so it reads no weight
+    assert at_matrix(ATSpec(preset("central-factorial"), seed_linear, rows=1, cols=3)) == (
+        (1, 2, 3),
+    )
 
 
 def test_at_matrix_extent_validation():

@@ -233,6 +233,20 @@ def test_phi_functional():
         connect.phi_functional(0, 4)
 
 
+def test_functionals_reject_a_depth_below_one():
+    builders = [
+        connect.lambda_functional,
+        connect.lambda_star_functional,
+        connect.mu_functional,
+        lambda depth: connect.phi_functional(1, depth),
+    ]
+    for build in builders:
+        assert len(build(1).moments) == 1
+        for depth in (0, -3):
+            with pytest.raises(ValueError, match="depth must be >= 1"):
+                build(depth)
+
+
 def test_functional_apply_insufficient_moments():
     lam = connect.lambda_functional(3)
     with pytest.raises(ValueError):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -103,6 +104,56 @@ def test_three_way_genocchi_oracle():
         assert from_array == from_bernoulli
         if n >= 1:
             assert abs(numbers.genocchi_signed(2 * n)) == from_bernoulli
+
+
+# ----------------------------------------------------------------------
+# integer-only oracles, independent of the Bernoulli recurrence
+
+
+def brent_harvey_tangents(n):
+    """T[1..n], the tangent numbers T[k] = tan^(2k-1)(0), by Brent and Harvey (2011)."""
+    t = [0, 1] + [0] * (n - 1)
+    for k in range(2, n + 1):
+        t[k] = (k - 1) * t[k - 1]
+    for k in range(2, n + 1):
+        for j in range(k, n + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    return t[1:]
+
+
+def seidel_median_rows(count):
+    """Rows 1..count of the Dumont-Randrianarivony triangle.
+
+    Row 1 is [1].  An even row holds the suffix sums of the row above; an
+    odd row holds its prefix sums followed by their total.
+    """
+    rows = [[1]]
+    while len(rows) < count:
+        above = rows[-1]
+        if len(rows) % 2:  # the next row, len(rows) + 1, is even
+            rows.append(list(accumulate(reversed(above)))[::-1])
+        else:
+            prefix = list(accumulate(above))
+            rows.append(prefix + prefix[-1:])
+    return rows
+
+
+def test_brent_harvey_tangents():
+    assert brent_harvey_tangents(9) == [numbers.tangent(k) for k in range(9)]
+    assert brent_harvey_tangents(5) == [1, 2, 16, 272, 7936]
+    for n, t in enumerate(brent_harvey_tangents(60), start=1):
+        # G(2n) = n T(n) / 4^(n-1) and B(2n) = (-1)^(n-1) 2n T(n) / (4^n (4^n - 1))
+        assert numbers.genocchi(n) * 4 ** (n - 1) == n * t
+        assert numbers.bernoulli(2 * n) * 4**n * (4**n - 1) == (-1) ** (n - 1) * 2 * n * t
+
+
+def test_seidel_median_triangle():
+    rows = seidel_median_rows(60)
+    assert rows[:5] == [[1], [1], [1, 1], [2, 1], [2, 3, 3]]
+    for m in range(1, 31):
+        # rows are counted from 1: row 2m starts with the median, row 2m-1 ends with G(2m)
+        assert rows[2 * m - 1][0] == numbers.median_genocchi(m)
+        assert rows[2 * m - 2][-1] == numbers.genocchi(m)
 
 
 def test_genocchi_check_runs_as_a_value_enters_the_cache(monkeypatch):
