@@ -5,6 +5,7 @@ m(i, j) = w(j) * (m(i-1, j) - m(i-1, j+1)).  Each step consumes one column,
 so the top row is allocated with rows + cols entries; the requested window
 is then exact, never silently truncated.  The first column realizes the
 alternating diagonal-conjugation sums: weighted Stirling row sums, as in 6.6-6.17.
+Seeds and weights are used as given, so integral ones give int entries.
 """
 
 from __future__ import annotations
@@ -21,17 +22,17 @@ class ATSpec:
     """Weights, seed and extents for one engine run."""
 
     weights: WeightSpec
-    seed: Callable[[int], Fraction]
+    seed: Callable[[int], Fraction | int]
     rows: int
     cols: int
 
 
-def at_matrix(spec: ATSpec) -> Tuple[Tuple[Fraction, ...], ...]:
+def at_matrix(spec: ATSpec) -> Tuple[Tuple[Fraction | int, ...], ...]:
     """Fill the array and return the requested rows x cols window."""
     if spec.rows < 1 or spec.cols < 1:
         raise ValueError("extents must be >= 1")
     width = spec.cols + spec.rows
-    row = [Fraction(spec.seed(j)) for j in range(width)]
+    row = [spec.seed(j) for j in range(width)]
     weights = [spec.weights(j) for j in range(width - 1)] if spec.rows > 1 else []
     if 0 in weights:
         raise ValueError(f"zero weight w({weights.index(0)}) encountered")

@@ -10,6 +10,7 @@ unknown names or labels (one line on stderr).
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -25,14 +26,6 @@ from .stirling import PRESETS, preset, shift_weight, stirling1, stirling2
 from .trimat import TriMatrix
 
 FORMATS = ("table", "csv", "json")
-
-
-def render_rational(x: Fraction | int) -> str:
-    return str(Fraction(x))
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text)
 
 
 def positive_int(text: str) -> int:
@@ -64,13 +57,13 @@ def _lookup(table: Mapping, names: Sequence[str], what: str, valid: str,
 # ----------------------------------------------------------------------
 # sequences
 
-SEQUENCES: Dict[str, Callable[[int], List[Fraction]]] = {
+SEQUENCES: Dict[str, Callable[[int], List[Fraction | int]]] = {
     "bernoulli": lambda n: [numbers.bernoulli(i) for i in range(n)],
     "bernoulli-b": lambda n: [numbers.bernoulli_b(i) for i in range(n)],
-    "genocchi": lambda n: [Fraction(numbers.genocchi(i)) for i in range(1, n + 1)],
+    "genocchi": lambda n: [numbers.genocchi(i) for i in range(1, n + 1)],
     "genocchi-signed": lambda n: [numbers.genocchi_signed(i) for i in range(1, n + 1)],
-    "tangent": lambda n: [Fraction(numbers.tangent(i)) for i in range(n)],
-    "median-genocchi": lambda n: [Fraction(numbers.median_genocchi(i)) for i in range(n)],
+    "tangent": lambda n: [numbers.tangent(i) for i in range(n)],
+    "median-genocchi": lambda n: [numbers.median_genocchi(i) for i in range(n)],
 }
 
 
@@ -121,11 +114,11 @@ CATALOG_ORDER: tuple = tuple(CATALOG)
 # ----------------------------------------------------------------------
 # seeds for the at subcommand
 
-SEEDS: Dict[str, Callable[[int], Fraction]] = {
+SEEDS: Dict[str, Callable[[int], Fraction | int]] = {
     "harmonic": lambda j: Fraction(1, j + 1),
-    "linear": lambda j: Fraction(j + 1),
-    "squares": lambda j: Fraction((j + 1) ** 2),
-    "ones": lambda j: Fraction(1),
+    "linear": lambda j: j + 1,
+    "squares": lambda j: (j + 1) ** 2,
+    "ones": lambda j: 1,
 }
 
 
@@ -163,13 +156,13 @@ def render_rows(rows: Rows, fmt: str, name: str, marks: Collection = ()) -> None
         _dump_json({
             "name": name,
             "order": len(rows),
-            "rows": [[render_rational(x) for x in row] for row in rows],
+            "rows": [list(map(str, row)) for row in rows],
         })
     elif fmt == "csv":
         for row in rows:
-            print(",".join(map(render_rational, row)))
+            print(",".join(map(str, row)))
     else:
-        cells = [[f"[{render_rational(x)}]" if marks and (i, j) in marks else render_rational(x)
+        cells = [[f"[{x}]" if marks and (i, j) in marks else str(x)
                   for j, x in enumerate(row)] for i, row in enumerate(rows)]
         widths = [max(map(len, column)) for column in zip_longest(*cells, fillvalue="")]
         for row in cells:
@@ -177,13 +170,11 @@ def render_rows(rows: Rows, fmt: str, name: str, marks: Collection = ()) -> None
 
 
 def parse_triangle_csv(text: str) -> TriMatrix:
-    rows = [[parse_rational(cell) for cell in line.split(",")] for line in text.splitlines() if line]
-    return TriMatrix(rows)
+    return TriMatrix([map(Fraction, line.split(",")) for line in text.splitlines() if line])
 
 
 def parse_triangle_json(text: str) -> TriMatrix:
-    payload = json.loads(text)
-    return TriMatrix([[parse_rational(cell) for cell in row] for row in payload["rows"]])
+    return TriMatrix([map(Fraction, row) for row in json.loads(text)["rows"]])
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +186,7 @@ def _cmd_sequence(args) -> int:
     values = sequence(args.count)
     if args.format == "json":
         _dump_json({"name": args.name, "count": args.count,
-                    "values": [render_rational(v) for v in values]})
+                    "values": list(map(str, values))})
     else:
         render_rows([values], args.format, args.name)
     return 0
@@ -216,11 +207,12 @@ def _cmd_verify(args) -> int:
              None if r.passed else dict(zip(("where", "lhs", "rhs"), r.counterexample))}
             for r in reports
         ]})
+    elif args.format == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(
+            [r.ident, r.depth, "pass" if r.passed else "fail", *(r.counterexample or ("",) * 3)]
+            for r in reports)
     else:
-        for r in reports:
-            tail = ("", "", "") if r.passed else r.counterexample
-            print(r.describe() if args.format == "table"
-                  else ",".join([r.ident, str(r.depth), "pass" if r.passed else "fail", *tail]))
+        print("\n".join(r.describe() for r in reports))
     return 0 if all(r.passed for r in reports) else 1
 
 

@@ -172,17 +172,17 @@ class LinearFunctional:
     """Linear functional on polynomials, stored by its monomial moments."""
 
     name: str
-    moments: Tuple[Fraction, ...]
+    moments: Tuple[Fraction | int, ...]
 
 
-def functional_apply(f: LinearFunctional, p: Poly) -> Fraction:
+def functional_apply(f: LinearFunctional, p: Poly) -> Fraction | int:
     """Dot product of the coefficients of p with the stored moments."""
     if p.degree >= len(f.moments):
         raise ValueError(
             f"functional {f.name} has {len(f.moments)} moments, "
             f"cannot evaluate degree {p.degree}"
         )
-    return sum((c * m for c, m in zip(p.coeffs, f.moments)), Fraction(0))
+    return sum(c * m for c, m in zip(p.coeffs, f.moments))
 
 
 def lambda_functional(depth: int) -> LinearFunctional:
@@ -194,7 +194,7 @@ def lambda_functional(depth: int) -> LinearFunctional:
         raise ValueError("depth must be >= 1")
     return LinearFunctional(
         "lambda",
-        tuple(Fraction((-1) ** n * numbers.median_genocchi(n)) for n in range(depth)),
+        tuple((-1) ** n * numbers.median_genocchi(n) for n in range(depth)),
     )
 
 
@@ -204,7 +204,7 @@ def lambda_star_functional(depth: int) -> LinearFunctional:
         raise ValueError("depth must be >= 1")
     return LinearFunctional(
         "lambda-star",
-        tuple(Fraction((-1) ** n * numbers.median_genocchi(n + 1)) for n in range(depth)),
+        tuple((-1) ** n * numbers.median_genocchi(n + 1) for n in range(depth)),
     )
 
 

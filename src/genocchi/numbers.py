@@ -7,7 +7,9 @@ re-checked against the Genocchi numbers.  All functions are pure; a cached
 value is checked once, when it enters its cache.  tangent has no cache: it
 is derived from genocchi and checked on every call, so a changed Genocchi
 value reaches 2.3, 5.7 and 5.10, which a tangent cache would hide.
-genocchi, tangent and median_genocchi return ints; the others Fractions.
+genocchi, genocchi_signed, tangent and median_genocchi return ints.
+bernoulli and bernoulli_b stay Fractions even when integral: callers divide
+them by ints, as in comb(...) * bernoulli(...) / (k + 1), which an int would make a float.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ def genocchi(n: int) -> int:
     return _genocchi[n - 1]
 
 
-def genocchi_signed(n: int) -> Fraction:
+def genocchi_signed(n: int) -> int:
     """Signed Genocchi number with index n >= 1.
 
     The first value is 1, odd indices above 1 vanish, and even indices 2k
@@ -68,11 +70,11 @@ def genocchi_signed(n: int) -> Fraction:
     if n < 1:
         raise ValueError("index must be >= 1")
     if n == 1:
-        return Fraction(1)
+        return 1
     if n % 2 == 1:
-        return Fraction(0)
+        return 0
     k = n // 2
-    return Fraction((-1) ** k * genocchi(k))
+    return (-1) ** k * genocchi(k)
 
 
 def tangent(k: int) -> int:

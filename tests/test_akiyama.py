@@ -54,6 +54,14 @@ def test_at_matrix_golden_harmonic_seed():
     )
 
 
+@pytest.mark.parametrize("weights", [LINEAR_SHIFT, SQUARES_FROM_1], ids=["linear", "squares"])
+@pytest.mark.parametrize("seed", [lambda j: j + 1, lambda j: (j + 1) ** 2, lambda j: 1],
+                         ids=["linear", "squares", "ones"])
+def test_at_matrix_integral_inputs_give_ints(weights, seed):
+    m = at_matrix(ATSpec(weights, seed, rows=12, cols=12))
+    assert all(type(x) is int for row in m for x in row)
+
+
 def test_at_seed_headroom():
     # the engine must sample rows + cols seed positions, no fewer
     seen = []

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import json
 import os
@@ -26,16 +27,32 @@ def run(capsys, *argv):
 # rational encoding
 
 
-def test_render_rational():
-    assert cli.render_rational(Fraction(1)) == "1"
-    assert cli.render_rational(Fraction(-691, 2730)) == "-691/2730"
-    assert cli.render_rational(Fraction(35, 2)) == "35/2"
+def rendered(rows, fmt):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        cli.render_rows(rows, fmt, "t")
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+def test_render_rows_int_or_integral_fraction(fmt):
+    as_int = [[1, Fraction(-691, 2730), Fraction(35, 2)]]
+    as_fraction = [[Fraction(1), Fraction(-691, 2730), Fraction(35, 2)]]
+    assert rendered(as_int, fmt) == rendered(as_fraction, fmt)
+    assert rendered([[Fraction(6, 3), 2]], fmt) == rendered([[2, 2]], fmt)
+    expected = {
+        "table": "1 -691/2730 35/2\n",
+        "csv": "1,-691/2730,35/2\n",
+        "json": '{"name": "t", "order": 1, "rows": [["1", "-691/2730", "35/2"]]}\n',
+    }
+    assert rendered(as_int, fmt) == expected[fmt]
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.fractions(max_denominator=10**6))
-def test_rational_round_trip(x):
-    assert cli.parse_rational(cli.render_rational(x)) == x
+def test_triangle_text_round_trip(x):
+    assert cli.parse_triangle_csv(rendered([[x]], "csv")).rows == ((x,),)
+    assert cli.parse_triangle_json(rendered([[x]], "json")).rows == ((x,),)
 
 
 # ----------------------------------------------------------------------
@@ -60,10 +77,13 @@ def test_sequence_median_genocchi(capsys):
     assert out == "1 1 2 8 56 608"
 
 
-def test_sequences_yield_fractions():
+def test_sequences_yield_exact_values():
+    integral = {"genocchi", "genocchi-signed", "tangent", "median-genocchi"}
     for name, values in cli.SEQUENCES.items():
-        got = values(5)
-        assert len(got) == 5 and all(type(x) is Fraction for x in got), name
+        got = values(12)
+        assert len(got) == 12, name
+        assert all(type(x) in (int, Fraction) for x in got), name
+        assert name not in integral or all(type(x) is int for x in got), name
 
 
 def test_sequence_json(capsys):
@@ -209,6 +229,23 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     code, out, _ = run(capsys, "verify", "0.0")
     assert code == 1
     assert "FAIL at n=2" in out
+
+
+def test_verify_csv_quotes_where(monkeypatch, capsys):
+    wheres = {"0.1": "entry (4,0)", "0.2": "n=3,k=1"}
+    for label, where in wheres.items():
+        failing = IdentityReport(label, 6, False, (where, "87/10", "-3/10"))
+        monkeypatch.setitem(cli.CATALOG, label, lambda depth, r=failing: r)
+    code, out, _ = run(capsys, "verify", "2.1", "0.1", "0.2", "6.11", "--depth", "6",
+                       "--format", "csv")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[0] == "2.1,6,pass,,," and lines[3] == "6.11,6,pass,,,"
+    assert lines[1] == '0.1,6,fail,"entry (4,0)",87/10,-3/10'
+    parsed = list(csv.reader(lines))
+    assert all(len(fields) == 6 for fields in parsed)
+    assert [fields[3] for fields in parsed] == ["", "entry (4,0)", "n=3,k=1", ""]
+    assert parsed[2] == ["0.2", "6", "fail", "n=3,k=1", "87/10", "-3/10"]
 
 
 def _label_key(ident):
