@@ -108,7 +108,6 @@ def build_triangle(name: str, rows: int, kind: str) -> TriMatrix:
 CATALOG: Dict[str, Callable[[int], IdentityReport]] = {
     label: partial(connect.verify, label) for label in connect.CATALOG
 }
-CATALOG_ORDER: tuple = tuple(CATALOG)
 
 
 # ----------------------------------------------------------------------
@@ -198,7 +197,7 @@ def _cmd_triangle(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    idents = CATALOG_ORDER if args.ids == ["all"] else args.ids
+    idents = list(CATALOG) if args.ids == ["all"] else args.ids
     checks = _lookup(CATALOG, idents, "identity", "labels", show=str)
     reports = [check(args.depth) for check in checks]
     if args.format == "json":

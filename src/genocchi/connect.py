@@ -10,15 +10,18 @@ CATALOG holds all 56 identities in label order.  Each one is a generator of
 cases (where, reference, *others): a factorization is one case of whole
 matrices compared entrywise, a connection identity has one case per index n
 (polynomial, compared coefficientwise) or per (n, k) pair (scalar), and a
-summation identity one per n.  A connection case is a row or an entry of
-one matrix product, a coefficient matrix times a basis coefficient matrix,
-so each side is built whole and its cases are read off it.  A summation
-case from 6.6 to 6.17 is a weighted sum along one row of a Stirling
-triangle built once per label, the sum the Akiyama-Tanigawa engine's first
-column computes; 4.17 and 4.48 are classical sums over binomial rows of
-Genocchi and Bernoulli numbers.  verify runs the cases of one label
-through first_mismatch.  Catalog labels are fixed strings such as "3.9" or
-"5.10" and form part of the command line contract.
+summation identity one per n.  Each row comes from one adapter, which sets
+its kind; every side is a function of the order, built when the label runs,
+so a builder swapped on this module is seen by every label that reads it.
+A connection case is a row or an entry of one matrix product, a coefficient
+matrix times a basis coefficient matrix, so each side is built whole and
+its cases are read off it.  A summation case from 6.6 to 6.17 is a weighted
+sum along one row of a Stirling triangle built once per label, the sum the
+Akiyama-Tanigawa engine's first column computes; 4.17 and 4.48 are
+classical sums over binomial rows of Genocchi and Bernoulli numbers.
+verify runs the cases of one label through first_mismatch.  Catalog labels
+are fixed strings such as "3.9" or "5.10" and form part of the command
+line contract.
 """
 
 from __future__ import annotations
@@ -102,6 +105,16 @@ def tangent_matrix_inverse(order: int) -> TriMatrix:
 
     def rule(i: int, j: int) -> Fraction:
         return 2 * comb(2 * i, 2 * j) * numbers.bernoulli(2 * i - 2 * j) / (2 * j + 1)
+
+    return TriMatrix.from_rule(rule, order)
+
+
+def _genocchi_over_lucas(order: int) -> TriMatrix:
+    """The tangent matrix in Genocchi numbers: (-1)**d C(2n+1, 2k) G(d+1) / (2d+2), d = n-k."""
+
+    def rule(n: int, k: int) -> Fraction:
+        d = n - k
+        return Fraction((-1) ** d * comb(2 * n + 1, 2 * k) * numbers.genocchi(d + 1), 2 * d + 2)
 
     return TriMatrix.from_rule(rule, order)
 
@@ -249,51 +262,62 @@ _S = lambda n: stirling2(preset("stirling"), n)  # noqa: E731
 _s = lambda n: stirling1(preset("stirling"), n)  # noqa: E731
 _U = lambda n: stirling2(preset("u-half-odd"), n)  # noqa: E731
 _u = lambda n: stirling1(preset("u-half-odd"), n)  # noqa: E731
+_V = lambda n: stirling2(preset("v-product-quarter"), n)  # noqa: E731
 _Fodd = lambda n: basis_matrix("F_odd", n)  # noqa: E731
 _Feven = lambda n: basis_matrix("F_even", n)  # noqa: E731
 _Leven = lambda n: basis_matrix("L_even", n)  # noqa: E731
 _Lodd = lambda n: basis_matrix("L_odd", n)  # noqa: E731
+_fib_sum = lambda m: fib_poly(m) + fib_poly(m + 1)  # noqa: E731
 _nat = lambda j: j + 1  # noqa: E731
+
+
+def _similar(m: TriMatrix, scale: Callable[[int], Fraction | int] = _nat) -> TriMatrix:
+    """m @ diag(scale(0), scale(1), ...) @ m.inverse(), from one build of m."""
+    return _cols(m, scale) @ m.inverse()
+
 
 # One check of a catalog identity: (where, reference, *others).  It holds
 # when every other side equals the reference; the sides are matrices,
-# polynomials or scalars.
+# polynomials or scalars.  A catalog row is (kind, cases); each adapter
+# below returns one, and calls the sides it takes when the label runs.
 Case = Tuple[Any, ...]
 Cases = Callable[[int], Iterable[Case]]
+Row = Tuple[str, Cases]
 
 
-def _matrices(sides: Callable[[int], Tuple[TriMatrix, ...]]) -> Cases:
+def _matrices(sides: Callable[[int], Tuple[TriMatrix, ...]]) -> Row:
     """A factorization as one case: every side built whole at the order."""
 
     def cases(order: int) -> Iterator[Case]:
         yield ("entry", *sides(order))
 
-    return cases
+    return "factorization", cases
 
 
 def _poly_rows(
     reference: Callable[[int], Poly],
     basis: Callable[[int], Poly],
-    *coefficients: Callable[[int], TriMatrix],
-) -> Cases:
+    coefficients: Callable[[int], Tuple[TriMatrix, ...]],
+) -> Row:
     """A connection identity as the rows of coefficient @ basis matrices.
 
     Case n compares reference(n) with sum_k C[n, k] basis(k) for each
-    coefficient matrix C, as row n of the product C @ B, where row k of B
-    holds the coefficients of basis(k), a polynomial of degree k.
+    coefficient matrix C of coefficients(depth + 1), as row n of the
+    product C @ B, where row k of B holds the coefficients of basis(k), a
+    polynomial of degree k.
     """
 
     def cases(depth: int) -> Iterator[Case]:
         order = depth + 1
         b = TriMatrix([basis(k).coeffs for k in range(order)])
-        products = [c(order) @ b for c in coefficients]
+        products = [c @ b for c in coefficients(order)]
         for n in range(order):
             yield (f"n={n}", reference(n), *(Poly(p.rows[n]) for p in products))
 
-    return cases
+    return "connection", cases
 
 
-def _entries(product: Callable[[int], TriMatrix], triangle: Callable[[int], TriMatrix]) -> Cases:
+def _entries(product: Callable[[int], TriMatrix], triangle: Callable[[int], TriMatrix]) -> Row:
     """A connection identity as the entries of one matrix product.
 
     Case (n, k) compares entry (n, k) of product(depth + 1) with entry
@@ -306,7 +330,7 @@ def _entries(product: Callable[[int], TriMatrix], triangle: Callable[[int], TriM
             for k in range(n + 1):
                 yield (f"n={n},k={k}", lhs[n][k], rhs[n][k])
 
-    return cases
+    return "connection", cases
 
 
 def _row_sums(
@@ -314,7 +338,7 @@ def _row_sums(
     weight: Callable[[int, int], Fraction | int],
     rhs: Callable[[int], Fraction | int],
     first: int = 0,
-) -> Cases:
+) -> Row:
     """A summation identity as weighted sums along the rows of one triangle.
 
     Case n, for first <= n <= depth, compares sum_k weight(n, k) x_k over
@@ -326,7 +350,7 @@ def _row_sums(
         for n in range(first, depth + 1):
             yield (f"n={n}", sum(weight(n, k) * x for k, x in enumerate(rows[n - first])), rhs(n))
 
-    return cases
+    return "summation", cases
 
 
 def seidel_identity_cases(depth: int) -> Iterator[Case]:
@@ -358,204 +382,164 @@ def kaneko_cases(depth: int) -> Iterator[Case]:
         yield (f"n={n} (partial form)", partial, comb(n + 1, 2 * n))
 
 
-def _genocchi_over_lucas(order: int) -> TriMatrix:
-    """The tangent matrix in Genocchi numbers: (-1)**d C(2n+1, 2k) G(d+1) / (2d+2), d = n-k."""
-
-    def rule(n: int, k: int) -> Fraction:
-        d = n - k
-        return Fraction((-1) ** d * comb(2 * n + 1, 2 * k) * numbers.genocchi(d + 1), 2 * d + 2)
-
-    return TriMatrix.from_rule(rule, order)
-
-
-_V = lambda n: stirling2(preset("v-product-quarter"), n)  # noqa: E731
-_fib_sum = lambda m: fib_poly(m) + fib_poly(m + 1)  # noqa: E731
-
 _even_fibonacci_via_genocchi = _poly_rows(
-    lambda n: fib_poly(2 * n + 2), lambda k: fib_poly(2 * k + 1), genocchi_matrix
+    lambda n: fib_poly(2 * n + 2), lambda k: fib_poly(2 * k + 1), lambda n: (genocchi_matrix(n),)
 )
 _odd_fibonacci_via_bernoulli = _poly_rows(
-    lambda n: fib_poly(2 * n + 1), lambda k: fib_poly(2 * k + 2), genocchi_matrix_inverse
+    lambda n: fib_poly(2 * n + 1),
+    lambda k: fib_poly(2 * k + 2),
+    lambda n: (genocchi_matrix_inverse(n),),
 )
-
-_genocchi_via_fibonacci = _matrices(
-    lambda n: (genocchi_matrix(n), _Feven(n) @ _Fodd(n).inverse())
-)
+_genocchi_via_fibonacci = _matrices(lambda n: (genocchi_matrix(n), _Feven(n) @ _Fodd(n).inverse()))
 _genocchi_via_choose = _matrices(
     lambda n: (genocchi_matrix(n), choose_even_matrix(n).inverse() @ choose_odd_matrix(n))
 )
 
 # label -> (kind, cases), in label order, which is the order "verify all"
 # reports in.  Labels 4.6, 4.14, 4.15 and 4.46 restate 2.1, 4.11, 4.13 and 2.2.
-CATALOG: Dict[str, Tuple[str, Cases]] = {
-    "2.1": ("connection", _even_fibonacci_via_genocchi),
-    "2.2": ("connection", _odd_fibonacci_via_bernoulli),
-    "2.3": ("connection", _poly_rows(
+CATALOG: Dict[str, Row] = {
+    "2.1": _even_fibonacci_via_genocchi,
+    "2.2": _odd_fibonacci_via_bernoulli,
+    "2.3": _poly_rows(
         lambda n: lucas_poly(2 * n + 1),
         lambda k: lucas_poly(2 * k),
-        tangent_matrix,
-        _genocchi_over_lucas,
-    )),
-    "2.4": ("connection", _poly_rows(
-        lambda n: lucas_poly(2 * n), lambda k: lucas_poly(2 * k + 1), tangent_matrix_inverse
-    )),
-    "2.15/2.16-inverse": ("factorization", _matrices(
+        lambda n: (tangent_matrix(n), _genocchi_over_lucas(n)),
+    ),
+    "2.4": _poly_rows(
+        lambda n: lucas_poly(2 * n),
+        lambda k: lucas_poly(2 * k + 1),
+        lambda n: (tangent_matrix_inverse(n),),
+    ),
+    "2.15/2.16-inverse": _matrices(
         lambda n: (TriMatrix.identity(n), c_matrix(n) @ c_matrix_inverse(n))
-    )),
-    "3.9": ("factorization", _matrices(lambda n: (
+    ),
+    "3.9": _matrices(lambda n: (
         c_matrix(n),
         pascal_plus_matrix(n) @ pascal_matrix(n).inverse(),
         _cols(_Ssh(n), _nat) @ _ssh(n),
-    ))),
-    "3.10": ("factorization", _matrices(
-        lambda n: (pascal_plus_matrix(n), c_matrix(n) @ pascal_matrix(n))
     )),
-    "3.11": ("factorization", _matrices(lambda n: (_Ssh(n), pascal_matrix(n) @ _S(n)))),
-    "3.12": ("factorization", _matrices(
-        lambda n: (_cols(_Ssh(n), _nat), pascal_plus_matrix(n) @ _S(n))
-    )),
-    "3.13": ("factorization", _matrices(lambda n: (
+    "3.10": _matrices(lambda n: (pascal_plus_matrix(n), c_matrix(n) @ pascal_matrix(n))),
+    "3.11": _matrices(lambda n: (_Ssh(n), pascal_matrix(n) @ _S(n))),
+    "3.12": _matrices(lambda n: (_cols(_Ssh(n), _nat), pascal_plus_matrix(n) @ _S(n))),
+    "3.13": _matrices(lambda n: (
         pascal_matrix(n).inverse() @ pascal_plus_matrix(n),
         _cols(_S(n), _nat) @ _s(n),
-    ))),
-    "3.14": ("connection", _entries(lambda n: _Fodd(n) @ _LS(n), _Tsh)),
-    "3.15": ("connection", _entries(lambda n: _Feven(n) @ _LS(n), lambda n: _cols(_Tsh(n), _nat))),
-    "3.16": ("factorization", _matrices(lambda n: (_Tsh(n), _Fodd(n) @ _LS(n)))),
-    "3.17": ("factorization", _matrices(lambda n: (_cols(_Tsh(n), _nat), _Feven(n) @ _LS(n)))),
-    "3.18": ("factorization", _matrices(lambda n: (
-        _Feven(n) @ _Fodd(n).inverse(),
-        _cols(_Tsh(n), _nat) @ _Tsh(n).inverse(),
-    ))),
-    "3.19": ("factorization", _matrices(lambda n: (
-        _Fodd(n).inverse() @ _Feven(n),
-        _cols(_LS(n), _nat) @ _LS(n).inverse(),
-    ))),
-    "3.20": ("connection", _entries(lambda n: choose_even_matrix(n) @ _Tsh(n), _LSsh)),
-    "3.21": ("connection", _entries(
-        lambda n: choose_odd_matrix(n) @ _Tsh(n), lambda n: _cols(_LSsh(n), _nat)
     )),
-    "3.22": ("factorization", _matrices(lambda n: (_LSsh(n), choose_even_matrix(n) @ _Tsh(n)))),
-    "3.23": ("factorization", _matrices(
-        lambda n: (_cols(_LSsh(n), _nat), choose_odd_matrix(n) @ _Tsh(n))
+    "3.14": _entries(lambda n: _Fodd(n) @ _LS(n), _Tsh),
+    "3.15": _entries(lambda n: _Feven(n) @ _LS(n), lambda n: _cols(_Tsh(n), _nat)),
+    "3.16": _matrices(lambda n: (_Tsh(n), _Fodd(n) @ _LS(n))),
+    "3.17": _matrices(lambda n: (_cols(_Tsh(n), _nat), _Feven(n) @ _LS(n))),
+    "3.18": _matrices(lambda n: (_Feven(n) @ _Fodd(n).inverse(), _similar(_Tsh(n)))),
+    "3.19": _matrices(lambda n: (_Fodd(n).inverse() @ _Feven(n), _similar(_LS(n)))),
+    "3.20": _entries(lambda n: choose_even_matrix(n) @ _Tsh(n), _LSsh),
+    "3.21": _entries(lambda n: choose_odd_matrix(n) @ _Tsh(n), lambda n: _cols(_LSsh(n), _nat)),
+    "3.22": _matrices(lambda n: (_LSsh(n), choose_even_matrix(n) @ _Tsh(n))),
+    "3.23": _matrices(lambda n: (_cols(_LSsh(n), _nat), choose_odd_matrix(n) @ _Tsh(n))),
+    "3.24": _matrices(lambda n: (
+        choose_even_matrix(n).inverse() @ choose_odd_matrix(n), _similar(_Tsh(n))
     )),
-    "3.24": ("factorization", _matrices(lambda n: (
-        choose_even_matrix(n).inverse() @ choose_odd_matrix(n),
-        _cols(_Tsh(n), _nat) @ _Tsh(n).inverse(),
-    ))),
-    "3.25": ("factorization", _matrices(lambda n: (
-        choose_odd_matrix(n) @ choose_even_matrix(n).inverse(),
-        _cols(_LSsh(n), _nat) @ _LSsh(n).inverse(),
-    ))),
-    "3.26": ("factorization", _matrices(lambda n: (
+    "3.25": _matrices(lambda n: (
+        choose_odd_matrix(n) @ choose_even_matrix(n).inverse(), _similar(_LSsh(n))
+    )),
+    "3.26": _matrices(lambda n: (
         _Feven(n) @ _Fodd(n).inverse(),
         choose_even_matrix(n).inverse() @ choose_odd_matrix(n),
-    ))),
-    "3.27": ("factorization", _matrices(lambda n: (
+    )),
+    "3.27": _matrices(lambda n: (
         choose_even_matrix(n) @ _Feven(n),
         choose_odd_matrix(n) @ _Fodd(n),
         _cols(_LSsh(n), _nat) @ _LS(n).inverse(),
-    ))),
-    "4.6": ("connection", _even_fibonacci_via_genocchi),
-    "4.11": ("factorization", _genocchi_via_fibonacci),
-    "4.12": ("factorization", _matrices(lambda n: (
-        genocchi_matrix(n),
-        _cols(_Tsh(n), _nat) @ _Tsh(n).inverse(),
-    ))),
-    "4.13": ("factorization", _genocchi_via_choose),
-    "4.14": ("factorization", _genocchi_via_fibonacci),
-    "4.15": ("factorization", _genocchi_via_choose),
-    "4.16": ("factorization", _matrices(
-        lambda n: (genocchi_matrix(n), _cols(_Tsh(n), _nat) @ _tsh(n))
     )),
+    "4.6": _even_fibonacci_via_genocchi,
+    "4.11": _genocchi_via_fibonacci,
+    "4.12": _matrices(lambda n: (genocchi_matrix(n), _similar(_Tsh(n)))),
+    "4.13": _genocchi_via_choose,
+    "4.14": _genocchi_via_fibonacci,
+    "4.15": _genocchi_via_choose,
+    "4.16": _matrices(lambda n: (genocchi_matrix(n), _cols(_Tsh(n), _nat) @ _tsh(n))),
     "4.17": ("summation", seidel_identity_cases),
-    "4.21": ("factorization", _matrices(lambda n: (
+    "4.21": _matrices(lambda n: (
         (_Fodd(n + 1).inverse() @ _Feven(n + 1)).drop_leading(),
-        _cols(_LSsh(n), lambda j: j + 2) @ _LSsh(n).inverse(),
-    ))),
-    "4.40": ("connection", _poly_rows(
-        lambda n: fib_poly(2 * n + 1), lambda k: _fib_sum(2 * k), a1_matrix
+        _similar(_LSsh(n), lambda j: j + 2),
     )),
-    "4.42": ("connection", _poly_rows(
-        lambda n: _fib_sum(2 * n + 1), lambda k: _fib_sum(2 * k), a2_matrix
-    )),
-    "4.43": ("factorization", _matrices(lambda n: (
+    "4.40": _poly_rows(
+        lambda n: fib_poly(2 * n + 1), lambda k: _fib_sum(2 * k), lambda n: (a1_matrix(n),)
+    ),
+    "4.42": _poly_rows(
+        lambda n: _fib_sum(2 * n + 1), lambda k: _fib_sum(2 * k), lambda n: (a2_matrix(n),)
+    ),
+    "4.43": _matrices(lambda n: (
         a2_matrix(n),
         _cols(stirling2(SQUARES_FROM_2, n), lambda j: j + 2) @ stirling1(SQUARES_FROM_2, n),
-    ))),
-    "4.46": ("connection", _odd_fibonacci_via_bernoulli),
+    )),
+    "4.46": _odd_fibonacci_via_bernoulli,
     "4.48": ("summation", kaneko_cases),
-    "4.49": ("factorization", _matrices(lambda n: (
+    "4.49": _matrices(lambda n: (
         genocchi_matrix_inverse(n),
         _cols(_Tsh(n), lambda j: Fraction(1, j + 1)) @ _tsh(n),
-    ))),
-    "4.50": ("connection", _poly_rows(
-        lambda n: _fib_sum(2 * n), lambda k: _fib_sum(2 * k + 1), z_matrix
     )),
-    "5.7": ("factorization", _matrices(
-        lambda n: (tangent_matrix(n), _Lodd(n) @ _Leven(n).inverse())
-    )),
-    "5.8": ("connection", _entries(
-        lambda n: _Leven(n) @ _V(n), lambda n: _cols(_U(n), lambda k: 2)
-    )),
-    "5.9": ("connection", _entries(
-        lambda n: _Lodd(n) @ _V(n), lambda n: _cols(_U(n), lambda k: 2 * k + 1)
-    )),
-    "5.10": ("factorization", _matrices(lambda n: (
+    "4.50": _poly_rows(
+        lambda n: _fib_sum(2 * n), lambda k: _fib_sum(2 * k + 1), lambda n: (z_matrix(n),)
+    ),
+    "5.7": _matrices(lambda n: (tangent_matrix(n), _Lodd(n) @ _Leven(n).inverse())),
+    "5.8": _entries(lambda n: _Leven(n) @ _V(n), lambda n: _cols(_U(n), lambda k: 2)),
+    "5.9": _entries(lambda n: _Lodd(n) @ _V(n), lambda n: _cols(_U(n), lambda k: 2 * k + 1)),
+    "5.10": _matrices(lambda n: (
         tangent_matrix(n),
         _cols(_U(n), lambda j: Fraction(2 * j + 1, 2)) @ _u(n),
-    ))),
+    )),
     # 6.6 and 6.7 read the stirling-shift preset, not the equal shifted stirling triangle.
-    "6.6": ("summation", _row_sums(
+    "6.6": _row_sums(
         lambda n: stirling2(preset("stirling-shift"), n),
         lambda n, k: Fraction((-1) ** k * factorial(k), k + 1),
-        numbers.bernoulli_b,
-    )),
-    "6.7": ("summation", _row_sums(
+        lambda n: numbers.bernoulli_b(n),
+    ),
+    "6.7": _row_sums(
         lambda n: stirling1(preset("stirling-shift"), n),
         lambda n, k: numbers.bernoulli_b(k),
         lambda n: Fraction((-1) ** n * factorial(n), n + 1),
-    )),
-    "6.8": ("summation", _row_sums(
+    ),
+    "6.8": _row_sums(
         _Tsh, lambda n, k: (-1) ** k * (k + 1) * factorial(k) ** 2,
         lambda n: (-1) ** (n - 1) * numbers.genocchi(n), first=1,
-    )),
-    "6.9": ("summation", _row_sums(
+    ),
+    "6.9": _row_sums(
         _tsh, lambda n, k: (-1) ** (n - k - 1) * numbers.genocchi(k + 1),
         lambda n: factorial(n) * factorial(n - 1), first=1,
-    )),
-    "6.10": ("summation", _row_sums(
+    ),
+    "6.10": _row_sums(
         _Tsh, lambda n, k: (-1) ** k * factorial(k + 1) ** 2,
         lambda n: (-1) ** (n - 1) * numbers.genocchi(n + 1), first=1,
-    )),
-    "6.11": ("summation", _row_sums(
+    ),
+    "6.11": _row_sums(
         _t, lambda n, k: (-1) ** (n - k) * numbers.genocchi(k + 1), lambda n: factorial(n) ** 2
-    )),
-    "6.12": ("summation", _row_sums(
+    ),
+    "6.12": _row_sums(
         _LSsh, lambda n, k: (-1) ** (n - k) * factorial(k + 1) ** 2,
         lambda n: numbers.median_genocchi(n + 1),
-    )),
-    "6.13": ("summation", _row_sums(
+    ),
+    "6.13": _row_sums(
         lambda n: stirling2(SQUARES_FROM_2, n),
         lambda n, k: (-1) ** (n - k) * factorial(k + 1) * factorial(k + 2),
         lambda n: numbers.genocchi(n + 1) + numbers.genocchi(n + 2),
-    )),
-    "6.14": ("summation", _row_sums(
+    ),
+    "6.14": _row_sums(
         lambda n: stirling1(SQUARES_FROM_2, n),
         lambda n, k: (-1) ** (n - k) * (numbers.genocchi(k + 1) + numbers.genocchi(k + 2)),
         lambda n: factorial(n + 1) * factorial(n + 2),
-    )),
-    "6.15": ("summation", _row_sums(
+    ),
+    "6.15": _row_sums(
         _Tsh, lambda n, k: Fraction((-1) ** k * factorial(k) ** 2, k + 1),
         lambda n: (2 * n + 1) * numbers.bernoulli(2 * n),
-    )),
-    "6.16": ("summation", _row_sums(
+    ),
+    "6.16": _row_sums(
         _U, lambda n, k: (-4) ** (n - k) * (2 * k + 1) * odd_double_factorial(k) ** 2,
-        numbers.tangent,
-    )),
-    "6.17": ("summation", _row_sums(
+        lambda n: numbers.tangent(n),
+    ),
+    "6.17": _row_sums(
         _U, lambda n, k: Fraction((-1) ** k * odd_double_factorial(k) ** 2, (2 * k + 1) * 4**k),
         lambda n: numbers.bernoulli(2 * n),
-    )),
+    ),
 }
 
 FACTORIZATION_IDS: Tuple[str, ...] = tuple(

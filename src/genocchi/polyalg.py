@@ -54,12 +54,12 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def eval(self, x: Fraction | int) -> Fraction:
-        """Exact Horner evaluation."""
-        acc = Fraction(0)
+    def eval(self, x: Fraction | int) -> Scalar:
+        """Exact Horner evaluation, an int when the value is integral."""
+        acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
-        return acc
+        return _exact(acc)
 
     __call__ = eval
 

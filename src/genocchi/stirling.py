@@ -24,14 +24,18 @@ class WeightSpec:
     """A named total weight sequence n -> w(n).
 
     Calling the spec gives w(n) as an int when it is integral and as a
-    Fraction otherwise.
+    Fraction otherwise; a w(n) that is neither, such as a float, is a
+    TypeError rather than a binary approximation.
     """
 
     name: str
     w: Callable[[int], Scalar]
 
     def __call__(self, n: int) -> Scalar:
-        return _exact(self.w(n))
+        x = self.w(n)
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"weight {self.name} w({n}) = {x!r} is not an int or Fraction")
+        return _exact(x)
 
 
 PRESETS: dict[str, WeightSpec] = {

@@ -103,6 +103,19 @@ def test_at_matrix_zero_weight():
     )
 
 
+def test_at_matrix_rejects_inexact_values():
+    # A float seed or weight would compute in binary approximations.
+    with pytest.raises(TypeError, match=r"^seed value 1\.0 at j=0 is not an int or Fraction$"):
+        at_matrix(ATSpec(LINEAR_SHIFT, lambda j: 1 / (j + 1), rows=2, cols=2))
+    thirds = WeightSpec("f", lambda n: 1 / 3)
+    with pytest.raises(TypeError, match=r"^weight f w\(0\) = 0\.333"):
+        thirds(0)
+    with pytest.raises(TypeError):
+        at_matrix(ATSpec(thirds, seed_linear, rows=2, cols=2))
+    # one row reads no weight, so the float weight is never seen
+    assert at_matrix(ATSpec(thirds, seed_linear, rows=1, cols=2)) == ((1, 2),)
+
+
 def test_at_matrix_extent_validation():
     with pytest.raises(ValueError):
         at_matrix(ATSpec(SQUARES_FROM_1, seed_linear, rows=0, cols=2))

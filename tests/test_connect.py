@@ -341,6 +341,109 @@ def test_perturbed_preset_fails_exactly_its_labels(name, monkeypatch):
     assert failed == PRESET_LABELS[name]
 
 
+# The labels that read each matrix builder on the connect module, directly
+# or through another builder (a2_matrix reads a1_matrix, which reads
+# genocchi_matrix).
+BUILDER_LABELS = {
+    "genocchi_matrix": [
+        "2.1", "4.6", "4.11", "4.12", "4.13", "4.14", "4.15", "4.16", "4.40", "4.42", "4.43",
+    ],
+    "genocchi_matrix_inverse": ["2.2", "4.46", "4.49", "4.50"],
+    "tangent_matrix": ["2.3", "5.7", "5.10"],
+    "tangent_matrix_inverse": ["2.4"],
+    "_genocchi_over_lucas": ["2.3"],
+    "a1_matrix": ["4.40", "4.42", "4.43"],
+    "a2_matrix": ["4.42", "4.43"],
+    "z_matrix": ["4.50"],
+    "c_matrix": ["2.15/2.16-inverse", "3.9", "3.10"],
+    "c_matrix_inverse": ["2.15/2.16-inverse"],
+    "pascal_matrix": ["3.9", "3.10", "3.11", "3.13"],
+    "pascal_plus_matrix": ["3.9", "3.10", "3.12", "3.13"],
+    "choose_even_matrix": ["3.20", "3.22", "3.24", "3.25", "3.26", "3.27", "4.13", "4.15"],
+    "choose_odd_matrix": ["3.21", "3.23", "3.24", "3.25", "3.26", "3.27", "4.13", "4.15"],
+    "stirling1": ["3.13", "4.43", "5.10", "6.7", "6.11", "6.14"],
+    "stirling2": [
+        "3.11", "3.12", "3.13", "3.14", "3.15", "3.16", "3.17", "3.19", "3.27", "4.43", "5.8",
+        "5.9", "5.10", "6.6", "6.13", "6.16", "6.17",
+    ],
+    "stirling1_shifted": ["3.9", "4.16", "4.49", "6.9"],
+    "stirling2_shifted": [
+        "3.9", "3.11", "3.12", "3.14", "3.15", "3.16", "3.17", "3.18", "3.20", "3.21", "3.22",
+        "3.23", "3.24", "3.25", "3.27", "4.12", "4.16", "4.21", "4.49", "6.8", "6.10", "6.12",
+        "6.15",
+    ],
+    "basis_matrix": [
+        "3.14", "3.15", "3.16", "3.17", "3.18", "3.19", "3.26", "3.27", "4.11", "4.14", "4.21",
+        "5.7", "5.8", "5.9",
+    ],
+}
+
+# Entries of an order-n build that a bump adds 1 to.  No one site reaches
+# every reader: a last-row bump of stirling2 cancels in 5.8, whose L_even
+# has diagonal 2, and a column-0 bump of basis_matrix is dropped by 4.21.
+BUMP_SITES = (lambda n: (n - 1, 0), lambda n: (n - 1, n - 1), lambda n: (min(1, n - 1), 0))
+
+
+def _bumped(build, site):
+    def bumped(*args):
+        rows = [list(row) for row in build(*args).rows]
+        i, j = site(len(rows))
+        rows[i][j] += 1
+        return TriMatrix(rows)
+
+    return bumped
+
+
+@pytest.mark.parametrize("name", list(BUILDER_LABELS))
+def test_bumped_builder_fails_every_label_that_reads_it(name, monkeypatch):
+    build = getattr(connect, name)
+    readers = []
+    for label in connect.CATALOG:
+        calls = []
+        monkeypatch.setattr(connect, name, lambda *args: calls.append(args) or build(*args))
+        connect.verify(label, 6)
+        if calls:
+            readers.append(label)
+    assert readers == BUILDER_LABELS[name]
+    failed = set()
+    for site in BUMP_SITES:
+        monkeypatch.setattr(connect, name, _bumped(build, site))
+        failed |= {label for label in connect.CATALOG if not connect.verify(label, 6).passed}
+    assert [label for label in connect.CATALOG if label in failed] == readers
+
+
+def test_no_label_builds_a_family_twice(monkeypatch):
+    builds = []
+
+    def recorded(build, family):
+        def wrapper(arg, order):
+            builds.append((build.__name__, family(arg), order))
+            return build(arg, order)
+
+        return wrapper
+
+    # The shifted triangles call stirling1/stirling2 on the stirling module.
+    for build in (stirling.stirling1, stirling.stirling2):
+        wrapper = recorded(build, lambda spec: spec.name)
+        monkeypatch.setattr(stirling, build.__name__, wrapper)
+        monkeypatch.setattr(connect, build.__name__, wrapper)
+    monkeypatch.setattr(connect, "basis_matrix", recorded(basis_matrix, str))
+    by_label = {}
+    for label in connect.CATALOG:
+        builds.clear()
+        assert connect.verify(label, 12).passed
+        by_label[label] = list(builds)
+    assert {
+        label: [build for build in found if found.count(build) > 1]
+        for label, found in by_label.items() if len(set(found)) < len(found)
+    } == {}
+    assert set(by_label["3.18"]) == {
+        ("basis_matrix", "F_even", 12),
+        ("basis_matrix", "F_odd", 12),
+        ("stirling2", "central-factorial", 13),
+    }
+
+
 def test_connection_catalog_passes():
     for ident in connect.CONNECTION_IDS:
         report = connect.verify(ident, 10)

@@ -63,6 +63,16 @@ def test_eval_horner():
     p = Poly([1, -2, 3])
     x = Fraction(5, 7)
     assert p.eval(x) == 1 - 2 * x + 3 * x * x
+    # the package's value rule: an int when the value is integral
+    for p, x, want in [
+        (Poly([1, 2]), 3, 7),
+        (Poly(), 3, 0),
+        (Poly([Fraction(1, 2), Fraction(1, 2)]), 1, 1),
+        (Poly([0, 2]), Fraction(1, 2), 1),
+    ]:
+        value = p.eval(x)
+        assert value == want and type(value) is int
+    assert Poly([1, 2]).eval(Fraction(1, 4)) == Fraction(3, 2)
 
 
 # ----------------------------------------------------------------------
