@@ -11,15 +11,13 @@ a seed value that is not an int or a Fraction is a TypeError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 from .stirling import WeightSpec
 
 
-@dataclass(frozen=True)
-class ATSpec:
+class ATSpec(NamedTuple):
     """Weights, seed and extents for one engine run."""
 
     weights: WeightSpec

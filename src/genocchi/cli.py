@@ -22,7 +22,7 @@ from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence
 from . import akiyama, connect, numbers, seidel
 from .polyalg import basis_matrix
 from .reports import IdentityReport
-from .stirling import PRESETS, preset, shift_weight, stirling1, stirling2
+from .stirling import PRESETS, preset, stirling1, stirling2
 from .trimat import TriMatrix
 
 FORMATS = ("table", "csv", "json")
@@ -121,19 +121,6 @@ SEEDS: Dict[str, Callable[[int], Fraction | int]] = {
 }
 
 
-def parse_weight_name(name: str):
-    """Resolve a preset name with optional -shifted suffixes."""
-    base = name
-    shifts = 0
-    while base.endswith("-shifted"):
-        base = base[: -len("-shifted")]
-        shifts += 1
-    spec = preset(base)
-    for _ in range(shifts):
-        spec = shift_weight(spec)
-    return spec
-
-
 # ----------------------------------------------------------------------
 # rendering
 
@@ -173,7 +160,8 @@ def parse_triangle_csv(text: str) -> TriMatrix:
 
 
 def parse_triangle_json(text: str) -> TriMatrix:
-    return TriMatrix([map(Fraction, row) for row in json.loads(text)["rows"]])
+    rows = json.loads(text, parse_float=Fraction)["rows"]
+    return TriMatrix([map(Fraction, row) for row in rows])
 
 
 # ----------------------------------------------------------------------
@@ -224,7 +212,7 @@ def _cmd_seidel(args) -> int:
 
 
 def _cmd_at(args) -> int:
-    weights = parse_weight_name(args.weights)
+    weights = preset(args.weights)
     (seed,) = _lookup(SEEDS, [args.seed], "seed", "seeds")
     matrix = akiyama.at_matrix(akiyama.ATSpec(weights, seed, rows=args.rows, cols=args.cols))
     render_rows(matrix, args.format, f"at({weights.name},{args.seed})")

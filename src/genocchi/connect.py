@@ -26,19 +26,17 @@ line contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import comb, factorial
 from operator import mul, sub
-from typing import Any, Callable, Dict, Iterable, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from . import numbers
 from .akiyama import odd_double_factorial
 from .polyalg import Poly, basis_matrix, fib_poly, lucas_poly
 from .reports import IdentityReport, UnknownIdentityError
 from .stirling import (
-    SQUARES_FROM_2,
     preset,
     stirling1,
     stirling1_shifted,
@@ -180,8 +178,7 @@ def _cols(m: TriMatrix, scale: Callable[[int], Fraction | int]) -> TriMatrix:
 # linear functionals
 
 
-@dataclass(frozen=True)
-class LinearFunctional:
+class LinearFunctional(NamedTuple):
     """Linear functional on polynomials, stored by its monomial moments."""
 
     name: str
@@ -263,6 +260,8 @@ _s = lambda n: stirling1(preset("stirling"), n)  # noqa: E731
 _U = lambda n: stirling2(preset("u-half-odd"), n)  # noqa: E731
 _u = lambda n: stirling1(preset("u-half-odd"), n)  # noqa: E731
 _V = lambda n: stirling2(preset("v-product-quarter"), n)  # noqa: E731
+_T2 = lambda n: stirling2(preset("central-factorial-shifted-shifted"), n)  # noqa: E731
+_t2 = lambda n: stirling1(preset("central-factorial-shifted-shifted"), n)  # noqa: E731
 _Fodd = lambda n: basis_matrix("F_odd", n)  # noqa: E731
 _Feven = lambda n: basis_matrix("F_even", n)  # noqa: E731
 _Leven = lambda n: basis_matrix("L_even", n)  # noqa: E731
@@ -470,7 +469,7 @@ CATALOG: Dict[str, Row] = {
     ),
     "4.43": _matrices(lambda n: (
         a2_matrix(n),
-        _cols(stirling2(SQUARES_FROM_2, n), lambda j: j + 2) @ stirling1(SQUARES_FROM_2, n),
+        _cols(_T2(n), lambda j: j + 2) @ _t2(n),
     )),
     "4.46": _odd_fibonacci_via_bernoulli,
     "4.48": ("summation", kaneko_cases),
@@ -519,12 +518,12 @@ CATALOG: Dict[str, Row] = {
         lambda n: numbers.median_genocchi(n + 1),
     ),
     "6.13": _row_sums(
-        lambda n: stirling2(SQUARES_FROM_2, n),
+        _T2,
         lambda n, k: (-1) ** (n - k) * factorial(k + 1) * factorial(k + 2),
         lambda n: numbers.genocchi(n + 1) + numbers.genocchi(n + 2),
     ),
     "6.14": _row_sums(
-        lambda n: stirling1(SQUARES_FROM_2, n),
+        _t2,
         lambda n, k: (-1) ** (n - k) * (numbers.genocchi(k + 1) + numbers.genocchi(k + 2)),
         lambda n: factorial(n + 1) * factorial(n + 2),
     ),

@@ -81,10 +81,13 @@ def tangent(k: int) -> int:
     """Tangent number with odd index 2k+1, for k >= 0."""
     if k < 0:
         raise ValueError("index must be >= 0")
-    value = Fraction(2 ** (2 * k + 1) * genocchi(k + 1), 2 * k + 2)
-    if value.denominator != 1 or value <= 0:
-        raise ArithmeticError(f"tangent({k}) came out as {value}, expected a positive integer")
-    return int(value)
+    num, den = 2 ** (2 * k + 1) * genocchi(k + 1), 2 * k + 2
+    value, rest = divmod(num, den)
+    if rest or value <= 0:
+        raise ArithmeticError(
+            f"tangent({k}) came out as {Fraction(num, den)}, expected a positive integer"
+        )
+    return value
 
 
 # _medians[n] is the median Genocchi number with index 2n+1.

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 
 class UnknownIdentityError(ValueError):
@@ -15,8 +14,7 @@ class UnknownIdentityError(ValueError):
         self.known = tuple(known)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     """Outcome of checking one catalog identity up to a depth bound.
 
     The report passes exactly when no counterexample is recorded; the

@@ -8,17 +8,15 @@ floor(i/2) + 1 entries each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 from .stirling import preset, stirling2
 
 VARIANTS = ("ls-from-T", "v-from-U", "genocchi")
 
 
-@dataclass(frozen=True)
-class SeidelArray:
+class SeidelArray(NamedTuple):
     """A filled difference array.
 
     The genocchi variant is self-seeding: even rows start with zero (one at

@@ -10,17 +10,15 @@ monotonicity is enforced.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .polyalg import Poly
 from .trimat import Scalar, TriMatrix, _exact
 
 
-@dataclass(frozen=True)
-class WeightSpec:
+class WeightSpec(NamedTuple):
     """A named total weight sequence n -> w(n).
 
     Calling the spec gives w(n) as an int when it is integral and as a
@@ -51,23 +49,26 @@ PRESETS: dict[str, WeightSpec] = {
 
 
 def preset(name: str) -> WeightSpec:
-    """Look up a named weight preset."""
+    """Look up a named weight preset, advanced one position per trailing -shifted.
+
+    central-factorial-shifted-shifted is the weight sequence (n+2)**2.
+    """
+    base, shifts = name, 0
+    while base.endswith("-shifted"):
+        base, shifts = base[: -len("-shifted")], shifts + 1
     try:
-        return PRESETS[name]
+        spec = PRESETS[base]
     except KeyError:
         raise ValueError(
-            f"unknown weight preset {name!r}; valid presets: {', '.join(PRESETS)}"
+            f"unknown weight preset {base!r}; valid presets: {', '.join(PRESETS)}"
         ) from None
+    return shift_weight(spec, shifts) if shifts else spec
 
 
-# Weights (n+2)**2: the central-factorial weights advanced by two positions.
-SQUARES_FROM_2 = WeightSpec("squares-from-2", lambda n: (n + 2) ** 2)
-
-
-def shift_weight(spec: WeightSpec) -> WeightSpec:
-    """Weight sequence advanced by one position."""
+def shift_weight(spec: WeightSpec, by: int = 1) -> WeightSpec:
+    """Weight sequence advanced by `by` positions, as one offset however large."""
     inner = spec.w
-    return WeightSpec(f"{spec.name}-shifted", lambda n: inner(n + 1))
+    return WeightSpec(spec.name + "-shifted" * by, lambda n: inner(n + by))
 
 
 def stirling2(spec: WeightSpec, order: int) -> TriMatrix:

@@ -24,11 +24,15 @@ Rule = Callable[[int, int], Scalar]
 
 
 def _exact(x) -> Scalar:
-    """x as an int when it is integral, else as a Fraction."""
+    """x as an int when it is integral, else as a Fraction.
+
+    Only ints and Fractions are exact: anything else, a float or a bool
+    included, is a TypeError rather than a binary approximation.
+    """
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        raise TypeError(f"{x!r} is not an int or Fraction")
     return x.numerator if x.denominator == 1 else x
 
 
@@ -65,9 +69,9 @@ class TriMatrix:
 
     Row i stores the entries (i, 0), ..., (i, i); entries with j > i are an
     implicit zero.  An entry is an int when it is integral and a Fraction
-    otherwise, whatever type it was given as, so equal matrices compare and
-    hash equal.  All operations return new values, so matrices can be
-    shared freely between threads and identity checks never observe
+    otherwise, whichever of the two it was given as, so equal matrices
+    compare and hash equal.  All operations return new values, so matrices
+    can be shared freely between threads and identity checks never observe
     mutation.
     """
 

@@ -14,7 +14,11 @@ from hypothesis import strategies as st
 
 import golden
 from genocchi import cli
+from genocchi.akiyama import ATSpec
+from genocchi.connect import LinearFunctional
 from genocchi.reports import IdentityReport
+from genocchi.seidel import SeidelArray
+from genocchi.stirling import WeightSpec
 
 
 def run(capsys, *argv):
@@ -145,6 +149,12 @@ def test_triangle_json_round_trip(capsys):
     assert payload["name"] == "tangent-matrix"
     assert payload["order"] == 5
     assert cli.parse_triangle_json(out).rows == golden.B_5
+
+
+def test_triangle_json_numbers_are_read_exactly():
+    # a JSON number is read as the decimal it spells, not as the nearest float
+    m = cli.parse_triangle_json('{"rows": [[1], [0.1, 2.5e-1], [3, -1.75, 2.0]]}')
+    assert m.rows == ((1,), (Fraction(1, 10), Fraction(1, 4)), (3, Fraction(-7, 4), 2))
 
 
 def test_triangle_unknown_name(capsys):
@@ -432,6 +442,39 @@ def test_closed_stdout_exits_one_without_traceback():
     err = proc.stderr.read()
     assert proc.wait(timeout=60) == 1
     assert err == b""
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # -S keeps site from importing modules on the package's behalf
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, genocchi.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+_RECORDS = [
+    (IdentityReport("2.1", 3, True), "passed"),
+    (WeightSpec("w", abs), "w"),
+    (ATSpec(WeightSpec("w", abs), abs, rows=1, cols=1), "rows"),
+    (SeidelArray("genocchi", None, ((1,),)), "rows"),
+    (LinearFunctional("phi", (1,)), "moments"),
+]
+
+
+@pytest.mark.parametrize("record, field", _RECORDS, ids=lambda x: type(x).__name__)
+def test_records_reject_field_assignment(record, field):
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+
+
+def test_identity_report_repr():
+    assert repr(IdentityReport("4.43", 9, False, ("n=2", "5", "7"))) == (
+        "IdentityReport(ident='4.43', depth=9, passed=False, counterexample=('n=2', '5', '7'))"
+    )
+    assert repr(IdentityReport("2.1", 3, True)) == (
+        "IdentityReport(ident='2.1', depth=3, passed=True, counterexample=None)"
+    )
 
 
 _NAMES = st.sampled_from(["nope", "", "all", "Genocchi", "stirling-shifted"])

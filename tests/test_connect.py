@@ -320,7 +320,7 @@ PRESET_LABELS = {
     "stirling-shift": ["6.6", "6.7"],
     "central-factorial": [
         "3.14", "3.15", "3.16", "3.17", "3.18", "3.20", "3.21", "3.22", "3.23", "3.24",
-        "4.12", "4.16", "4.49", "6.8", "6.9", "6.10", "6.11", "6.15",
+        "4.12", "4.16", "4.43", "4.49", "6.8", "6.9", "6.10", "6.11", "6.13", "6.14", "6.15",
     ],
     "legendre-stirling": [
         "3.14", "3.15", "3.16", "3.17", "3.19", "3.20", "3.21", "3.22", "3.23", "3.25",

@@ -9,6 +9,7 @@ scaling to ints.
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -119,13 +120,21 @@ def test_non_unit_diagonal_inverse_is_rational():
 
 
 def test_entries_normalise_on_construction():
-    m = TriMatrix([[Fraction(4, 2)], [2.5, Fraction(3)]])
+    m = TriMatrix([[Fraction(4, 2)], [Fraction(5, 2), Fraction(3)]])
     assert m.rows == ((2,), (Fraction(5, 2), 3))
     assert_exact_matrix(m)
     assert m == TriMatrix([[2], [Fraction(5, 2), 3]])
     assert hash(m) == hash(TriMatrix([[Fraction(2)], [Fraction(5, 2), Fraction(3)]]))
     assert type(m[0, 1]) is int
     assert_exact(TriMatrix.diagonal([Fraction(6, 3), Fraction(1, 2)]).diagonal_entries())
+
+
+@pytest.mark.parametrize("x", [2.5, 2.0, True, "2"])
+def test_inexact_entries_are_rejected(x):
+    # a float is not silently read as its binary Fraction, nor a bool as 0 or 1
+    for build in (lambda: TriMatrix([[1], [x, 1]]), lambda: Poly([1, x])):
+        with pytest.raises(TypeError, match="is not an int or Fraction$"):
+            build()
 
 
 @settings(max_examples=60, deadline=None)

@@ -175,6 +175,14 @@ def test_median_genocchi_cross_check_runs_as_a_value_enters_the_cache(monkeypatc
     assert numbers._medians == [1, 1, 2]
 
 
+def test_tangent_check_runs_on_every_call(monkeypatch):
+    # T_5 = 2**5 * G_6 / 6, so G_6 = 1 gives 16/3 and G_6 = -3 gives -16
+    for g, shown in ((1, "16/3"), (-3, "-16")):
+        monkeypatch.setattr(numbers, "genocchi", lambda n, g=g: g)
+        with pytest.raises(ArithmeticError, match=rf"^tangent\(2\) came out as {shown},"):
+            numbers.tangent(2)
+
+
 def test_index_validation():
     with pytest.raises(ValueError):
         numbers.genocchi(0)

@@ -138,6 +138,13 @@ def test_shift_weight_values():
     assert [squares_from_2(n) for n in range(3)] == [4, 9, 16]
     assert shift_weight(preset("stirling-shift"))(5) == 7
     assert squares_from_1.name.endswith("-shifted")
+    twice = preset("central-factorial-shifted-shifted")
+    assert twice.name == "central-factorial-shifted-shifted"
+    assert all(twice(n) == (n + 2) ** 2 == squares_from_2(n) for n in range(12))
+    # the shifts are one offset, so a long suffix chain does not nest calls
+    assert preset("stirling" + "-shifted" * 2000)(3) == 2003
+    with pytest.raises(ValueError, match="unknown weight preset 'nope';"):
+        preset("nope-shifted")
 
 
 def test_shifted_weight_second_kind_relation():
