@@ -20,9 +20,7 @@ from .stirling import (
     preset,
     shift_weight,
     stirling1,
-    stirling1_shifted,
     stirling2,
-    stirling2_shifted,
 )
 from .trimat import SingularMatrixError, TriMatrix
 
@@ -45,8 +43,6 @@ __all__ = [
     "preset",
     "shift_weight",
     "stirling1",
-    "stirling1_shifted",
     "stirling2",
-    "stirling2_shifted",
     "tangent",
 ]

@@ -6,7 +6,8 @@ so the top row is allocated with rows + cols entries; the requested window
 is then exact, never silently truncated.  The first column realizes the
 alternating diagonal-conjugation sums: weighted Stirling row sums, as in 6.6-6.17.
 Seeds and weights are used as given, so integral ones give int entries;
-a seed value that is not an int or a Fraction is a TypeError.
+a seed value that is not an int or a Fraction, a bool included, is a
+TypeError.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ def at_matrix(spec: ATSpec) -> Tuple[Tuple[Fraction | int, ...], ...]:
     width = spec.cols + spec.rows
     row = [spec.seed(j) for j in range(width)]
     for j, x in enumerate(row):
-        if not isinstance(x, (int, Fraction)):
+        if type(x) not in (int, Fraction):
             raise TypeError(f"seed value {x!r} at j={j} is not an int or Fraction")
     weights = [spec.weights(j) for j in range(width - 1)] if spec.rows > 1 else []
     if 0 in weights:

@@ -161,7 +161,7 @@ def parse_triangle_csv(text: str) -> TriMatrix:
 
 def parse_triangle_json(text: str) -> TriMatrix:
     rows = json.loads(text, parse_float=Fraction)["rows"]
-    return TriMatrix([map(Fraction, row) for row in rows])
+    return TriMatrix([[Fraction(x) if type(x) is str else x for x in row] for row in rows])
 
 
 # ----------------------------------------------------------------------

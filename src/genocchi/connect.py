@@ -36,13 +36,7 @@ from . import numbers
 from .akiyama import odd_double_factorial
 from .polyalg import Poly, basis_matrix, fib_poly, lucas_poly
 from .reports import IdentityReport, UnknownIdentityError
-from .stirling import (
-    preset,
-    stirling1,
-    stirling1_shifted,
-    stirling2,
-    stirling2_shifted,
-)
+from .stirling import preset, stirling1, stirling2
 from .trimat import TriMatrix
 
 # ----------------------------------------------------------------------
@@ -250,11 +244,11 @@ def phi_functional(k: int, depth: int) -> LinearFunctional:
 
 _LS = lambda n: stirling2(preset("legendre-stirling"), n)  # noqa: E731
 _t = lambda n: stirling1(preset("central-factorial"), n)  # noqa: E731
-_Tsh = lambda n: stirling2_shifted(preset("central-factorial"), n)  # noqa: E731
-_tsh = lambda n: stirling1_shifted(preset("central-factorial"), n)  # noqa: E731
-_LSsh = lambda n: stirling2_shifted(preset("legendre-stirling"), n)  # noqa: E731
-_Ssh = lambda n: stirling2_shifted(preset("stirling"), n)  # noqa: E731
-_ssh = lambda n: stirling1_shifted(preset("stirling"), n)  # noqa: E731
+_Tsh = lambda n: stirling2(preset("central-factorial-shifted"), n)  # noqa: E731
+_tsh = lambda n: stirling1(preset("central-factorial-shifted"), n)  # noqa: E731
+_LSsh = lambda n: stirling2(preset("legendre-stirling-shifted"), n)  # noqa: E731
+_Ssh = lambda n: stirling2(preset("stirling-shifted"), n)  # noqa: E731
+_ssh = lambda n: stirling1(preset("stirling-shifted"), n)  # noqa: E731
 _S = lambda n: stirling2(preset("stirling"), n)  # noqa: E731
 _s = lambda n: stirling1(preset("stirling"), n)  # noqa: E731
 _U = lambda n: stirling2(preset("u-half-odd"), n)  # noqa: E731

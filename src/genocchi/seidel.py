@@ -34,11 +34,11 @@ class SeidelArray(NamedTuple):
 def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
     """Build a difference array row by row.
 
-    ls-from-T seeds even rows with a shifted central-factorial column and
-    odd rows with k+1 times it; v-from-U seeds with a half-odd-square
-    column and (2k+1)/2 times it; genocchi seeds itself.  Construction is
-    strictly row-sequential because the genocchi odd-row seed needs the
-    completed previous row.
+    ls-from-T seeds even rows with column k of the central-factorial-shifted
+    triangle and odd rows with k+1 times it; v-from-U seeds with column k
+    of the u-half-odd triangle and (2k+1)/2 times it; genocchi seeds
+    itself.  Construction is strictly row-sequential because the genocchi
+    odd-row seed needs the completed previous row.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; valid variants: {', '.join(VARIANTS)}")
@@ -47,21 +47,20 @@ def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
     if k < 0:
         raise ValueError("column parameter must be >= 0")
 
-    # A seeded array reads column k of its triangle only in rows up to its
-    # last even row's seed, so only those rows are built; an entry right of
-    # the diagonal (k past the row) is 0, however large k is.
-    top = (rows - 1) // 2
-    if variant == "ls-from-T":
-        tri = stirling2(preset("central-factorial"), top + 2).rows
-        even_seed = lambda i: tri[i + 1][k + 1] if k <= i else 0  # noqa: E731
-        odd_factor = k + 1
-    elif variant == "v-from-U":
-        tri = stirling2(preset("u-half-odd"), top + 1).rows
-        even_seed = lambda i: tri[i][k] if k <= i else 0  # noqa: E731
-        odd_factor = Fraction(2 * k + 1, 2)
-    else:
+    if variant == "genocchi":
         even_seed = lambda i: 1 if i == 0 else 0  # noqa: E731
         odd_factor = None
+    else:
+        name, odd_factor = (
+            ("central-factorial-shifted", k + 1) if variant == "ls-from-T"
+            else ("u-half-odd", Fraction(2 * k + 1, 2))
+        )
+        # A seeded array reads column k of its triangle only in rows up to
+        # its last even row's seed, so only those rows are built; an entry
+        # right of the diagonal (k past the row) is 0, however large k is.
+        top = (rows - 1) // 2
+        tri = stirling2(preset(name), top + 1).rows
+        even_seed = lambda i: tri[i][k] if k <= i else 0  # noqa: E731
 
     out: list[Tuple[Fraction | int, ...]] = []
     for i in range(rows):

@@ -5,7 +5,9 @@ second-kind triangle follows S(n, k) = S(n-1, k-1) + w(k) * S(n-1, k) and
 the first-kind triangle follows s(n, k) = s(n-1, k-1) - w(n-1) * s(n-1, k);
 as matrices the two are mutual inverses.  Weights may be negative or
 fractional: one of the named presets starts at -1/4, so no positivity or
-monotonicity is enforced.
+monotonicity is enforced.  For weights with w(0) = 0 the index-shifted
+triangle, entry (i, j) being S(i+1, j+1) or s(i+1, j+1), is the triangle
+of the shifted weights w(n+1), the preset named with a -shifted suffix.
 """
 
 from __future__ import annotations
@@ -22,8 +24,8 @@ class WeightSpec(NamedTuple):
     """A named total weight sequence n -> w(n).
 
     Calling the spec gives w(n) as an int when it is integral and as a
-    Fraction otherwise; a w(n) that is neither, such as a float, is a
-    TypeError rather than a binary approximation.
+    Fraction otherwise; a w(n) that is neither, such as a float or a bool,
+    is a TypeError rather than a binary approximation.
     """
 
     name: str
@@ -31,7 +33,7 @@ class WeightSpec(NamedTuple):
 
     def __call__(self, n: int) -> Scalar:
         x = self.w(n)
-        if not isinstance(x, (int, Fraction)):
+        if type(x) not in (int, Fraction):
             raise TypeError(f"weight {self.name} w({n}) = {x!r} is not an int or Fraction")
         return _exact(x)
 
@@ -95,16 +97,6 @@ def stirling1(spec: WeightSpec, order: int) -> TriMatrix:
         # s(n, k) = s(n-1, k-1) - w(n-1) s(n-1, k), with s(n-1, -1) = s(n-1, n) = 0
         rows.append(list(map(sub, [0, *prev], [*(wn * x for x in prev), 0])))
     return TriMatrix(rows)
-
-
-def stirling2_shifted(spec: WeightSpec, order: int) -> TriMatrix:
-    """Index-shifted second-kind triangle: entry (i, j) is S(i+1, j+1)."""
-    return stirling2(spec, order + 1).drop_leading()
-
-
-def stirling1_shifted(spec: WeightSpec, order: int) -> TriMatrix:
-    """Index-shifted first-kind triangle: entry (i, j) is s(i+1, j+1)."""
-    return stirling1(spec, order + 1).drop_leading()
 
 
 def row_poly_check(spec: WeightSpec, n: int) -> bool:

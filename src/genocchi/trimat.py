@@ -113,14 +113,6 @@ class TriMatrix:
     def identity(cls, order: int) -> "TriMatrix":
         return cls.from_rule(lambda i, j: 1 if i == j else 0, order)
 
-    @classmethod
-    def diagonal(cls, values: Sequence[Scalar]) -> "TriMatrix":
-        """Diagonal matrix whose order is the number of values given."""
-        vals = [_exact(v) for v in values]
-        if not vals:
-            raise ValueError("diagonal needs at least one value")
-        return cls([[vals[i] if j == i else 0 for j in range(i + 1)] for i in range(len(vals))])
-
     # ------------------------------------------------------------------
     # accessors
 

@@ -21,8 +21,6 @@ from genocchi.stirling import (
     shift_weight,
     stirling1,
     stirling2,
-    stirling1_shifted,
-    stirling2_shifted,
 )
 from genocchi.trimat import TriMatrix
 
@@ -124,7 +122,7 @@ def test_criterion_5_eigen_relation():
     with criterion(5, "central-factorial columns are eigenvectors with eigenvalue k+1"):
         order = 12
         a = connect.genocchi_matrix(order)
-        t_sh = stirling2_shifted(preset("central-factorial"), order)
+        t_sh = stirling2(preset("central-factorial-shifted"), order)
         for k in range(order - 1):
             col = t_sh.column(k)
             image = tuple(sum(a[n, j] * col[j] for j in range(n + 1)) for n in range(order))
@@ -194,9 +192,9 @@ def test_criterion_8_property_suite():
             families[f"{name}-second"] = lambda n, s=spec: stirling2(s, n)
             families[f"{name}-first"] = lambda n, s=spec: stirling1(s, n)
         for name in ("central-factorial", "legendre-stirling"):
-            spec = preset(name)
-            families[f"{name}-second-shifted"] = lambda n, s=spec: stirling2_shifted(s, n)
-            families[f"{name}-first-shifted"] = lambda n, s=spec: stirling1_shifted(s, n)
+            spec = preset(f"{name}-shifted")
+            families[f"{name}-second-shifted"] = lambda n, s=spec: stirling2(s, n)
+            families[f"{name}-first-shifted"] = lambda n, s=spec: stirling1(s, n)
 
         for name, build in families.items():
             full = build(16)

@@ -114,6 +114,12 @@ def test_at_matrix_rejects_inexact_values():
         at_matrix(ATSpec(thirds, seed_linear, rows=2, cols=2))
     # one row reads no weight, so the float weight is never seen
     assert at_matrix(ATSpec(thirds, seed_linear, rows=1, cols=2)) == ((1, 2),)
+    # a bool is an int subclass but not an exact value: it is refused, not returned
+    with pytest.raises(TypeError, match=r"^seed value True at j=0 is not an int or Fraction$"):
+        at_matrix(ATSpec(LINEAR_SHIFT, lambda j: True, rows=2, cols=2))
+    truth = WeightSpec("t", lambda n: True)
+    with pytest.raises(TypeError, match=r"^weight t w\(0\) = True is not an int or Fraction$"):
+        at_matrix(ATSpec(truth, seed_linear, rows=2, cols=2))
 
 
 def test_at_matrix_extent_validation():

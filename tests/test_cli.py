@@ -157,6 +157,12 @@ def test_triangle_json_numbers_are_read_exactly():
     assert m.rows == ((1,), (Fraction(1, 10), Fraction(1, 4)), (3, Fraction(-7, 4), 2))
 
 
+def test_triangle_json_booleans_are_rejected():
+    # true and false are not numbers, so they are not read as 1 and 0
+    with pytest.raises(TypeError):
+        cli.parse_triangle_json('{"rows": [[true], [false, 1]]}')
+
+
 def test_triangle_unknown_name(capsys):
     code, _, err = run(capsys, "triangle", "nope")
     assert code == 2

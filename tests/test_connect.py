@@ -7,7 +7,7 @@ from fixtures import tangent_matrix_inverse_printed
 from genocchi import connect, numbers, stirling
 from genocchi.polyalg import Poly, basis_matrix, fib_poly
 from genocchi.reports import UnknownIdentityError
-from genocchi.stirling import WeightSpec, preset, stirling2_shifted
+from genocchi.stirling import WeightSpec, preset, stirling2
 from genocchi.trimat import TriMatrix
 
 F = Fraction
@@ -164,7 +164,7 @@ def test_periodic_row_identity():
 def test_eigen_relation():
     order = 12
     a = connect.genocchi_matrix(order)
-    t_sh = stirling2_shifted(preset("central-factorial"), order)
+    t_sh = stirling2(preset("central-factorial-shifted"), order)
     for k in range(order - 1):
         col = t_sh.column(k)
         image = tuple(sum(a[n, j] * col[j] for j in range(n + 1)) for n in range(order))
@@ -223,7 +223,7 @@ def test_mu_functional():
 def test_phi_functional():
     phi2 = connect.phi_functional(2, 16)
     assert connect.functional_apply(phi2, fib_poly(7)) == 21
-    t_sh = stirling2_shifted(preset("central-factorial"), 14)
+    t_sh = stirling2(preset("central-factorial-shifted"), 14)
     for k in range(1, 5):
         phi = connect.phi_functional(k + 1, 16)
         for n in range(12):
@@ -280,9 +280,7 @@ def _mismatch_with_last_side(label, depth, change):
 
 
 def test_factorization_reports_difference():
-    _, doctored, found = _mismatch_with_last_side(
-        "4.16", 5, lambda side: TriMatrix.diagonal([1] * 5)
-    )
+    _, doctored, found = _mismatch_with_last_side("4.16", 5, lambda side: TriMatrix.identity(5))
     reference = connect.genocchi_matrix(5)
     assert reference.first_difference(doctored) == (1, 0)
     assert found == ("entry (1,0)", str(reference[1, 0]), "0")
@@ -361,16 +359,11 @@ BUILDER_LABELS = {
     "pascal_plus_matrix": ["3.9", "3.10", "3.12", "3.13"],
     "choose_even_matrix": ["3.20", "3.22", "3.24", "3.25", "3.26", "3.27", "4.13", "4.15"],
     "choose_odd_matrix": ["3.21", "3.23", "3.24", "3.25", "3.26", "3.27", "4.13", "4.15"],
-    "stirling1": ["3.13", "4.43", "5.10", "6.7", "6.11", "6.14"],
+    "stirling1": ["3.9", "3.13", "4.16", "4.43", "4.49", "5.10", "6.7", "6.9", "6.11", "6.14"],
     "stirling2": [
-        "3.11", "3.12", "3.13", "3.14", "3.15", "3.16", "3.17", "3.19", "3.27", "4.43", "5.8",
-        "5.9", "5.10", "6.6", "6.13", "6.16", "6.17",
-    ],
-    "stirling1_shifted": ["3.9", "4.16", "4.49", "6.9"],
-    "stirling2_shifted": [
-        "3.9", "3.11", "3.12", "3.14", "3.15", "3.16", "3.17", "3.18", "3.20", "3.21", "3.22",
-        "3.23", "3.24", "3.25", "3.27", "4.12", "4.16", "4.21", "4.49", "6.8", "6.10", "6.12",
-        "6.15",
+        "3.9", "3.11", "3.12", "3.13", "3.14", "3.15", "3.16", "3.17", "3.18", "3.19", "3.20",
+        "3.21", "3.22", "3.23", "3.24", "3.25", "3.27", "4.12", "4.16", "4.21", "4.43", "4.49",
+        "5.8", "5.9", "5.10", "6.6", "6.8", "6.10", "6.12", "6.13", "6.15", "6.16", "6.17",
     ],
     "basis_matrix": [
         "3.14", "3.15", "3.16", "3.17", "3.18", "3.19", "3.26", "3.27", "4.11", "4.14", "4.21",
@@ -422,11 +415,8 @@ def test_no_label_builds_a_family_twice(monkeypatch):
 
         return wrapper
 
-    # The shifted triangles call stirling1/stirling2 on the stirling module.
     for build in (stirling.stirling1, stirling.stirling2):
-        wrapper = recorded(build, lambda spec: spec.name)
-        monkeypatch.setattr(stirling, build.__name__, wrapper)
-        monkeypatch.setattr(connect, build.__name__, wrapper)
+        monkeypatch.setattr(connect, build.__name__, recorded(build, lambda spec: spec.name))
     monkeypatch.setattr(connect, "basis_matrix", recorded(basis_matrix, str))
     by_label = {}
     for label in connect.CATALOG:
@@ -440,7 +430,7 @@ def test_no_label_builds_a_family_twice(monkeypatch):
     assert set(by_label["3.18"]) == {
         ("basis_matrix", "F_even", 12),
         ("basis_matrix", "F_odd", 12),
-        ("stirling2", "central-factorial", 13),
+        ("stirling2", "central-factorial-shifted", 12),
     }
 
 

@@ -12,9 +12,7 @@ from genocchi.stirling import (
     row_poly_check,
     shift_weight,
     stirling1,
-    stirling1_shifted,
     stirling2,
-    stirling2_shifted,
 )
 from genocchi.trimat import TriMatrix
 
@@ -81,14 +79,22 @@ def test_diagonals_all_one():
 
 
 def test_classical_embedding():
-    # index-shifted classical triangle equals the shifted-weight build
-    shifted_by_index = stirling2_shifted(preset("stirling"), 10)
-    shifted_by_weight = stirling2(preset("stirling-shift"), 10)
-    assert shifted_by_index == shifted_by_weight
-    # same effect for any weight sequence starting at zero
-    for name in ("central-factorial", "legendre-stirling"):
-        assert stirling2_shifted(preset(name), 10) == stirling2(shift_weight(preset(name)), 10)
-        assert stirling1_shifted(preset(name), 10) == stirling1(shift_weight(preset(name)), 10)
+    # The index-shifted triangle, entry (i, j) being S(i+1, j+1) or
+    # s(i+1, j+1), is the triangle of the -shifted preset exactly when
+    # w(0) = 0.  Otherwise column 0 of the deeper build is nonzero below row
+    # 0 and feeds column 1, so the two differ from order 2 on.
+    for name, spec in PRESETS.items():
+        for build in (stirling1, stirling2):
+            for n in range(1, 12):
+                by_index = build(spec, n + 1).drop_leading()
+                by_weight = build(preset(f"{name}-shifted"), n)
+                assert (by_index == by_weight) == (spec(0) == 0 or n == 1), (name, build, n)
+    # The presets the catalog shifts by name all start at zero; the
+    # index-shifted classical triangle is the stirling-shift one.
+    assert [name for name, spec in PRESETS.items() if spec(0) == 0] == [
+        "stirling", "central-factorial", "legendre-stirling",
+    ]
+    assert stirling2(preset("stirling"), 11).drop_leading() == stirling2(preset("stirling-shift"), 10)
 
 
 def test_row_poly_check():

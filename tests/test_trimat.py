@@ -70,17 +70,6 @@ def test_inverse_singular_names_index():
     assert err.value.index == 1
 
 
-def test_diagonal():
-    d = TriMatrix.diagonal([1, 2, 3])
-    assert d.order == 3
-    assert d.diagonal_entries() == (1, 2, 3)
-    assert d[2, 0] == 0
-    d2 = TriMatrix.diagonal([Fraction(2 * j + 1, 2) for j in range(3)])
-    assert d2.diagonal_entries() == (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2))
-    with pytest.raises(ValueError):
-        TriMatrix.diagonal([])
-
-
 def test_leading_submatrix():
     m = TriMatrix([[1], [2, 3], [4, 5, 6]])
     assert m.leading_submatrix(1) == TriMatrix([[1]])
