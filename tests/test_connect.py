@@ -371,14 +371,28 @@ BUILDER_LABELS = {
     ],
 }
 
+# The labels that read an index-shifted triangle: stirling1/stirling2 of a
+# "-shifted" preset, the twice-shifted one of 4.43, 6.13 and 6.14 included.
+# These cases bump only those builds.
+SHIFTED_LABELS = {
+    "stirling1_shifted": ["3.9", "4.16", "4.43", "4.49", "6.9", "6.14"],
+    "stirling2_shifted": [
+        "3.9", "3.11", "3.12", "3.14", "3.15", "3.16", "3.17", "3.18", "3.20", "3.21", "3.22",
+        "3.23", "3.24", "3.25", "3.27", "4.12", "4.16", "4.21", "4.43", "4.49", "6.8", "6.10",
+        "6.12", "6.13", "6.15",
+    ],
+}
+
 # Entries of an order-n build that a bump adds 1 to.  No one site reaches
 # every reader: a last-row bump of stirling2 cancels in 5.8, whose L_even
 # has diagonal 2, and a column-0 bump of basis_matrix is dropped by 4.21.
 BUMP_SITES = (lambda n: (n - 1, 0), lambda n: (n - 1, n - 1), lambda n: (min(1, n - 1), 0))
 
 
-def _bumped(build, site):
+def _bumped(build, site, reads=lambda args: True):
     def bumped(*args):
+        if not reads(args):
+            return build(*args)
         rows = [list(row) for row in build(*args).rows]
         i, j = site(len(rows))
         rows[i][j] += 1
@@ -387,20 +401,28 @@ def _bumped(build, site):
     return bumped
 
 
-@pytest.mark.parametrize("name", list(BUILDER_LABELS))
+@pytest.mark.parametrize("name", list(BUILDER_LABELS) + list(SHIFTED_LABELS))
 def test_bumped_builder_fails_every_label_that_reads_it(name, monkeypatch):
+    expected = {**BUILDER_LABELS, **SHIFTED_LABELS}[name]
+    if name in SHIFTED_LABELS:
+        name = name.removesuffix("_shifted")
+        reads = lambda args: args[0].name.endswith("-shifted")  # noqa: E731
+    else:
+        reads = lambda args: True  # noqa: E731
     build = getattr(connect, name)
     readers = []
     for label in connect.CATALOG:
         calls = []
-        monkeypatch.setattr(connect, name, lambda *args: calls.append(args) or build(*args))
+        monkeypatch.setattr(
+            connect, name, lambda *args: (reads(args) and calls.append(args)) or build(*args)
+        )
         connect.verify(label, 6)
         if calls:
             readers.append(label)
-    assert readers == BUILDER_LABELS[name]
+    assert readers == expected
     failed = set()
     for site in BUMP_SITES:
-        monkeypatch.setattr(connect, name, _bumped(build, site))
+        monkeypatch.setattr(connect, name, _bumped(build, site, reads))
         failed |= {label for label in connect.CATALOG if not connect.verify(label, 6).passed}
     assert [label for label in connect.CATALOG if label in failed] == readers
 
