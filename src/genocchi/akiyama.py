@@ -5,17 +5,21 @@ m(i, j) = w(j) * (m(i-1, j) - m(i-1, j+1)).  Each step consumes one column,
 so the top row is allocated with rows + cols entries; the requested window
 is then exact, never silently truncated.  The first column realizes the
 alternating diagonal-conjugation sums: weighted Stirling row sums, as in 6.6-6.17.
-Seeds and weights are used as given, so integral ones give int entries;
-a seed value that is not an int or a Fraction, a bool included, is a
-TypeError.
+The fill runs in int arithmetic: the seeds are scaled by the lcm s of
+their denominators and the weights by theirs, d, so row i holds s * d**i
+times the true row, and only the window is divided back, once per entry.
+An entry is an int exactly when it is integral.  A seed value that is not
+an int or a Fraction, a bool included, is a TypeError.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from typing import Callable, NamedTuple, Tuple
 
 from .stirling import WeightSpec
+from .trimat import _ratio, _scaled
 
 
 class ATSpec(NamedTuple):
@@ -39,10 +43,17 @@ def at_matrix(spec: ATSpec) -> Tuple[Tuple[Fraction | int, ...], ...]:
     weights = [spec.weights(j) for j in range(width - 1)] if spec.rows > 1 else []
     if 0 in weights:
         raise ValueError(f"zero weight w({weights.index(0)}) encountered")
-    out = [tuple(row[: spec.cols])]
-    for _ in range(1, spec.rows):
-        row = [w * (a - b) for w, a, b in zip(weights, row, row[1:])]
-        out.append(tuple(row[: spec.cols]))
+    # The checks above see the values as given; from here on row i holds
+    # ints, the true row times scale = s * d**i.
+    row, scale = _scaled(row)
+    weights, d = _scaled(weights)
+    out = []
+    for i in range(spec.rows):
+        if i:
+            row = [w * (a - b) for w, a, b in zip(weights, row, row[1:])]
+            scale *= d
+        window = row[: spec.cols]
+        out.append(tuple(window) if scale == 1 else tuple(map(_ratio, window, repeat(scale))))
     return tuple(out)
 
 

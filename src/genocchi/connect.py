@@ -27,17 +27,17 @@ line contract.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from math import comb, factorial
-from operator import mul, sub
-from typing import Any, Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
+from itertools import accumulate, pairwise, repeat
+from math import comb, factorial, lcm
+from operator import mul
+from typing import Any, Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
 
 from . import numbers
 from .akiyama import odd_double_factorial
 from .polyalg import Poly, basis_matrix, fib_poly, lucas_poly
 from .reports import IdentityReport, UnknownIdentityError
 from .stirling import preset, stirling1, stirling2
-from .trimat import TriMatrix
+from .trimat import TriMatrix, _ratio, _scaled
 
 # ----------------------------------------------------------------------
 # matrix builders
@@ -45,22 +45,21 @@ from .trimat import TriMatrix
 
 def genocchi_matrix(order: int) -> TriMatrix:
     """Matrix taking the odd Fibonacci basis to the even one."""
+    g = [numbers.genocchi(d + 1) for d in range(order)]
 
-    def rule(n: int, k: int) -> Fraction:
-        return Fraction(
-            (-1) ** (n - k) * comb(2 * n + 2, 2 * k) * numbers.genocchi(n - k + 1),
-            2 * k + 1,
-        )
+    def rule(n: int, k: int) -> Fraction | int:
+        return _ratio((-1) ** (n - k) * comb(2 * n + 2, 2 * k) * g[n - k], 2 * k + 1)
 
     return TriMatrix.from_rule(rule, order)
 
 
 def genocchi_matrix_squared(order: int) -> TriMatrix:
     """Closed form for the square of the Genocchi matrix."""
+    g = [numbers.genocchi(d + 2) for d in range(order)]
 
-    def rule(n: int, k: int) -> Fraction:
-        return Fraction(
-            (-1) ** (n - k) * comb(2 * n + 2, 2 * k) * (n + k + 2) * numbers.genocchi(n - k + 2),
+    def rule(n: int, k: int) -> Fraction | int:
+        return _ratio(
+            (-1) ** (n - k) * comb(2 * n + 2, 2 * k) * (n + k + 2) * g[n - k],
             (2 * k + 1) * (n + 2 - k),
         )
 
@@ -69,21 +68,21 @@ def genocchi_matrix_squared(order: int) -> TriMatrix:
 
 def genocchi_matrix_inverse(order: int) -> TriMatrix:
     """Closed form for the inverse of the Genocchi matrix."""
+    b = [numbers.bernoulli(2 * d) for d in range(order)]
 
-    def rule(j: int, k: int) -> Fraction:
-        return comb(2 * j + 1, 2 * k + 1) * numbers.bernoulli(2 * j - 2 * k) / (k + 1)
+    def rule(j: int, k: int) -> Fraction | int:
+        x = b[j - k]
+        return _ratio(comb(2 * j + 1, 2 * k + 1) * x.numerator, x.denominator * (k + 1))
 
     return TriMatrix.from_rule(rule, order)
 
 
 def tangent_matrix(order: int) -> TriMatrix:
     """Matrix taking the even Lucas basis to the odd one."""
+    t = [numbers.tangent(d) for d in range(order)]
 
-    def rule(i: int, j: int) -> Fraction:
-        return Fraction(
-            (-1) ** (i - j) * numbers.tangent(i - j) * comb(2 * i + 1, 2 * j),
-            2 ** (2 * (i - j) + 1),
-        )
+    def rule(i: int, j: int) -> Fraction | int:
+        return _ratio((-1) ** (i - j) * t[i - j] * comb(2 * i + 1, 2 * j), 2 ** (2 * (i - j) + 1))
 
     return TriMatrix.from_rule(rule, order)
 
@@ -94,32 +93,48 @@ def tangent_matrix_inverse(order: int) -> TriMatrix:
     Carries a leading factor 2; the variant without it (a regression
     fixture in the tests) is a near miss that already fails at order 1.
     """
+    b = [numbers.bernoulli(2 * d) for d in range(order)]
 
-    def rule(i: int, j: int) -> Fraction:
-        return 2 * comb(2 * i, 2 * j) * numbers.bernoulli(2 * i - 2 * j) / (2 * j + 1)
+    def rule(i: int, j: int) -> Fraction | int:
+        x = b[i - j]
+        return _ratio(2 * comb(2 * i, 2 * j) * x.numerator, x.denominator * (2 * j + 1))
 
     return TriMatrix.from_rule(rule, order)
 
 
 def _genocchi_over_lucas(order: int) -> TriMatrix:
     """The tangent matrix in Genocchi numbers: (-1)**d C(2n+1, 2k) G(d+1) / (2d+2), d = n-k."""
+    g = [numbers.genocchi(d + 1) for d in range(order)]
 
-    def rule(n: int, k: int) -> Fraction:
+    def rule(n: int, k: int) -> Fraction | int:
         d = n - k
-        return Fraction((-1) ** d * comb(2 * n + 1, 2 * k) * numbers.genocchi(d + 1), 2 * d + 2)
+        return _ratio((-1) ** d * comb(2 * n + 1, 2 * k) * g[d], 2 * d + 2)
 
     return TriMatrix.from_rule(rule, order)
 
 
+def _differences(rows: Sequence[Sequence[Fraction | int]]) -> Iterator[Tuple[list, int]]:
+    """(ints, d) for each row n but the last: rows[n] - rows[n + 1] entrywise, times d.
+
+    d is the lcm of the two rows' denominators, so the differences are ints.
+    """
+    for (a, da), (b, db) in pairwise(map(_scaled, rows)):
+        d = lcm(da, db)
+        yield [x * (d // da) - y * (d // db) for x, y in zip(a, b)], d
+
+
 def a1_matrix(order: int) -> TriMatrix:
-    """Partial row sums of the Genocchi matrix."""
-    return TriMatrix([list(accumulate(row)) for row in genocchi_matrix(order).rows])
+    """Partial row sums of the Genocchi matrix, each row summed in ints over its lcm."""
+    return TriMatrix([
+        list(map(_ratio, accumulate(row), repeat(d)))
+        for row, d in map(_scaled, genocchi_matrix(order).rows)
+    ])
 
 
 def a2_matrix(order: int) -> TriMatrix:
     """Difference of consecutive rows of the partial-sum matrix."""
-    a1 = a1_matrix(order + 1).rows
-    return TriMatrix([list(map(sub, a1[n], a1[n + 1])) for n in range(order)])
+    diffs = _differences(a1_matrix(order + 1).rows)
+    return TriMatrix([list(map(_ratio, diff, repeat(d))) for diff, d in diffs])
 
 
 def z_matrix(order: int) -> TriMatrix:
@@ -128,8 +143,8 @@ def z_matrix(order: int) -> TriMatrix:
     Entry (n, k) sums the first k+1 column-wise differences of consecutive
     rows of the inverse Genocchi matrix.
     """
-    w = genocchi_matrix_inverse(order + 1).rows
-    return TriMatrix([list(accumulate(map(sub, w[n], w[n + 1]))) for n in range(order)])
+    diffs = _differences(genocchi_matrix_inverse(order + 1).rows)
+    return TriMatrix([list(map(_ratio, accumulate(diff), repeat(d))) for diff, d in diffs])
 
 
 def c_matrix(order: int) -> TriMatrix:
@@ -139,9 +154,13 @@ def c_matrix(order: int) -> TriMatrix:
 
 def c_matrix_inverse(order: int) -> TriMatrix:
     """Closed-form inverse of the signed augmented Pascal matrix."""
-    return TriMatrix.from_rule(
-        lambda i, j: comb(i, j) * numbers.bernoulli_b(i - j) / (j + 1), order
-    )
+    b = [numbers.bernoulli_b(d) for d in range(order)]
+
+    def rule(i: int, j: int) -> Fraction | int:
+        x = b[i - j]
+        return _ratio(comb(i, j) * x.numerator, x.denominator * (j + 1))
+
+    return TriMatrix.from_rule(rule, order)
 
 
 def pascal_matrix(order: int) -> TriMatrix:

@@ -1,12 +1,14 @@
 """Bernoulli, Genocchi, tangent and median Genocchi numbers.
 
 Each sequence is produced by a primary route and pinned to an independent
-one: Genocchi values must come out integral and positive, tangent values
-integral, and median Genocchi values are read off a matrix inverse and then
-re-checked against the Genocchi numbers.  All functions are pure; a cached
-value is checked once, when it enters its cache.  tangent has no cache: it
-is derived from genocchi and checked on every call, so a changed Genocchi
-value reaches 2.3, 5.7 and 5.10, which a tangent cache would hide.
+one: Bernoulli values must vanish at odd indices above 1 and have the
+denominators von Staudt-Clausen gives, Genocchi values must come out
+integral and positive, tangent values integral, and median Genocchi values
+are read off a matrix inverse and then re-checked against the Genocchi
+numbers.  All functions are pure; a cached value is checked once, when it
+enters its cache.  tangent has no cache: it is derived from genocchi and
+checked on every call, so a changed Genocchi value reaches 2.3, 5.7 and
+5.10, which a tangent cache would hide.
 genocchi, genocchi_signed, tangent and median_genocchi return ints.
 bernoulli and bernoulli_b stay Fractions even when integral: callers divide
 them by ints, as in comb(...) * bernoulli(...) / (k + 1), which an int would make a float.
@@ -15,20 +17,68 @@ them by ints, as in comb(...) * bernoulli(...) / (k + 1), which an int would mak
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from itertools import compress
+from math import comb, isqrt, lcm, prod
+from operator import add, mul
+
+from .trimat import _scaled
 
 _bernoulli: list[Fraction] = [Fraction(1)]
 
 
 def bernoulli(n: int) -> Fraction:
-    """n-th Bernoulli number, with B(1) = -1/2."""
+    """n-th Bernoulli number, with B(1) = -1/2.
+
+    Extends the cache by B(m) = -sum_{k<m} C(m+1, k) B(k) / (m+1) in int
+    arithmetic: the cached values are scaled once to one common
+    denominator, which grows by lcm when a new value needs it, the zero
+    terms are skipped, and each value is divided back once.  A new value
+    must pass _check_bernoulli before it enters the cache.
+    """
     if n < 0:
         raise ValueError("index must be >= 0")
-    while len(_bernoulli) <= n:
-        m = len(_bernoulli)
-        acc = sum(comb(m + 1, k) * _bernoulli[k] for k in range(m))
-        _bernoulli.append(-acc / (m + 1))
+    if len(_bernoulli) <= n:
+        nums, den = _scaled(_bernoulli)
+        nums = list(nums)  # _scaled hands all-int values back as given, and nums grows
+        binom = [comb(len(nums), k) for k in range(len(nums) + 1)]
+        while len(nums) <= n:
+            m = len(nums)
+            binom = [1, *map(add, binom, binom[1:]), 1]  # C(m+1, k)
+            acc = sum(map(mul, compress(binom, nums), filter(None, nums)))
+            value = Fraction(-acc, den * (m + 1))
+            _check_bernoulli(m, value)
+            if den % value.denominator:
+                grown = lcm(den, value.denominator)
+                nums = [x * (grown // den) for x in nums]
+                den = grown
+            nums.append(value.numerator * (den // value.denominator))
+            _bernoulli.append(value)
     return _bernoulli[n]
+
+
+def _check_bernoulli(m: int, value: Fraction) -> None:
+    """Raise unless B(m) obeys von Staudt-Clausen, with B(m) = 0 for odd m > 1.
+
+    B(m) + sum of 1/p over the primes p with (p - 1) | m is an integer for
+    m = 1 and every even m, so the denominator of B(m) is the product of
+    those primes.
+    """
+    if m % 2 and m > 1:
+        if value:
+            raise ArithmeticError(f"bernoulli({m}) came out as {value}, expected 0")
+        return
+    divisors = {d for i in range(1, isqrt(m) + 1) if m % i == 0 for d in (i, m // i)}
+    primes = [d + 1 for d in divisors if _is_prime(d + 1)]
+    q = prod(primes)
+    s = sum(q // p for p in primes)
+    if (value.numerator * q + s * value.denominator) % (value.denominator * q):
+        raise ArithmeticError(
+            f"bernoulli({m}) came out as {value}, which fails von Staudt-Clausen"
+        )
+
+
+def _is_prime(p: int) -> bool:
+    return p > 1 and all(p % d for d in range(2, isqrt(p) + 1))
 
 
 def bernoulli_b(n: int) -> Fraction:

@@ -9,9 +9,13 @@ floor(i/2) + 1 entries each.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
+from math import gcd, lcm
+from operator import mul, sub
 from typing import NamedTuple, Optional, Tuple
 
-from .stirling import preset, stirling2
+from .stirling import _second_kind, preset
+from .trimat import _ratio, _scaled
 
 VARIANTS = ("ls-from-T", "v-from-U", "genocchi")
 
@@ -22,8 +26,8 @@ class SeidelArray(NamedTuple):
     The genocchi variant is self-seeding: even rows start with zero (one at
     the top) and each odd row starts with the sum of the row above it, so
     the array produces Genocchi numbers without being given any.  The
-    genocchi and ls-from-T arrays are integral and hold ints; v-from-U
-    holds Fractions, and ints where its seed column does.
+    genocchi and ls-from-T arrays are integral and hold ints; a v-from-U
+    cell is an int where it is integral and a Fraction otherwise.
     """
 
     variant: str
@@ -38,7 +42,10 @@ def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
     triangle and odd rows with k+1 times it; v-from-U seeds with column k
     of the u-half-odd triangle and (2k+1)/2 times it; genocchi seeds
     itself.  Construction is strictly row-sequential because the genocchi
-    odd-row seed needs the completed previous row.
+    odd-row seed needs the completed previous row.  The seed column comes
+    from an int build of columns 0..k of the triangle, and each row runs in
+    int arithmetic over a power of 2 (v-from-U) or 1; every cell is divided
+    back once.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; valid variants: {', '.join(VARIANTS)}")
@@ -47,34 +54,47 @@ def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
     if k < 0:
         raise ValueError("column parameter must be >= 0")
 
+    # seeds[i] is the head of even row 2i as (numerator, denominator); an odd
+    # row's head is factor times the seed above it, or for genocchi the sum
+    # of the completed row above.
+    top = (rows - 1) // 2
     if variant == "genocchi":
-        even_seed = lambda i: 1 if i == 0 else 0  # noqa: E731
-        odd_factor = None
+        seeds, factor = [(1, 1), *[(0, 1)] * top], None
     else:
-        name, odd_factor = (
-            ("central-factorial-shifted", k + 1) if variant == "ls-from-T"
-            else ("u-half-odd", Fraction(2 * k + 1, 2))
+        name, factor = (
+            ("central-factorial-shifted", (k + 1, 1)) if variant == "ls-from-T"
+            else ("u-half-odd", (2 * k + 1, 2))
         )
-        # A seeded array reads column k of its triangle only in rows up to
-        # its last even row's seed, so only those rows are built; an entry
-        # right of the diagonal (k past the row) is 0, however large k is.
-        top = (rows - 1) // 2
-        tri = stirling2(preset(name), top + 1).rows
-        even_seed = lambda i: tri[i][k] if k <= i else 0  # noqa: E731
+        # The array reads column k of its triangle only in rows up to its
+        # last even row's seed, so only columns 0..k of those rows are
+        # built; an entry right of the diagonal (k past the row) is 0.
+        seeds = [(0, 1)] * min(k, top + 1)
+        if k <= top:
+            spec = preset(name)
+            weights, d = _scaled([spec(j) for j in range(k + 1)])
+            tri = _second_kind(weights, top + 1, k + 1)
+            seeds += [(row[k], d ** (i - k)) for i, row in enumerate(tri) if i >= k]
 
+    # Row r is held as ints h(r, j) over a scale D_r, the lcm of D_{r-1} and
+    # its head's denominator, so h(r, j) = h(r, j-1) - (D_r/D_{r-1}) h(r-1, j-1).
     out: list[Tuple[Fraction | int, ...]] = []
-    for i in range(rows):
-        width = i // 2 + 1
-        if i % 2 == 0:
-            head = even_seed(i // 2)
-        elif variant == "genocchi":
-            head = sum(out[i - 1])
+    prev: list[int] = []
+    scale = 1
+    for r in range(rows):
+        if r % 2 == 0:
+            num, den = seeds[r // 2]
+        elif factor is None:
+            num, den = sum(prev), scale
         else:
-            head = odd_factor * even_seed(i // 2)
-        row = [head]
-        for j in range(1, width):
-            row.append(row[j - 1] - out[i - 1][j - 1])
-        out.append(tuple(row))
+            num, den = seeds[r // 2][0] * factor[0], seeds[r // 2][1] * factor[1]
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        grown = lcm(scale, den)
+        f = grown // scale
+        above = prev[: r // 2] if f == 1 else map(mul, prev[: r // 2], repeat(f))
+        row = list(accumulate(above, sub, initial=num * (grown // den)))
+        out.append(tuple(row) if grown == 1 else tuple(map(_ratio, row, repeat(grown))))
+        prev, scale = row, grown
     return SeidelArray(variant, None if variant == "genocchi" else k, tuple(out))
 
 

@@ -8,16 +8,21 @@ fractional: one of the named presets starts at -1/4, so no positivity or
 monotonicity is enforced.  For weights with w(0) = 0 the index-shifted
 triangle, entry (i, j) being S(i+1, j+1) or s(i+1, j+1), is the triangle
 of the shifted weights w(n+1), the preset named with a -shifted suffix.
+
+Both builds run in int arithmetic.  The weights are scaled by the lcm d of
+their denominators, so d**(n-k) times entry (n, k) follows the same
+recurrence with the int weights d * w, and each entry is divided back once
+by d**(n-k).  Integral weights have d = 1 and are used as given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Callable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .polyalg import Poly
-from .trimat import Scalar, TriMatrix, _exact
+from .trimat import Scalar, TriMatrix, _exact, _ratio, _scaled
 
 
 class WeightSpec(NamedTuple):
@@ -73,30 +78,56 @@ def shift_weight(spec: WeightSpec, by: int = 1) -> WeightSpec:
     return WeightSpec(spec.name + "-shifted" * by, lambda n: inner(n + by))
 
 
+def _second_kind(weights: Sequence[int], order: int, width: int) -> Iterator[list[int]]:
+    """Rows 0..order-1 of the second-kind recurrence, in columns k < width only.
+
+    Column k reads only columns up to k, so each row of a narrow build is a
+    prefix of the whole triangle's row.
+    """
+    row = [1]
+    yield row
+    for _ in range(1, order):
+        # S(n, k) = S(n-1, k-1) + w(k) S(n-1, k), with S(n-1, -1) = S(n-1, n) = 0
+        row = list(map(add, [0, *row], [*map(mul, weights, row), 0]))
+        if len(row) > width:
+            row.pop()
+        yield row
+
+
+def _unscaled(rows: Iterable[list[int]], d: int, order: int) -> list[list[Scalar]]:
+    """Rows of d**(n-k) times entry (n, k), with each entry divided back once.
+
+    The scaled rows are read one at a time, so only the result is held whole.
+    """
+    if d == 1:
+        return list(rows)
+    powers = [d**e for e in range(order)]
+    return [list(map(_ratio, row, powers[n::-1])) for n, row in enumerate(rows)]
+
+
 def stirling2(spec: WeightSpec, order: int) -> TriMatrix:
     """Second-kind triangle for the given weights, as an order-N matrix."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    weights = [spec(k) for k in range(order - 1)]
-    rows: list[list[Scalar]] = [[1]]
-    for _ in range(1, order):
-        prev = rows[-1]
-        # S(n, k) = S(n-1, k-1) + w(k) S(n-1, k), with S(n-1, -1) = S(n-1, n) = 0
-        rows.append(list(map(add, [0, *prev], [*map(mul, weights, prev), 0])))
-    return TriMatrix(rows)
+    weights, d = _scaled([spec(k) for k in range(order - 1)])
+    return TriMatrix(_unscaled(_second_kind(weights, order, order), d, order))
 
 
 def stirling1(spec: WeightSpec, order: int) -> TriMatrix:
     """First-kind triangle for the given weights; inverse of stirling2."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    rows: list[list[Scalar]] = [[1]]
-    for n in range(1, order):
-        prev = rows[-1]
-        wn = spec(n - 1)
-        # s(n, k) = s(n-1, k-1) - w(n-1) s(n-1, k), with s(n-1, -1) = s(n-1, n) = 0
-        rows.append(list(map(sub, [0, *prev], [*(wn * x for x in prev), 0])))
-    return TriMatrix(rows)
+    weights, d = _scaled([spec(n) for n in range(order - 1)])
+
+    def rows() -> Iterator[list[int]]:
+        row = [1]
+        yield row
+        for wn in weights:
+            # s(n, k) = s(n-1, k-1) - w(n-1) s(n-1, k), with s(n-1, -1) = s(n-1, n) = 0
+            row = list(map(sub, [0, *row], [*(wn * x for x in row), 0]))
+            yield row
+
+    return TriMatrix(_unscaled(rows(), d, order))
 
 
 def row_poly_check(spec: WeightSpec, n: int) -> bool:

@@ -7,9 +7,13 @@ order-N build equals the order-k build) is a tested property throughout.
 Exact values are held as an int when integral and as a Fraction otherwise
 (see _exact).  Products and inverses run on a scaled-integer kernel: each
 rational row or column is scaled once to ints by the lcm of its
-denominators, the work is done in int arithmetic, and each result entry is
-divided back once.  Integral matrices skip the scaling, and an integral
-matrix with a +1/-1 diagonal is inverted in int arithmetic throughout.
+denominators (_scaled), the work is done in int arithmetic, and each result
+entry is divided back once (_ratio).  Integral matrices skip the scaling,
+and an integral matrix with a +1/-1 diagonal is inverted in int arithmetic
+throughout.  The package's rational builds use the same two helpers: the
+Bernoulli recurrence, the Stirling triangles, the Seidel arrays, the
+Akiyama-Tanigawa engine and the closed-form connection matrices each run
+in int arithmetic over one common denominator per build, row or sequence.
 """
 
 from __future__ import annotations
@@ -48,11 +52,13 @@ def _scaled(values: Sequence[Scalar]) -> Tuple[Sequence[int], int]:
     """(ints, d): the values times d, the lcm of their denominators.
 
     A Fraction is scaled through its numerator, since x * d would give an
-    integral Fraction rather than an int.
+    integral Fraction rather than an int; so an integral Fraction comes out
+    as an int too, and only all-int values are returned as given.
     """
-    d = lcm(*(x.denominator for x in values if type(x) is not int))
-    if d == 1:
+    dens = [x.denominator for x in values if type(x) is not int]
+    if not dens:
         return values, 1
+    d = lcm(*dens)
     return [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in values], d
 
 

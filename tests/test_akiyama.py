@@ -62,6 +62,26 @@ def test_at_matrix_integral_inputs_give_ints(weights, seed):
     assert all(type(x) is int for row in m for x in row)
 
 
+def fraction_at_window(weights, seed, rows, cols):
+    """The engine's window by its cell law, every cell a Fraction."""
+    row = [F(seed(j)) for j in range(rows + cols)]
+    out = [row[:cols]]
+    for _ in range(1, rows):
+        row = [F(weights(j)) * (row[j] - row[j + 1]) for j in range(len(row) - 1)]
+        out.append(row[:cols])
+    return tuple(map(tuple, out))
+
+
+@pytest.mark.parametrize("weights", [LINEAR_SHIFT, SQUARES_FROM_1, preset("u-half-odd"),
+                                     preset("v-product-quarter")],
+                         ids=lambda spec: spec.name)
+@pytest.mark.parametrize("seed", [seed_harmonic, seed_linear], ids=["harmonic", "linear"])
+def test_at_matrix_matches_fraction_cell_law(weights, seed):
+    m = at_matrix(ATSpec(weights, seed, rows=30, cols=25))
+    assert m == fraction_at_window(weights, seed, 30, 25)
+    assert all((type(x) is int) == (x.denominator == 1) for row in m for x in row)
+
+
 def test_at_seed_headroom():
     # the engine must sample rows + cols seed positions, no fewer
     seen = []

@@ -25,6 +25,25 @@ def test_bernoulli_odd_indices_vanish():
         assert numbers.bernoulli(2 * n + 1) == 0
 
 
+def fraction_bernoulli(n):
+    """B(0..n) by the recurrence B(m) = -sum_{k<m} C(m+1, k) B(k) / (m+1), all in Fraction."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+def test_bernoulli_int_route_matches_fraction_recurrence(monkeypatch):
+    want = fraction_bernoulli(250)
+    # from a cold cache, and extended in pieces so the common denominator grows
+    for steps in ([250], [1, 2, 7, 60, 61, 250]):
+        monkeypatch.setattr(numbers, "_bernoulli", [Fraction(1)])
+        for n in steps:
+            numbers.bernoulli(n)
+        assert numbers._bernoulli == want
+        assert all(type(x) is Fraction for x in numbers._bernoulli)
+
+
 def test_bernoulli_rejects_negative():
     with pytest.raises(ValueError):
         numbers.bernoulli(-1)
@@ -141,7 +160,8 @@ def seidel_median_rows(count):
 def test_brent_harvey_tangents():
     assert brent_harvey_tangents(9) == [numbers.tangent(k) for k in range(9)]
     assert brent_harvey_tangents(5) == [1, 2, 16, 272, 7936]
-    for n, t in enumerate(brent_harvey_tangents(60), start=1):
+    # 125 covers every index a 120-row closed-form matrix reads
+    for n, t in enumerate(brent_harvey_tangents(125), start=1):
         # G(2n) = n T(n) / 4^(n-1) and B(2n) = (-1)^(n-1) 2n T(n) / (4^n (4^n - 1))
         assert numbers.genocchi(n) * 4 ** (n - 1) == n * t
         assert numbers.bernoulli(2 * n) * 4**n * (4**n - 1) == (-1) ** (n - 1) * 2 * n * t
@@ -163,6 +183,24 @@ def test_genocchi_check_runs_as_a_value_enters_the_cache(monkeypatch):
     with pytest.raises(ArithmeticError):
         numbers.genocchi(1)
     assert numbers._genocchi == []
+
+
+@pytest.mark.parametrize("index, value, shown", [
+    # B(8) + 1/7 adds -C(10, 8) / (7 * 10) = -9/14 to B(9), which must vanish
+    (8, Fraction(-1, 30) + Fraction(1, 7), r"bernoulli\(9\) came out as -9/14, expected 0"),
+    # B(9) = 1/2 shifts B(10) by -5/2: 5/66 - 5/2 = -80/33 lacks the prime 2
+    (9, Fraction(1, 2), r"bernoulli\(10\) came out as -80/33, which fails von Staudt-Clausen"),
+])
+def test_bernoulli_check_runs_as_a_value_enters_the_cache(monkeypatch, index, value, shown):
+    cache = fraction_bernoulli(index)
+    cache[index] = value
+    monkeypatch.setattr(numbers, "_bernoulli", cache)
+    perturbed = list(cache)
+    # cached values are served without a check
+    assert numbers.bernoulli(index) == value
+    with pytest.raises(ArithmeticError, match=rf"^{shown}$"):
+        numbers.bernoulli(index + 1)
+    assert numbers._bernoulli == perturbed
 
 
 def test_median_genocchi_cross_check_runs_as_a_value_enters_the_cache(monkeypatch):

@@ -159,7 +159,7 @@ def _array_from_whole_triangle(variant, k, rows):
 @pytest.mark.parametrize("variant", ["ls-from-T", "v-from-U"])
 @pytest.mark.parametrize("k", [0, 1, 2, 3, 4, 5, 50, 400])
 def test_seeded_arrays_past_the_seed_column(variant, k):
-    for rows in (1, 2, 5, 12):
+    for rows in (1, 2, 5, 12, 41, 61):
         arr = seidel_array(variant, k=k, rows=rows)
         if k > (rows - 1) // 2:
             # every even-row seed lies right of the triangle's diagonal
@@ -167,3 +167,4 @@ def test_seeded_arrays_past_the_seed_column(variant, k):
         else:
             assert arr.rows == _array_from_whole_triangle(variant, k, rows)
         assert arr.k == k
+        assert all((type(x) is int) == (x.denominator == 1) for row in arr.rows for x in row)

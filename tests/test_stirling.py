@@ -213,3 +213,29 @@ def test_custom_weight_spec():
     tri = stirling2(w, 4)
     assert tri[2, 1] == Fraction(1, 3)
     assert stirling2(w, 6) @ stirling1(w, 6) == TriMatrix.identity(6)
+
+
+def fraction_triangles(spec, order):
+    """Both kinds by their recurrences, every entry a Fraction."""
+    w = [Fraction(spec(k)) for k in range(order)]
+    second, first = [[Fraction(1)]], [[Fraction(1)]]
+    for n in range(1, order):
+        a, b = second[-1] + [0], first[-1] + [0]
+        second.append([(a[k - 1] if k else 0) + w[k] * a[k] for k in range(n + 1)])
+        first.append([(b[k - 1] if k else 0) - w[n - 1] * b[k] for k in range(n + 1)])
+    return second, first
+
+
+@pytest.mark.parametrize("spec", [
+    preset("u-half-odd"),
+    preset("v-product-quarter"),
+    preset("u-half-odd-shifted"),
+    preset("v-product-quarter-shifted"),
+    WeightSpec("mixed", lambda n: Fraction(n, 3) - Fraction(1, 2)),
+], ids=lambda spec: spec.name)
+def test_scaled_int_builds_match_fraction_recurrences(spec):
+    second, first = fraction_triangles(spec, 40)
+    for build, want in ((stirling2, second), (stirling1, first)):
+        got = build(spec, 40).rows
+        assert got == tuple(map(tuple, want))
+        assert all((type(x) is int) == (x.denominator == 1) for row in got for x in row)
