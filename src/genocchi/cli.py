@@ -187,7 +187,8 @@ def _cmd_triangle(args) -> int:
 def _cmd_verify(args) -> int:
     idents = list(CATALOG) if args.ids == ["all"] else args.ids
     checks = _lookup(CATALOG, idents, "identity", "labels", show=str)
-    reports = [check(args.depth) for check in checks]
+    with connect.shared_builds(idents, args.depth):
+        reports = [check(args.depth) for check in checks]
     if args.format == "json":
         _dump_json({"depth": args.depth, "results": [
             {"id": r.ident, "pass": r.passed, "counterexample":

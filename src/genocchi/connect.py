@@ -6,26 +6,25 @@ numbers, its eigenvalues are 1, 2, 3, ... with central-factorial columns as
 eigenvectors, and its inverse carries scaled Bernoulli numbers.  The Lucas
 analogue does the same with tangent numbers and half-odd eigenvalues.
 
-CATALOG holds all 56 identities in label order.  Each one is a generator of
-cases (where, reference, *others): a factorization is one case of whole
-matrices compared entrywise, a connection identity has one case per index n
-(polynomial, compared coefficientwise) or per (n, k) pair (scalar), and a
-summation identity one per n.  Each row comes from one adapter, which sets
-its kind; every side is a function of the order, built when the label runs,
-so a builder swapped on this module is seen by every label that reads it.
-A connection case is a row or an entry of one matrix product, a coefficient
-matrix times a basis coefficient matrix, so each side is built whole and
-its cases are read off it.  A summation case from 6.6 to 6.17 is a weighted
-sum along one row of a Stirling triangle built once per label, the sum the
-Akiyama-Tanigawa engine's first column computes; 4.17 and 4.48 are
-classical sums over binomial rows of Genocchi and Bernoulli numbers.
-verify runs the cases of one label through first_mismatch.  Catalog labels
-are fixed strings such as "3.9" or "5.10" and form part of the command
-line contract.
+CATALOG holds all 56 identities in label order, each a row (kind, cases)
+from one adapter.  The cases are (where, reference, *others): one case of
+whole matrices for a factorization; one per index n (polynomials) or per
+(n, k) pair (scalars) for a connection identity, read off one
+coefficient-matrix x basis-matrix product; one per n for a summation
+identity, a weighted sum along a row of one Stirling triangle (6.6 to 6.17,
+the sums the Akiyama-Tanigawa engine's first column computes) or over a
+binomial row (4.17, 4.48).  Every side is a function of the order that reads
+its matrices through _get when the label runs, so a builder swapped on this
+module is seen by every label that reads it.  verify runs one label's cases
+through first_mismatch.  The verify calls made inside shared_builds share
+one build table: each (builder, family) is built once, at the largest order
+read, and sliced, and an alias label such as 4.6 reuses its twin's report.
+Labels such as "3.9" or "5.10" are part of the command line contract.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate, pairwise, repeat
 from math import comb, factorial, lcm
@@ -36,7 +35,7 @@ from . import numbers
 from .akiyama import odd_double_factorial
 from .polyalg import Poly, basis_matrix, fib_poly, lucas_poly
 from .reports import IdentityReport, UnknownIdentityError
-from .stirling import preset, stirling1, stirling2
+from .stirling import WeightSpec, preset, stirling1, stirling2
 from .trimat import TriMatrix, _ratio, _scaled
 
 # ----------------------------------------------------------------------
@@ -261,31 +260,101 @@ def phi_functional(k: int, depth: int) -> LinearFunctional:
 # ----------------------------------------------------------------------
 # identity catalog
 
-_LS = lambda n: stirling2(preset("legendre-stirling"), n)  # noqa: E731
-_t = lambda n: stirling1(preset("central-factorial"), n)  # noqa: E731
-_Tsh = lambda n: stirling2(preset("central-factorial-shifted"), n)  # noqa: E731
-_tsh = lambda n: stirling1(preset("central-factorial-shifted"), n)  # noqa: E731
-_LSsh = lambda n: stirling2(preset("legendre-stirling-shifted"), n)  # noqa: E731
-_Ssh = lambda n: stirling2(preset("stirling-shifted"), n)  # noqa: E731
-_ssh = lambda n: stirling1(preset("stirling-shifted"), n)  # noqa: E731
-_S = lambda n: stirling2(preset("stirling"), n)  # noqa: E731
-_s = lambda n: stirling1(preset("stirling"), n)  # noqa: E731
-_U = lambda n: stirling2(preset("u-half-odd"), n)  # noqa: E731
-_u = lambda n: stirling1(preset("u-half-odd"), n)  # noqa: E731
-_V = lambda n: stirling2(preset("v-product-quarter"), n)  # noqa: E731
-_T2 = lambda n: stirling2(preset("central-factorial-shifted-shifted"), n)  # noqa: E731
-_t2 = lambda n: stirling1(preset("central-factorial-shifted-shifted"), n)  # noqa: E731
-_Fodd = lambda n: basis_matrix("F_odd", n)  # noqa: E731
-_Feven = lambda n: basis_matrix("F_even", n)  # noqa: E731
-_Leven = lambda n: basis_matrix("L_even", n)  # noqa: E731
-_Lodd = lambda n: basis_matrix("L_odd", n)  # noqa: E731
+
+class _Builds:
+    """The build table of one shared_builds scope; _get fills and empties it."""
+
+    def __init__(self):
+        self.depth = 0  # 0 while the planning pass runs
+        self.reads: Dict[tuple, int] = {}  # family -> reads still to come
+        self.extra: Dict[tuple, int] = {}  # family -> largest order read minus the depth
+        self.entries: Dict[tuple, list] = {}  # family -> [build, its inverse or None]
+        self.reports: Dict[tuple, IdentityReport] = {}  # (row, depth) -> report
+
+
+_builds: Optional[_Builds] = None  # the table of the open shared_builds scope
+
+
+def _get(build: Callable[..., TriMatrix], *args: Any, inverse: bool = False) -> TriMatrix:
+    """build(*args), or its inverse, where the last argument is the order.
+
+    Inside shared_builds, a family (the builder and its other arguments, a
+    weight spec by its name) is built once, at the largest order the run
+    reads, and dropped after its last read; each read takes a leading block
+    of that build or of its inverse, since truncation commutes with inversion.
+    """
+    t = _builds
+    if t is not None:
+        *family, order = args
+        key = (build, *(a.name if isinstance(a, WeightSpec) else a for a in family))
+        if not t.depth:
+            t.reads[key] = t.reads.get(key, 0) + 1
+            t.extra[key] = max(t.extra.get(key, 0), order - 1)
+        elif t.reads.get(key):  # else a read the planning pass did not see: built on its own
+            entry = t.entries.get(key)
+            if entry is None or entry[0].order < order:
+                entry = t.entries[key] = [build(*family, max(order, t.depth + t.extra[key])), None]
+            if inverse and entry[1] is None:
+                entry[1] = entry[0].inverse()
+            t.reads[key] -= 1
+            if not t.reads[key]:
+                del t.entries[key]
+            m = entry[1] if inverse else entry[0]
+            return m if m.order == order else m.leading_submatrix(order)
+    m = build(*args)
+    return m.inverse() if inverse else m
+
+
+@contextmanager
+def shared_builds(labels: Iterable[str], depth: int) -> Iterator[None]:
+    """Share one build table (see _get) among the verify calls of these labels made inside.
+
+    A planning pass first runs the labels at depth 1, counting each family's
+    reads and orders.  The table lives for the scope only, so a builder or
+    cache changed between two scopes is seen by the second.
+    """
+    global _builds
+    outer, _builds = _builds, _Builds()
+    try:
+        for label in labels:
+            if label in CATALOG:
+                verify(label, 1)
+        _builds.depth = depth
+        yield
+    finally:
+        _builds = outer
+
+
+_s2 = lambda name: lambda n, **kw: _get(stirling2, preset(name), n, **kw)  # noqa: E731
+_s1 = lambda name: lambda n, **kw: _get(stirling1, preset(name), n, **kw)  # noqa: E731
+_basis = lambda name: lambda n, **kw: _get(basis_matrix, name, n, **kw)  # noqa: E731
+_LS = _s2("legendre-stirling")
+_t = _s1("central-factorial")
+_Tsh = _s2("central-factorial-shifted")
+_tsh = _s1("central-factorial-shifted")
+_LSsh = _s2("legendre-stirling-shifted")
+_Ssh = _s2("stirling-shifted")
+_ssh = _s1("stirling-shifted")
+_S = _s2("stirling")
+_s = _s1("stirling")
+_U = _s2("u-half-odd")
+_u = _s1("u-half-odd")
+_V = _s2("v-product-quarter")
+_T2 = _s2("central-factorial-shifted-shifted")
+_t2 = _s1("central-factorial-shifted-shifted")
+_Fodd = _basis("F_odd")
+_Feven = _basis("F_even")
+_Leven = _basis("L_even")
+_Lodd = _basis("L_odd")
 _fib_sum = lambda m: fib_poly(m) + fib_poly(m + 1)  # noqa: E731
 _nat = lambda j: j + 1  # noqa: E731
 
 
-def _similar(m: TriMatrix, scale: Callable[[int], Fraction | int] = _nat) -> TriMatrix:
-    """m @ diag(scale(0), scale(1), ...) @ m.inverse(), from one build of m."""
-    return _cols(m, scale) @ m.inverse()
+def _similar(side: Callable[..., TriMatrix], n: int,
+             scale: Callable[[int], Fraction | int] = _nat) -> TriMatrix:
+    """X @ diag(scale(0), scale(1), ...) @ X.inverse() for X = side(n), from one build of X."""
+    x = side(n)
+    return _cols(x, scale) @ (x.inverse() if _builds is None else side(n, inverse=True))
 
 
 # One check of a catalog identity: (where, reference, *others).  It holds
@@ -395,17 +464,22 @@ def kaneko_cases(depth: int) -> Iterator[Case]:
 
 
 _even_fibonacci_via_genocchi = _poly_rows(
-    lambda n: fib_poly(2 * n + 2), lambda k: fib_poly(2 * k + 1), lambda n: (genocchi_matrix(n),)
+    lambda n: fib_poly(2 * n + 2),
+    lambda k: fib_poly(2 * k + 1),
+    lambda n: (_get(genocchi_matrix, n),),
 )
 _odd_fibonacci_via_bernoulli = _poly_rows(
     lambda n: fib_poly(2 * n + 1),
     lambda k: fib_poly(2 * k + 2),
-    lambda n: (genocchi_matrix_inverse(n),),
+    lambda n: (_get(genocchi_matrix_inverse, n),),
 )
-_genocchi_via_fibonacci = _matrices(lambda n: (genocchi_matrix(n), _Feven(n) @ _Fodd(n).inverse()))
-_genocchi_via_choose = _matrices(
-    lambda n: (genocchi_matrix(n), choose_even_matrix(n).inverse() @ choose_odd_matrix(n))
+_genocchi_via_fibonacci = _matrices(
+    lambda n: (_get(genocchi_matrix, n), _Feven(n) @ _Fodd(n, inverse=True))
 )
+_genocchi_via_choose = _matrices(lambda n: (
+    _get(genocchi_matrix, n),
+    _get(choose_even_matrix, n, inverse=True) @ _get(choose_odd_matrix, n),
+))
 
 # label -> (kind, cases), in label order, which is the order "verify all"
 # reports in.  Labels 4.6, 4.14, 4.15 and 4.46 restate 2.1, 4.11, 4.13 and 2.2.
@@ -415,99 +489,103 @@ CATALOG: Dict[str, Row] = {
     "2.3": _poly_rows(
         lambda n: lucas_poly(2 * n + 1),
         lambda k: lucas_poly(2 * k),
-        lambda n: (tangent_matrix(n), _genocchi_over_lucas(n)),
+        lambda n: (_get(tangent_matrix, n), _get(_genocchi_over_lucas, n)),
     ),
     "2.4": _poly_rows(
         lambda n: lucas_poly(2 * n),
         lambda k: lucas_poly(2 * k + 1),
-        lambda n: (tangent_matrix_inverse(n),),
+        lambda n: (_get(tangent_matrix_inverse, n),),
     ),
     "2.15/2.16-inverse": _matrices(
-        lambda n: (TriMatrix.identity(n), c_matrix(n) @ c_matrix_inverse(n))
+        lambda n: (TriMatrix.identity(n), _get(c_matrix, n) @ _get(c_matrix_inverse, n))
     ),
     "3.9": _matrices(lambda n: (
-        c_matrix(n),
-        pascal_plus_matrix(n) @ pascal_matrix(n).inverse(),
+        _get(c_matrix, n),
+        _get(pascal_plus_matrix, n) @ _get(pascal_matrix, n, inverse=True),
         _cols(_Ssh(n), _nat) @ _ssh(n),
     )),
-    "3.10": _matrices(lambda n: (pascal_plus_matrix(n), c_matrix(n) @ pascal_matrix(n))),
-    "3.11": _matrices(lambda n: (_Ssh(n), pascal_matrix(n) @ _S(n))),
-    "3.12": _matrices(lambda n: (_cols(_Ssh(n), _nat), pascal_plus_matrix(n) @ _S(n))),
+    "3.10": _matrices(lambda n: (
+        _get(pascal_plus_matrix, n), _get(c_matrix, n) @ _get(pascal_matrix, n)
+    )),
+    "3.11": _matrices(lambda n: (_Ssh(n), _get(pascal_matrix, n) @ _S(n))),
+    "3.12": _matrices(lambda n: (_cols(_Ssh(n), _nat), _get(pascal_plus_matrix, n) @ _S(n))),
     "3.13": _matrices(lambda n: (
-        pascal_matrix(n).inverse() @ pascal_plus_matrix(n),
+        _get(pascal_matrix, n, inverse=True) @ _get(pascal_plus_matrix, n),
         _cols(_S(n), _nat) @ _s(n),
     )),
     "3.14": _entries(lambda n: _Fodd(n) @ _LS(n), _Tsh),
     "3.15": _entries(lambda n: _Feven(n) @ _LS(n), lambda n: _cols(_Tsh(n), _nat)),
     "3.16": _matrices(lambda n: (_Tsh(n), _Fodd(n) @ _LS(n))),
     "3.17": _matrices(lambda n: (_cols(_Tsh(n), _nat), _Feven(n) @ _LS(n))),
-    "3.18": _matrices(lambda n: (_Feven(n) @ _Fodd(n).inverse(), _similar(_Tsh(n)))),
-    "3.19": _matrices(lambda n: (_Fodd(n).inverse() @ _Feven(n), _similar(_LS(n)))),
-    "3.20": _entries(lambda n: choose_even_matrix(n) @ _Tsh(n), _LSsh),
-    "3.21": _entries(lambda n: choose_odd_matrix(n) @ _Tsh(n), lambda n: _cols(_LSsh(n), _nat)),
-    "3.22": _matrices(lambda n: (_LSsh(n), choose_even_matrix(n) @ _Tsh(n))),
-    "3.23": _matrices(lambda n: (_cols(_LSsh(n), _nat), choose_odd_matrix(n) @ _Tsh(n))),
+    "3.18": _matrices(lambda n: (_Feven(n) @ _Fodd(n, inverse=True), _similar(_Tsh, n))),
+    "3.19": _matrices(lambda n: (_Fodd(n, inverse=True) @ _Feven(n), _similar(_LS, n))),
+    "3.20": _entries(lambda n: _get(choose_even_matrix, n) @ _Tsh(n), _LSsh),
+    "3.21": _entries(
+        lambda n: _get(choose_odd_matrix, n) @ _Tsh(n), lambda n: _cols(_LSsh(n), _nat)
+    ),
+    "3.22": _matrices(lambda n: (_LSsh(n), _get(choose_even_matrix, n) @ _Tsh(n))),
+    "3.23": _matrices(lambda n: (_cols(_LSsh(n), _nat), _get(choose_odd_matrix, n) @ _Tsh(n))),
     "3.24": _matrices(lambda n: (
-        choose_even_matrix(n).inverse() @ choose_odd_matrix(n), _similar(_Tsh(n))
+        _get(choose_even_matrix, n, inverse=True) @ _get(choose_odd_matrix, n), _similar(_Tsh, n)
     )),
     "3.25": _matrices(lambda n: (
-        choose_odd_matrix(n) @ choose_even_matrix(n).inverse(), _similar(_LSsh(n))
+        _get(choose_odd_matrix, n) @ _get(choose_even_matrix, n, inverse=True), _similar(_LSsh, n)
     )),
     "3.26": _matrices(lambda n: (
-        _Feven(n) @ _Fodd(n).inverse(),
-        choose_even_matrix(n).inverse() @ choose_odd_matrix(n),
+        _Feven(n) @ _Fodd(n, inverse=True),
+        _get(choose_even_matrix, n, inverse=True) @ _get(choose_odd_matrix, n),
     )),
     "3.27": _matrices(lambda n: (
-        choose_even_matrix(n) @ _Feven(n),
-        choose_odd_matrix(n) @ _Fodd(n),
-        _cols(_LSsh(n), _nat) @ _LS(n).inverse(),
+        _get(choose_even_matrix, n) @ _Feven(n),
+        _get(choose_odd_matrix, n) @ _Fodd(n),
+        _cols(_LSsh(n), _nat) @ _LS(n, inverse=True),
     )),
     "4.6": _even_fibonacci_via_genocchi,
     "4.11": _genocchi_via_fibonacci,
-    "4.12": _matrices(lambda n: (genocchi_matrix(n), _similar(_Tsh(n)))),
+    "4.12": _matrices(lambda n: (_get(genocchi_matrix, n), _similar(_Tsh, n))),
     "4.13": _genocchi_via_choose,
     "4.14": _genocchi_via_fibonacci,
     "4.15": _genocchi_via_choose,
-    "4.16": _matrices(lambda n: (genocchi_matrix(n), _cols(_Tsh(n), _nat) @ _tsh(n))),
+    "4.16": _matrices(lambda n: (_get(genocchi_matrix, n), _cols(_Tsh(n), _nat) @ _tsh(n))),
     "4.17": ("summation", seidel_identity_cases),
     "4.21": _matrices(lambda n: (
-        (_Fodd(n + 1).inverse() @ _Feven(n + 1)).drop_leading(),
-        _similar(_LSsh(n), lambda j: j + 2),
+        (_Fodd(n + 1, inverse=True) @ _Feven(n + 1)).drop_leading(),
+        _similar(_LSsh, n, lambda j: j + 2),
     )),
     "4.40": _poly_rows(
-        lambda n: fib_poly(2 * n + 1), lambda k: _fib_sum(2 * k), lambda n: (a1_matrix(n),)
+        lambda n: fib_poly(2 * n + 1), lambda k: _fib_sum(2 * k), lambda n: (_get(a1_matrix, n),)
     ),
     "4.42": _poly_rows(
-        lambda n: _fib_sum(2 * n + 1), lambda k: _fib_sum(2 * k), lambda n: (a2_matrix(n),)
+        lambda n: _fib_sum(2 * n + 1), lambda k: _fib_sum(2 * k), lambda n: (_get(a2_matrix, n),)
     ),
     "4.43": _matrices(lambda n: (
-        a2_matrix(n),
+        _get(a2_matrix, n),
         _cols(_T2(n), lambda j: j + 2) @ _t2(n),
     )),
     "4.46": _odd_fibonacci_via_bernoulli,
     "4.48": ("summation", kaneko_cases),
     "4.49": _matrices(lambda n: (
-        genocchi_matrix_inverse(n),
+        _get(genocchi_matrix_inverse, n),
         _cols(_Tsh(n), lambda j: Fraction(1, j + 1)) @ _tsh(n),
     )),
     "4.50": _poly_rows(
-        lambda n: _fib_sum(2 * n), lambda k: _fib_sum(2 * k + 1), lambda n: (z_matrix(n),)
+        lambda n: _fib_sum(2 * n), lambda k: _fib_sum(2 * k + 1), lambda n: (_get(z_matrix, n),)
     ),
-    "5.7": _matrices(lambda n: (tangent_matrix(n), _Lodd(n) @ _Leven(n).inverse())),
+    "5.7": _matrices(lambda n: (_get(tangent_matrix, n), _Lodd(n) @ _Leven(n, inverse=True))),
     "5.8": _entries(lambda n: _Leven(n) @ _V(n), lambda n: _cols(_U(n), lambda k: 2)),
     "5.9": _entries(lambda n: _Lodd(n) @ _V(n), lambda n: _cols(_U(n), lambda k: 2 * k + 1)),
     "5.10": _matrices(lambda n: (
-        tangent_matrix(n),
+        _get(tangent_matrix, n),
         _cols(_U(n), lambda j: Fraction(2 * j + 1, 2)) @ _u(n),
     )),
     # 6.6 and 6.7 read the stirling-shift preset, not the equal shifted stirling triangle.
     "6.6": _row_sums(
-        lambda n: stirling2(preset("stirling-shift"), n),
+        _s2("stirling-shift"),
         lambda n, k: Fraction((-1) ** k * factorial(k), k + 1),
         lambda n: numbers.bernoulli_b(n),
     ),
     "6.7": _row_sums(
-        lambda n: stirling1(preset("stirling-shift"), n),
+        _s1("stirling-shift"),
         lambda n, k: numbers.bernoulli_b(k),
         lambda n: Fraction((-1) ** n * factorial(n), n + 1),
     ),
@@ -580,10 +658,17 @@ def first_mismatch(cases: Iterable[Case]) -> Optional[Tuple[str, str, str]]:
 
 
 def verify(label: str, depth: int) -> IdentityReport:
-    """Check one catalog identity at every case up to the depth bound."""
+    """Check one catalog identity at every case up to the depth bound.
+
+    Inside shared_builds, a label whose row was checked at this depth
+    before (an alias such as 4.6, or a repeated label) reuses that report.
+    """
     if label not in CATALOG:
         raise UnknownIdentityError(label, tuple(CATALOG))
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    counterexample = first_mismatch(CATALOG[label][1](depth))
-    return IdentityReport(label, depth, counterexample is None, counterexample)
+    row, reports = CATALOG[label], {} if _builds is None else _builds.reports
+    if (row, depth) not in reports:
+        counterexample = first_mismatch(row[1](depth))
+        reports[row, depth] = IdentityReport(label, depth, counterexample is None, counterexample)
+    return reports[row, depth]._replace(ident=label)

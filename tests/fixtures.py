@@ -5,13 +5,15 @@ inverse without its leading factor 2, a near miss kept as a regression
 fixture.  `conjugation_first_column` computes the first column of the
 triangle-diagonal-inverse conjugation product directly, as an independent
 route for the first column of the row-difference-and-scale engine, which
-`at_first_column` reads off an engine run.
+`at_first_column` reads off an engine run.  `perturbed` changes one entry
+of a number or polynomial cache for the length of a with block.
 """
 
+from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
-from genocchi import numbers
+from genocchi import numbers, polyalg
 from genocchi.akiyama import ATSpec, at_matrix
 from genocchi.stirling import stirling2
 from genocchi.trimat import TriMatrix
@@ -48,3 +50,18 @@ def conjugation_first_column(weights, diag, count):
             prod *= weights(j)
         out.append(acc)
     return tuple(out)
+
+
+CACHES = (numbers._bernoulli, numbers._genocchi, numbers._medians, polyalg._fib, polyalg._lucas)
+
+
+@contextmanager
+def perturbed(cache, index, change):
+    """The cache entry changed; every number and polynomial cache restored afterwards."""
+    saved = [list(c) for c in CACHES]
+    cache[index] = change(cache[index])
+    try:
+        yield
+    finally:
+        for c, values in zip(CACHES, saved):
+            c[:] = values

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import golden
-from fixtures import tangent_matrix_inverse_printed
+from fixtures import perturbed, tangent_matrix_inverse_printed
 from genocchi import connect, numbers, stirling
 from genocchi.polyalg import Poly, basis_matrix, fib_poly
 from genocchi.reports import UnknownIdentityError
@@ -401,14 +401,18 @@ def _bumped(build, site, reads=lambda args: True):
     return bumped
 
 
+def _bump_target(name):
+    """(builder name on connect, which of its calls a bump changes) for a BUILDER_LABELS
+    or SHIFTED_LABELS key."""
+    if name in SHIFTED_LABELS:
+        return name.removesuffix("_shifted"), lambda args: args[0].name.endswith("-shifted")
+    return name, lambda args: True
+
+
 @pytest.mark.parametrize("name", list(BUILDER_LABELS) + list(SHIFTED_LABELS))
 def test_bumped_builder_fails_every_label_that_reads_it(name, monkeypatch):
     expected = {**BUILDER_LABELS, **SHIFTED_LABELS}[name]
-    if name in SHIFTED_LABELS:
-        name = name.removesuffix("_shifted")
-        reads = lambda args: args[0].name.endswith("-shifted")  # noqa: E731
-    else:
-        reads = lambda args: True  # noqa: E731
+    name, reads = _bump_target(name)
     build = getattr(connect, name)
     readers = []
     for label in connect.CATALOG:
@@ -456,6 +460,122 @@ def test_no_label_builds_a_family_twice(monkeypatch):
     }
 
 
+# ----------------------------------------------------------------------
+# shared builds
+
+
+def _shared_reports(labels, depth):
+    with connect.shared_builds(labels, depth):
+        return [connect.verify(label, depth) for label in labels]
+
+
+@pytest.mark.parametrize("labels, depth", [
+    (list(connect.CATALOG), 1),
+    (list(connect.CATALOG), 6),
+    (list(connect.CATALOG), 12),
+    (["6.17", "4.14", "3.18", "2.15/2.16-inverse", "4.21", "5.9"], 9),
+    (["3.19", "4.6", "3.19", "2.1", "4.6", "6.8", "3.19"], 7),
+])
+def test_shared_run_gives_the_per_label_reports(labels, depth):
+    assert _shared_reports(labels, depth) == [connect.verify(label, depth) for label in labels]
+
+
+@pytest.mark.parametrize("name", list(BUILDER_LABELS) + list(SHIFTED_LABELS))
+def test_bumped_builder_fails_its_readers_in_a_shared_run(name, monkeypatch):
+    # The table builds a family at the largest order any label reads, so the
+    # last row of that build lies outside the rows a smaller read compares.
+    # The bump goes where it goes in an order-6 build, the order a depth-6
+    # label compares, wherever the shared build ends.
+    expected = {**BUILDER_LABELS, **SHIFTED_LABELS}[name]
+    name, reads = _bump_target(name)
+    build = getattr(connect, name)
+    labels = list(connect.CATALOG)
+    failed = set()
+    for site in BUMP_SITES:
+        monkeypatch.setattr(connect, name, _bumped(build, lambda n: site(min(n, 6)), reads))
+        failed |= {report.ident for report in _shared_reports(labels, 6) if not report.passed}
+    assert [label for label in labels if label in failed] == expected
+
+
+def test_shared_runs_see_a_change_made_between_them(monkeypatch):
+    labels = list(connect.CATALOG)
+    numbers.bernoulli(60)
+    numbers.genocchi(30)
+    assert all(report.passed for report in _shared_reports(labels, 12))
+    with perturbed(numbers._bernoulli, 8, lambda b: b + 1):
+        reports = _shared_reports(labels, 12)
+        assert reports == [connect.verify(label, 12) for label in labels]
+        assert [r.ident for r in reports if not r.passed] == [
+            "2.2", "2.4", "2.15/2.16-inverse", "4.46", "4.48", "4.49", "4.50",
+            "6.6", "6.7", "6.15", "6.17",
+        ]
+    assert all(report.passed for report in _shared_reports(labels, 12))
+    monkeypatch.setattr(connect, "tangent_matrix", _bumped(connect.tangent_matrix, BUMP_SITES[2]))
+    reports = _shared_reports(labels, 12)
+    assert [r.ident for r in reports if not r.passed] == BUILDER_LABELS["tangent_matrix"]
+
+
+def test_shared_table_is_released():
+    labels = list(connect.CATALOG)
+    with connect.shared_builds(labels, 12):
+        table = connect._builds
+        assert table.reads and not table.entries
+        for label in labels:
+            connect.verify(label, 12)
+        # every family was dropped after its last read
+        assert table.entries == {} and not any(table.reads.values())
+    assert connect._builds is None
+    with pytest.raises(ZeroDivisionError):
+        with connect.shared_builds(["4.12"], 12):
+            1 / 0
+    assert connect._builds is None
+
+
+def test_shared_run_builds_each_family_once(monkeypatch):
+    # Builds are recorded per (builder, family), except those a builder makes
+    # inside another build, such as the a1_matrix that a2_matrix differences.
+    builds, inverted, inside = {}, [], []
+    for name in BUILDER_LABELS:
+        build = getattr(connect, name)
+
+        def recorded(*args, build=build, name=name):
+            inside.append(name)
+            try:
+                m = build(*args)
+            finally:
+                inside.pop()
+            if not inside:
+                family = tuple(getattr(a, "name", a) for a in args[:-1])
+                builds.setdefault((name, *family), []).append(m)
+            return m
+
+        monkeypatch.setattr(connect, name, recorded)
+    inverse, first_mismatch = TriMatrix.inverse, connect.first_mismatch
+    monkeypatch.setattr(TriMatrix, "inverse", lambda m: inverted.append(m) or inverse(m))
+    checked = []
+    monkeypatch.setattr(
+        connect, "first_mismatch", lambda cases: checked.append(1) or first_mismatch(cases)
+    )
+    labels, depth = list(connect.CATALOG), 12
+    reports = []
+    with connect.shared_builds(labels, depth):
+        builds.clear()
+        inverted.clear()
+        for label in labels:
+            made, ran = sum(map(len, builds.values())), len(checked)
+            reports.append(connect.verify(label, depth))
+            if label in ("4.6", "4.14", "4.15", "4.46"):
+                # an alias reuses its twin's report: no build, no case run
+                assert (sum(map(len, builds.values())), len(checked)) == (made, ran), label
+    assert all(report.passed for report in reports)
+    assert {family: len(made) for family, made in builds.items() if len(made) > 1} == {}
+    assert len(builds) == 34
+    # every inversion is of one of the table's builds, and none is inverted twice
+    built = [m for ms in builds.values() for m in ms]
+    assert all(any(m is b for b in built) for m in inverted)
+    assert len({id(m) for m in inverted}) == len(inverted) == 7
+
+
 def test_connection_catalog_passes():
     for ident in connect.CONNECTION_IDS:
         report = connect.verify(ident, 10)
@@ -491,3 +611,28 @@ def test_truncation_consistency_of_families():
         full = build(12)
         for k in range(1, 13):
             assert full.leading_submatrix(k) == build(k)
+
+
+def test_truncation_consistency_of_every_shared_family():
+    # The families are read off the shared table's plan for the whole catalog,
+    # so a builder the catalog reads later is covered too.
+    with connect.shared_builds(list(connect.CATALOG), 1):
+        families = list(connect._builds.reads)
+    named = {(build.__name__, *family) for build, *family in families}
+    assert len(named) == len(families) == 34
+    assert {
+        ("_genocchi_over_lucas",),
+        ("stirling1", "stirling-shifted"),
+        ("stirling2", "stirling-shifted"),
+        ("stirling1", "central-factorial-shifted-shifted"),
+        ("stirling2", "central-factorial-shifted-shifted"),
+    } <= named
+    for build, *family in families:
+        if build in (stirling.stirling1, stirling.stirling2):
+            family = [preset(name) for name in family]
+        full = build(*family, 14)
+        inverse = full.inverse()
+        for k in range(1, 15):
+            part = build(*family, k)
+            assert full.leading_submatrix(k) == part, (build.__name__, *family, k)
+            assert inverse.leading_submatrix(k) == part.inverse(), (build.__name__, *family, k)

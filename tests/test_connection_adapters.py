@@ -6,18 +6,16 @@ must give the same cases, and the same reports when a cached value the
 cases rest on is perturbed.
 """
 
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
 
 from connection_reference import REFERENCES
+from fixtures import perturbed
 from genocchi import connect, numbers, polyalg
 from genocchi.polyalg import Poly
 from genocchi.reports import IdentityReport
 from genocchi.trimat import _exact
-
-CACHES = (numbers._bernoulli, numbers._genocchi, numbers._medians, polyalg._fib, polyalg._lucas)
 
 
 def catalog_cases(label, depth):
@@ -53,18 +51,6 @@ def test_4_6_restates_2_1():
 def reference_report(label, depth):
     found = connect.first_mismatch(REFERENCES[label](depth))
     return IdentityReport(label, depth, found is None, found)
-
-
-@contextmanager
-def perturbed(cache, index, change):
-    """The cache entry changed; every number and polynomial cache restored afterwards."""
-    saved = [list(c) for c in CACHES]
-    cache[index] = change(cache[index])
-    try:
-        yield
-    finally:
-        for c, values in zip(CACHES, saved):
-            c[:] = values
 
 
 PERTURBATIONS = {
