@@ -13,12 +13,17 @@ whole matrices for a factorization; one per index n (polynomials) or per
 coefficient-matrix x basis-matrix product; one per n for a summation
 identity, a weighted sum along a row of one Stirling triangle (6.6 to 6.17,
 the sums the Akiyama-Tanigawa engine's first column computes) or over a
-binomial row (4.17, 4.48).  Every side is a function of the order that reads
-its matrices through _get when the label runs, so a builder swapped on this
-module is seen by every label that reads it.  verify runs one label's cases
-through first_mismatch.  The verify calls made inside shared_builds share
-one build table: each (builder, family) is built once, at the largest order
-read, and sliced, and an alias label such as 4.6 reuses its twin's report.
+binomial row (4.17, 4.48).  Each matrix side is data, a _Side: a builder
+read by name (stirling2 of a preset, basis_matrix of a basis,
+genocchi_matrix, ...) or a @ b, x.inv, x.cols(scale) or x.drop() of other
+sides.  One evaluator, _Table, builds every side once and serves each read
+as a leading block; it looks builders up on this module when it runs them,
+so a swapped builder is seen by every label that reads it.  verify runs one
+label's cases through first_mismatch.  shared_builds plans one table for the
+verify calls made inside it from the sides the rows read and those that
+a1_matrix, a2_matrix and z_matrix derive from (_SOURCES), without running a
+case: each side is built at the largest order read and dropped after its
+last reader, and an alias label such as 4.6 reuses its twin's report.
 Labels such as "3.9" or "5.10" are part of the command line contract.
 """
 
@@ -35,7 +40,7 @@ from . import numbers
 from .akiyama import odd_double_factorial
 from .polyalg import Poly, basis_matrix, fib_poly, lucas_poly
 from .reports import IdentityReport, UnknownIdentityError
-from .stirling import WeightSpec, preset, stirling1, stirling2
+from .stirling import preset, stirling1, stirling2
 from .trimat import TriMatrix, _ratio, _scaled
 
 # ----------------------------------------------------------------------
@@ -126,13 +131,13 @@ def a1_matrix(order: int) -> TriMatrix:
     """Partial row sums of the Genocchi matrix, each row summed in ints over its lcm."""
     return TriMatrix([
         list(map(_ratio, accumulate(row), repeat(d)))
-        for row, d in map(_scaled, genocchi_matrix(order).rows)
+        for row, d in map(_scaled, _source("a1_matrix", order).rows)
     ])
 
 
 def a2_matrix(order: int) -> TriMatrix:
     """Difference of consecutive rows of the partial-sum matrix."""
-    diffs = _differences(a1_matrix(order + 1).rows)
+    diffs = _differences(_source("a2_matrix", order).rows)
     return TriMatrix([list(map(_ratio, diff, repeat(d))) for diff, d in diffs])
 
 
@@ -142,7 +147,7 @@ def z_matrix(order: int) -> TriMatrix:
     Entry (n, k) sums the first k+1 column-wise differences of consecutive
     rows of the inverse Genocchi matrix.
     """
-    diffs = _differences(genocchi_matrix_inverse(order + 1).rows)
+    diffs = _differences(_source("z_matrix", order).rows)
     return TriMatrix([list(map(_ratio, accumulate(diff), repeat(d))) for diff, d in diffs])
 
 
@@ -261,177 +266,194 @@ def phi_functional(k: int, depth: int) -> LinearFunctional:
 # identity catalog
 
 
-class _Builds:
-    """The build table of one shared_builds scope; _get fills and empties it."""
+class _Side(NamedTuple):
+    """A matrix side of a catalog case, as data; _Table builds it at an order.
+
+    op names a builder on this module, read with args (its family: a preset
+    or basis name) before the order, or one of _OPERATORS, applied to args.
+    """
+
+    op: str
+    args: tuple = ()
+
+    def __matmul__(self, other: _Side) -> _Side:
+        return _Side("@", (self, other))
+
+    @property
+    def inv(self) -> _Side:
+        return _Side("inv", (self,))
+
+    def cols(self, scale: Callable[[int], Fraction | int]) -> _Side:
+        """self @ diag(scale(0), scale(1), ...)."""
+        return _Side("cols", (self, scale))
+
+    def drop(self) -> _Side:
+        """self without its first row and column, cut from one order more."""
+        return _Side("drop", (self,))
+
+
+# op -> f(get, order, *args), where get(side, order) reads an operand
+_OPERATORS: Dict[str, Callable[..., TriMatrix]] = {
+    "@": lambda get, n, a, b: get(a, n) @ get(b, n),
+    "inv": lambda get, n, a: get(a, n).inverse(),
+    "cols": lambda get, n, a, scale: _cols(get(a, n), scale),
+    "drop": lambda get, n, a: get(a, n + 1).drop_leading(),
+    "identity": lambda get, n: TriMatrix.identity(n),
+}
+
+
+class _Table:
+    """Builds each side once and serves every read of it as a leading block.
+
+    Truncation commutes with building, products, inverses and column
+    scaling, so a side is built at its planned order, or without a plan (as
+    in the throwaway table of a verify call outside a scope) at the order
+    read, and again if a later read asks for more.
+    """
 
     def __init__(self):
-        self.depth = 0  # 0 while the planning pass runs
-        self.reads: Dict[tuple, int] = {}  # family -> reads still to come
-        self.extra: Dict[tuple, int] = {}  # family -> largest order read minus the depth
-        self.entries: Dict[tuple, list] = {}  # family -> [build, its inverse or None]
+        self.planned: Dict[_Side, int] = {}  # side -> largest order the run reads
+        self.last: Dict[_Side, Cases] = {}  # side -> cases of the last row that reads it
+        self.entries: Dict[_Side, TriMatrix] = {}
         self.reports: Dict[tuple, IdentityReport] = {}  # (row, depth) -> report
 
+    def plan(self, rows: Iterable[Row], depth: int) -> None:
+        """Walk the sides the rows read, in the order the rows run; no case runs."""
 
-_builds: Optional[_Builds] = None  # the table of the open shared_builds scope
+        def walk(side: _Side, order: int, reader: Cases) -> None:
+            self.planned[side] = max(self.planned.get(side, 0), order)
+            self.last[side] = reader
+            if side.op in _SOURCES:
+                source, offset = _SOURCES[side.op]
+                walk(source, order + offset, reader)
+            for x in side.args:
+                if isinstance(x, _Side):
+                    walk(x, order + (side.op == "drop"), reader)  # see _OPERATORS
+
+        for _, cases in rows:
+            for side, offset in getattr(cases, "reads", ()):
+                walk(side, depth + offset, cases)
+
+    def get(self, side: _Side, order: int) -> TriMatrix:
+        m = self.entries.get(side)
+        if m is None or m.order < order:
+            op, args = side
+            n = max(order, self.planned.get(side, 0))
+            if op in _OPERATORS:
+                m = _OPERATORS[op](self.get, n, *args)
+            else:  # a builder, looked up now so that a swapped one is seen
+                family = map(preset, args) if op in ("stirling1", "stirling2") else args
+                m = globals()[op](*family, n)
+            self.entries[side] = m
+        return m if m.order == order else m.leading_submatrix(order)
 
 
-def _get(build: Callable[..., TriMatrix], *args: Any, inverse: bool = False) -> TriMatrix:
-    """build(*args), or its inverse, where the last argument is the order.
-
-    Inside shared_builds, a family (the builder and its other arguments, a
-    weight spec by its name) is built once, at the largest order the run
-    reads, and dropped after its last read; each read takes a leading block
-    of that build or of its inverse, since truncation commutes with inversion.
-    """
-    t = _builds
-    if t is not None:
-        *family, order = args
-        key = (build, *(a.name if isinstance(a, WeightSpec) else a for a in family))
-        if not t.depth:
-            t.reads[key] = t.reads.get(key, 0) + 1
-            t.extra[key] = max(t.extra.get(key, 0), order - 1)
-        elif t.reads.get(key):  # else a read the planning pass did not see: built on its own
-            entry = t.entries.get(key)
-            if entry is None or entry[0].order < order:
-                entry = t.entries[key] = [build(*family, max(order, t.depth + t.extra[key])), None]
-            if inverse and entry[1] is None:
-                entry[1] = entry[0].inverse()
-            t.reads[key] -= 1
-            if not t.reads[key]:
-                del t.entries[key]
-            m = entry[1] if inverse else entry[0]
-            return m if m.order == order else m.leading_submatrix(order)
-    m = build(*args)
-    return m.inverse() if inverse else m
+_builds: Optional[_Table] = None  # the table of the open shared_builds scope
 
 
 @contextmanager
 def shared_builds(labels: Iterable[str], depth: int) -> Iterator[None]:
-    """Share one build table (see _get) among the verify calls of these labels made inside.
+    """Share one planned _Table among the verify calls of these labels made inside.
 
-    A planning pass first runs the labels at depth 1, counting each family's
-    reads and orders.  The table lives for the scope only, so a builder or
-    cache changed between two scopes is seen by the second.
+    The table lives for the scope only, so a builder or cache changed
+    between two scopes is seen by the second.
     """
     global _builds
-    outer, _builds = _builds, _Builds()
+    outer, _builds = _builds, _Table()
     try:
-        for label in labels:
-            if label in CATALOG:
-                verify(label, 1)
-        _builds.depth = depth
+        _builds.plan(dict.fromkeys(CATALOG[label] for label in labels if label in CATALOG), depth)
         yield
     finally:
         _builds = outer
 
 
-_s2 = lambda name: lambda n, **kw: _get(stirling2, preset(name), n, **kw)  # noqa: E731
-_s1 = lambda name: lambda n, **kw: _get(stirling1, preset(name), n, **kw)  # noqa: E731
-_basis = lambda name: lambda n, **kw: _get(basis_matrix, name, n, **kw)  # noqa: E731
-_LS = _s2("legendre-stirling")
-_t = _s1("central-factorial")
-_Tsh = _s2("central-factorial-shifted")
-_tsh = _s1("central-factorial-shifted")
-_LSsh = _s2("legendre-stirling-shifted")
-_Ssh = _s2("stirling-shifted")
-_ssh = _s1("stirling-shifted")
-_S = _s2("stirling")
-_s = _s1("stirling")
-_U = _s2("u-half-odd")
-_u = _s1("u-half-odd")
-_V = _s2("v-product-quarter")
-_T2 = _s2("central-factorial-shifted-shifted")
-_t2 = _s1("central-factorial-shifted-shifted")
-_Fodd = _basis("F_odd")
-_Feven = _basis("F_even")
-_Leven = _basis("L_even")
-_Lodd = _basis("L_odd")
-_fib_sum = lambda m: fib_poly(m) + fib_poly(m + 1)  # noqa: E731
-_nat = lambda j: j + 1  # noqa: E731
-
-
-def _similar(side: Callable[..., TriMatrix], n: int,
-             scale: Callable[[int], Fraction | int] = _nat) -> TriMatrix:
-    """X @ diag(scale(0), scale(1), ...) @ X.inverse() for X = side(n), from one build of X."""
-    x = side(n)
-    return _cols(x, scale) @ (x.inverse() if _builds is None else side(n, inverse=True))
-
-
 # One check of a catalog identity: (where, reference, *others).  It holds
 # when every other side equals the reference; the sides are matrices,
 # polynomials or scalars.  A catalog row is (kind, cases); each adapter
-# below returns one, and calls the sides it takes when the label runs.
+# below returns one, whose cases record the matrix sides they read.
 Case = Tuple[Any, ...]
 Cases = Callable[[int], Iterable[Case]]
 Row = Tuple[str, Cases]
 
 
-def _matrices(sides: Callable[[int], Tuple[TriMatrix, ...]]) -> Row:
+def _reading(reads: Sequence[Tuple[_Side, int]], cases: Callable[..., Iterator[Case]]) -> Cases:
+    """cases(depth, *matrices) of each (side, offset) of reads, read at depth + offset.
+
+    The sides come from the open scope's table, or a throwaway one, which
+    then drops those this row reads last.
+    """
+
+    def run(depth: int) -> Iterator[Case]:
+        table = _builds or _Table()
+        matrices = [table.get(side, depth + offset) for side, offset in reads]
+        for side in [s for s, reader in table.last.items() if reader is run]:
+            table.entries.pop(side, None)
+        return cases(depth, *matrices)
+
+    run.reads = reads
+    return run
+
+
+def _matrices(*sides: _Side) -> Row:
     """A factorization as one case: every side built whole at the order."""
 
-    def cases(order: int) -> Iterator[Case]:
-        yield ("entry", *sides(order))
+    def cases(order: int, *matrices: TriMatrix) -> Iterator[Case]:
+        yield ("entry", *matrices)
 
-    return "factorization", cases
+    return "factorization", _reading([(side, 0) for side in sides], cases)
 
 
-def _poly_rows(
-    reference: Callable[[int], Poly],
-    basis: Callable[[int], Poly],
-    coefficients: Callable[[int], Tuple[TriMatrix, ...]],
-) -> Row:
+def _poly_rows(reference: Callable[[int], Poly], basis: Callable[[int], Poly],
+               *coefficients: _Side) -> Row:
     """A connection identity as the rows of coefficient @ basis matrices.
 
     Case n compares reference(n) with sum_k C[n, k] basis(k) for each
-    coefficient matrix C of coefficients(depth + 1), as row n of the
-    product C @ B, where row k of B holds the coefficients of basis(k), a
+    coefficient matrix C, read at order depth + 1, as row n of the product
+    C @ B, where row k of B holds the coefficients of basis(k), a
     polynomial of degree k.
     """
 
-    def cases(depth: int) -> Iterator[Case]:
+    def cases(depth: int, *matrices: TriMatrix) -> Iterator[Case]:
         order = depth + 1
         b = TriMatrix([basis(k).coeffs for k in range(order)])
-        products = [c @ b for c in coefficients(order)]
+        products = [c @ b for c in matrices]
         for n in range(order):
             yield (f"n={n}", reference(n), *(Poly(p.rows[n]) for p in products))
 
-    return "connection", cases
+    return "connection", _reading([(c, 1) for c in coefficients], cases)
 
 
-def _entries(product: Callable[[int], TriMatrix], triangle: Callable[[int], TriMatrix]) -> Row:
+def _entries(product: _Side, triangle: _Side) -> Row:
     """A connection identity as the entries of one matrix product.
 
-    Case (n, k) compares entry (n, k) of product(depth + 1) with entry
-    (n, k) of triangle(depth + 1).
+    Case (n, k) compares entry (n, k) of product with entry (n, k) of
+    triangle, both read at order depth + 1.
     """
 
-    def cases(depth: int) -> Iterator[Case]:
-        lhs, rhs = product(depth + 1).rows, triangle(depth + 1).rows
+    def cases(depth: int, *matrices: TriMatrix) -> Iterator[Case]:
+        lhs, rhs = (m.rows for m in matrices)
         for n in range(depth + 1):
             for k in range(n + 1):
                 yield (f"n={n},k={k}", lhs[n][k], rhs[n][k])
 
-    return "connection", cases
+    return "connection", _reading([(product, 1), (triangle, 1)], cases)
 
 
-def _row_sums(
-    triangle: Callable[[int], TriMatrix],
-    weight: Callable[[int, int], Fraction | int],
-    rhs: Callable[[int], Fraction | int],
-    first: int = 0,
-) -> Row:
+def _row_sums(triangle: _Side, weight: Callable[[int, int], Fraction | int],
+              rhs: Callable[[int], Fraction | int], first: int = 0) -> Row:
     """A summation identity as weighted sums along the rows of one triangle.
 
     Case n, for first <= n <= depth, compares sum_k weight(n, k) x_k over
-    row n - first of triangle(depth + 1 - first) with rhs(n).
+    row n - first of the triangle, read at order depth + 1 - first, with
+    rhs(n).
     """
 
-    def cases(depth: int) -> Iterator[Case]:
-        rows = triangle(depth + 1 - first).rows
+    def cases(depth: int, matrix: TriMatrix) -> Iterator[Case]:
+        rows = matrix.rows
         for n in range(first, depth + 1):
             yield (f"n={n}", sum(weight(n, k) * x for k, x in enumerate(rows[n - first])), rhs(n))
 
-    return "summation", cases
+    return "summation", _reading([(triangle, 1 - first)], cases)
 
 
 def seidel_identity_cases(depth: int) -> Iterator[Case]:
@@ -463,121 +485,97 @@ def kaneko_cases(depth: int) -> Iterator[Case]:
         yield (f"n={n} (partial form)", partial, comb(n + 1, 2 * n))
 
 
+_s2 = lambda name: _Side("stirling2", (name,))  # noqa: E731
+_s1 = lambda name: _Side("stirling1", (name,))  # noqa: E731
+_LS, _t = _s2("legendre-stirling"), _s1("central-factorial")
+_Tsh, _tsh = _s2("central-factorial-shifted"), _s1("central-factorial-shifted")
+_LSsh = _s2("legendre-stirling-shifted")
+_Ssh, _ssh = _s2("stirling-shifted"), _s1("stirling-shifted")
+_S, _s = _s2("stirling"), _s1("stirling")
+_U, _u = _s2("u-half-odd"), _s1("u-half-odd")
+_V = _s2("v-product-quarter")
+_T2, _t2 = _s2("central-factorial-shifted-shifted"), _s1("central-factorial-shifted-shifted")
+_Fodd, _Feven = _Side("basis_matrix", ("F_odd",)), _Side("basis_matrix", ("F_even",))
+_Leven, _Lodd = _Side("basis_matrix", ("L_even",)), _Side("basis_matrix", ("L_odd",))
+_G, _Ginv = _Side("genocchi_matrix"), _Side("genocchi_matrix_inverse")
+_A1, _A2, _Z = _Side("a1_matrix"), _Side("a2_matrix"), _Side("z_matrix")
+_B, _Binv = _Side("tangent_matrix"), _Side("tangent_matrix_inverse")
+_C, _Cinv = _Side("c_matrix"), _Side("c_matrix_inverse")
+_P, _Pplus = _Side("pascal_matrix"), _Side("pascal_plus_matrix")
+_E, _O = _Side("choose_even_matrix"), _Side("choose_odd_matrix")
+# builder -> (the side it derives its build from, that side's order minus its own)
+_SOURCES = {"a1_matrix": (_G, 0), "a2_matrix": (_A1, 1), "z_matrix": (_Ginv, 1)}
+
+
+def _source(name: str, order: int) -> TriMatrix:
+    """The source of builder `name` at its order, from the open scope's table if any."""
+    source, offset = _SOURCES[name]
+    return (_builds or _Table()).get(source, order + offset)
+
+
+_fib_sum = lambda m: fib_poly(m) + fib_poly(m + 1)  # noqa: E731
+_nat = lambda j: j + 1  # noqa: E731
+
 _even_fibonacci_via_genocchi = _poly_rows(
-    lambda n: fib_poly(2 * n + 2),
-    lambda k: fib_poly(2 * k + 1),
-    lambda n: (_get(genocchi_matrix, n),),
+    lambda n: fib_poly(2 * n + 2), lambda k: fib_poly(2 * k + 1), _G
 )
 _odd_fibonacci_via_bernoulli = _poly_rows(
-    lambda n: fib_poly(2 * n + 1),
-    lambda k: fib_poly(2 * k + 2),
-    lambda n: (_get(genocchi_matrix_inverse, n),),
+    lambda n: fib_poly(2 * n + 1), lambda k: fib_poly(2 * k + 2), _Ginv
 )
-_genocchi_via_fibonacci = _matrices(
-    lambda n: (_get(genocchi_matrix, n), _Feven(n) @ _Fodd(n, inverse=True))
-)
-_genocchi_via_choose = _matrices(lambda n: (
-    _get(genocchi_matrix, n),
-    _get(choose_even_matrix, n, inverse=True) @ _get(choose_odd_matrix, n),
-))
+_genocchi_via_fibonacci = _matrices(_G, _Feven @ _Fodd.inv)
+_genocchi_via_choose = _matrices(_G, _E.inv @ _O)
 
 # label -> (kind, cases), in label order, which is the order "verify all"
 # reports in.  Labels 4.6, 4.14, 4.15 and 4.46 restate 2.1, 4.11, 4.13 and 2.2.
+# An eigen-decomposition X diag(scale) X^-1 is X.cols(scale) @ X.inv.
 CATALOG: Dict[str, Row] = {
     "2.1": _even_fibonacci_via_genocchi,
     "2.2": _odd_fibonacci_via_bernoulli,
     "2.3": _poly_rows(
-        lambda n: lucas_poly(2 * n + 1),
-        lambda k: lucas_poly(2 * k),
-        lambda n: (_get(tangent_matrix, n), _get(_genocchi_over_lucas, n)),
+        lambda n: lucas_poly(2 * n + 1), lambda k: lucas_poly(2 * k),
+        _B, _Side("_genocchi_over_lucas"),
     ),
-    "2.4": _poly_rows(
-        lambda n: lucas_poly(2 * n),
-        lambda k: lucas_poly(2 * k + 1),
-        lambda n: (_get(tangent_matrix_inverse, n),),
-    ),
-    "2.15/2.16-inverse": _matrices(
-        lambda n: (TriMatrix.identity(n), _get(c_matrix, n) @ _get(c_matrix_inverse, n))
-    ),
-    "3.9": _matrices(lambda n: (
-        _get(c_matrix, n),
-        _get(pascal_plus_matrix, n) @ _get(pascal_matrix, n, inverse=True),
-        _cols(_Ssh(n), _nat) @ _ssh(n),
-    )),
-    "3.10": _matrices(lambda n: (
-        _get(pascal_plus_matrix, n), _get(c_matrix, n) @ _get(pascal_matrix, n)
-    )),
-    "3.11": _matrices(lambda n: (_Ssh(n), _get(pascal_matrix, n) @ _S(n))),
-    "3.12": _matrices(lambda n: (_cols(_Ssh(n), _nat), _get(pascal_plus_matrix, n) @ _S(n))),
-    "3.13": _matrices(lambda n: (
-        _get(pascal_matrix, n, inverse=True) @ _get(pascal_plus_matrix, n),
-        _cols(_S(n), _nat) @ _s(n),
-    )),
-    "3.14": _entries(lambda n: _Fodd(n) @ _LS(n), _Tsh),
-    "3.15": _entries(lambda n: _Feven(n) @ _LS(n), lambda n: _cols(_Tsh(n), _nat)),
-    "3.16": _matrices(lambda n: (_Tsh(n), _Fodd(n) @ _LS(n))),
-    "3.17": _matrices(lambda n: (_cols(_Tsh(n), _nat), _Feven(n) @ _LS(n))),
-    "3.18": _matrices(lambda n: (_Feven(n) @ _Fodd(n, inverse=True), _similar(_Tsh, n))),
-    "3.19": _matrices(lambda n: (_Fodd(n, inverse=True) @ _Feven(n), _similar(_LS, n))),
-    "3.20": _entries(lambda n: _get(choose_even_matrix, n) @ _Tsh(n), _LSsh),
-    "3.21": _entries(
-        lambda n: _get(choose_odd_matrix, n) @ _Tsh(n), lambda n: _cols(_LSsh(n), _nat)
-    ),
-    "3.22": _matrices(lambda n: (_LSsh(n), _get(choose_even_matrix, n) @ _Tsh(n))),
-    "3.23": _matrices(lambda n: (_cols(_LSsh(n), _nat), _get(choose_odd_matrix, n) @ _Tsh(n))),
-    "3.24": _matrices(lambda n: (
-        _get(choose_even_matrix, n, inverse=True) @ _get(choose_odd_matrix, n), _similar(_Tsh, n)
-    )),
-    "3.25": _matrices(lambda n: (
-        _get(choose_odd_matrix, n) @ _get(choose_even_matrix, n, inverse=True), _similar(_LSsh, n)
-    )),
-    "3.26": _matrices(lambda n: (
-        _Feven(n) @ _Fodd(n, inverse=True),
-        _get(choose_even_matrix, n, inverse=True) @ _get(choose_odd_matrix, n),
-    )),
-    "3.27": _matrices(lambda n: (
-        _get(choose_even_matrix, n) @ _Feven(n),
-        _get(choose_odd_matrix, n) @ _Fodd(n),
-        _cols(_LSsh(n), _nat) @ _LS(n, inverse=True),
-    )),
+    "2.4": _poly_rows(lambda n: lucas_poly(2 * n), lambda k: lucas_poly(2 * k + 1), _Binv),
+    "2.15/2.16-inverse": _matrices(_Side("identity"), _C @ _Cinv),
+    "3.9": _matrices(_C, _Pplus @ _P.inv, _Ssh.cols(_nat) @ _ssh),
+    "3.10": _matrices(_Pplus, _C @ _P),
+    "3.11": _matrices(_Ssh, _P @ _S),
+    "3.12": _matrices(_Ssh.cols(_nat), _Pplus @ _S),
+    "3.13": _matrices(_P.inv @ _Pplus, _S.cols(_nat) @ _s),
+    "3.14": _entries(_Fodd @ _LS, _Tsh),
+    "3.15": _entries(_Feven @ _LS, _Tsh.cols(_nat)),
+    "3.16": _matrices(_Tsh, _Fodd @ _LS),
+    "3.17": _matrices(_Tsh.cols(_nat), _Feven @ _LS),
+    "3.18": _matrices(_Feven @ _Fodd.inv, _Tsh.cols(_nat) @ _Tsh.inv),
+    "3.19": _matrices(_Fodd.inv @ _Feven, _LS.cols(_nat) @ _LS.inv),
+    "3.20": _entries(_E @ _Tsh, _LSsh),
+    "3.21": _entries(_O @ _Tsh, _LSsh.cols(_nat)),
+    "3.22": _matrices(_LSsh, _E @ _Tsh),
+    "3.23": _matrices(_LSsh.cols(_nat), _O @ _Tsh),
+    "3.24": _matrices(_E.inv @ _O, _Tsh.cols(_nat) @ _Tsh.inv),
+    "3.25": _matrices(_O @ _E.inv, _LSsh.cols(_nat) @ _LSsh.inv),
+    "3.26": _matrices(_Feven @ _Fodd.inv, _E.inv @ _O),
+    "3.27": _matrices(_E @ _Feven, _O @ _Fodd, _LSsh.cols(_nat) @ _LS.inv),
     "4.6": _even_fibonacci_via_genocchi,
     "4.11": _genocchi_via_fibonacci,
-    "4.12": _matrices(lambda n: (_get(genocchi_matrix, n), _similar(_Tsh, n))),
+    "4.12": _matrices(_G, _Tsh.cols(_nat) @ _Tsh.inv),
     "4.13": _genocchi_via_choose,
     "4.14": _genocchi_via_fibonacci,
     "4.15": _genocchi_via_choose,
-    "4.16": _matrices(lambda n: (_get(genocchi_matrix, n), _cols(_Tsh(n), _nat) @ _tsh(n))),
+    "4.16": _matrices(_G, _Tsh.cols(_nat) @ _tsh),
     "4.17": ("summation", seidel_identity_cases),
-    "4.21": _matrices(lambda n: (
-        (_Fodd(n + 1, inverse=True) @ _Feven(n + 1)).drop_leading(),
-        _similar(_LSsh, n, lambda j: j + 2),
-    )),
-    "4.40": _poly_rows(
-        lambda n: fib_poly(2 * n + 1), lambda k: _fib_sum(2 * k), lambda n: (_get(a1_matrix, n),)
-    ),
-    "4.42": _poly_rows(
-        lambda n: _fib_sum(2 * n + 1), lambda k: _fib_sum(2 * k), lambda n: (_get(a2_matrix, n),)
-    ),
-    "4.43": _matrices(lambda n: (
-        _get(a2_matrix, n),
-        _cols(_T2(n), lambda j: j + 2) @ _t2(n),
-    )),
+    "4.21": _matrices((_Fodd.inv @ _Feven).drop(), _LSsh.cols(lambda j: j + 2) @ _LSsh.inv),
+    "4.40": _poly_rows(lambda n: fib_poly(2 * n + 1), lambda k: _fib_sum(2 * k), _A1),
+    "4.42": _poly_rows(lambda n: _fib_sum(2 * n + 1), lambda k: _fib_sum(2 * k), _A2),
+    "4.43": _matrices(_A2, _T2.cols(lambda j: j + 2) @ _t2),
     "4.46": _odd_fibonacci_via_bernoulli,
     "4.48": ("summation", kaneko_cases),
-    "4.49": _matrices(lambda n: (
-        _get(genocchi_matrix_inverse, n),
-        _cols(_Tsh(n), lambda j: Fraction(1, j + 1)) @ _tsh(n),
-    )),
-    "4.50": _poly_rows(
-        lambda n: _fib_sum(2 * n), lambda k: _fib_sum(2 * k + 1), lambda n: (_get(z_matrix, n),)
-    ),
-    "5.7": _matrices(lambda n: (_get(tangent_matrix, n), _Lodd(n) @ _Leven(n, inverse=True))),
-    "5.8": _entries(lambda n: _Leven(n) @ _V(n), lambda n: _cols(_U(n), lambda k: 2)),
-    "5.9": _entries(lambda n: _Lodd(n) @ _V(n), lambda n: _cols(_U(n), lambda k: 2 * k + 1)),
-    "5.10": _matrices(lambda n: (
-        _get(tangent_matrix, n),
-        _cols(_U(n), lambda j: Fraction(2 * j + 1, 2)) @ _u(n),
-    )),
+    "4.49": _matrices(_Ginv, _Tsh.cols(lambda j: Fraction(1, j + 1)) @ _tsh),
+    "4.50": _poly_rows(lambda n: _fib_sum(2 * n), lambda k: _fib_sum(2 * k + 1), _Z),
+    "5.7": _matrices(_B, _Lodd @ _Leven.inv),
+    "5.8": _entries(_Leven @ _V, _U.cols(lambda k: 2)),
+    "5.9": _entries(_Lodd @ _V, _U.cols(lambda k: 2 * k + 1)),
+    "5.10": _matrices(_B, _U.cols(lambda j: Fraction(2 * j + 1, 2)) @ _u),
     # 6.6 and 6.7 read the stirling-shift preset, not the equal shifted stirling triangle.
     "6.6": _row_sums(
         _s2("stirling-shift"),

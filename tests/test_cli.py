@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import os
@@ -262,6 +263,26 @@ def test_verify_csv_quotes_where(monkeypatch, capsys):
     assert all(len(fields) == 6 for fields in parsed)
     assert [fields[3] for fields in parsed] == ["", "entry (4,0)", "n=3,k=1", ""]
     assert parsed[2] == ["0.2", "6", "fail", "n=3,k=1", "87/10", "-3/10"]
+
+
+# sha256 of the complete `verify all` output.  These were recorded before
+# the catalog sides became expressions, and any change to how the catalog
+# is built or shared must leave the output byte for byte as it was.
+VERIFY_ALL_SHA256 = {
+    (1, "table"): "f411e8667eea43d56c4c42ee7b91d4d4c1f89554d5eb14340796152e8a5f2211",
+    (1, "csv"): "7d138d901be8338e4c2a6147c7224e37b3be7b8467b05be22a1e3bfe7c84a3a5",
+    (1, "json"): "f6e5ebff02d063a1c517a9d3cae57520aa29a1819ce2f0284c36962386157de1",
+    (12, "table"): "dd7a3ca2e565599f1b6712e97c1ccab5b0053a780c8c7a8591e32b111621388e",
+    (12, "csv"): "d49f33cc50afa1515ec6a8178f05372e7915b7b5beccee7c6a1a8667aab8ce9a",
+    (12, "json"): "2d020e61433bcdaf231323df0934d4ecde3cb012f204e7d8fe640b2576ec7649",
+}
+
+
+@pytest.mark.parametrize("depth, fmt", list(VERIFY_ALL_SHA256))
+def test_verify_all_output_is_pinned(capsys, depth, fmt):
+    assert cli.main(["verify", "all", "--depth", str(depth), "--format", fmt]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == VERIFY_ALL_SHA256[depth, fmt]
 
 
 def _label_key(ident):

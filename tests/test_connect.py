@@ -515,15 +515,29 @@ def test_shared_runs_see_a_change_made_between_them(monkeypatch):
     assert [r.ident for r in reports if not r.passed] == BUILDER_LABELS["tangent_matrix"]
 
 
+def _planned(labels, depth):
+    """The shared table's plan for these labels: side -> the largest order read."""
+    with connect.shared_builds(labels, depth):
+        return dict(connect._builds.planned)
+
+
+def _families(plan):
+    """The (builder, *family) reads of a plan, the sources of a1/a2/z included."""
+    return {(side.op, *side.args) for side in plan if side.op not in connect._OPERATORS}
+
+
 def test_shared_table_is_released():
     labels = list(connect.CATALOG)
+    reads = {label: set(_planned([label], 12)) for label in labels}
     with connect.shared_builds(labels, 12):
-        table = connect._builds
-        assert table.reads and not table.entries
-        for label in labels:
+        table, held = connect._builds, 0
+        assert table.planned and not table.entries
+        for i, label in enumerate(labels):
             connect.verify(label, 12)
-        # every family was dropped after its last read
-        assert table.entries == {} and not any(table.reads.values())
+            held = max(held, len(table.entries))
+            # every side is dropped after the last label that reads it
+            assert set(table.entries) <= set().union(*map(reads.get, labels[i + 1:])), label
+        assert table.entries == {} and held > 0
     assert connect._builds is None
     with pytest.raises(ZeroDivisionError):
         with connect.shared_builds(["4.12"], 12):
@@ -532,21 +546,16 @@ def test_shared_table_is_released():
 
 
 def test_shared_run_builds_each_family_once(monkeypatch):
-    # Builds are recorded per (builder, family), except those a builder makes
-    # inside another build, such as the a1_matrix that a2_matrix differences.
-    builds, inverted, inside = {}, [], []
+    # Builds are recorded per (builder, family), those a builder makes of its
+    # source included, such as the a1_matrix that a2_matrix differences.
+    builds, inverted = {}, []
     for name in BUILDER_LABELS:
         build = getattr(connect, name)
 
         def recorded(*args, build=build, name=name):
-            inside.append(name)
-            try:
-                m = build(*args)
-            finally:
-                inside.pop()
-            if not inside:
-                family = tuple(getattr(a, "name", a) for a in args[:-1])
-                builds.setdefault((name, *family), []).append(m)
+            m = build(*args)
+            family = tuple(getattr(a, "name", a) for a in args[:-1])
+            builds.setdefault((name, *family), []).append(m)
             return m
 
         monkeypatch.setattr(connect, name, recorded)
@@ -559,8 +568,7 @@ def test_shared_run_builds_each_family_once(monkeypatch):
     labels, depth = list(connect.CATALOG), 12
     reports = []
     with connect.shared_builds(labels, depth):
-        builds.clear()
-        inverted.clear()
+        plan = dict(connect._builds.planned)
         for label in labels:
             made, ran = sum(map(len, builds.values())), len(checked)
             reports.append(connect.verify(label, depth))
@@ -569,11 +577,57 @@ def test_shared_run_builds_each_family_once(monkeypatch):
                 assert (sum(map(len, builds.values())), len(checked)) == (made, ran), label
     assert all(report.passed for report in reports)
     assert {family: len(made) for family, made in builds.items() if len(made) > 1} == {}
-    assert len(builds) == 34
-    # every inversion is of one of the table's builds, and none is inverted twice
-    built = [m for ms in builds.values() for m in ms]
-    assert all(any(m is b for b in built) for m in inverted)
-    assert len({id(m) for m in inverted}) == len(inverted) == 7
+    assert len(builds) == 34 and set(builds) == _families(plan)
+    # each inverse side is inverted once, at its planned order, from the one
+    # build of its operand
+    inverses = [side for side in plan if side.op == "inv"]
+    assert len(inverted) == len(inverses) == 7
+    for side in inverses:
+        (operand,) = side.args
+        (build,) = builds[(operand.op, *operand.args)]
+        assert sum(m == build.leading_submatrix(plan[side]) for m in inverted) == 1, side
+
+
+def test_shared_run_computes_each_product_side_once(monkeypatch):
+    mul, product, first_mismatch = TriMatrix.mul, connect._OPERATORS["@"], connect.first_mismatch
+    products, sides, checked = [], [], []
+    monkeypatch.setattr(TriMatrix, "__matmul__", lambda a, b: products.append((a, b)) or mul(a, b))
+    monkeypatch.setitem(
+        connect._OPERATORS, "@", lambda get, n, a, b: sides.append(a @ b) or product(get, n, a, b)
+    )
+    monkeypatch.setattr(
+        connect, "first_mismatch", lambda cases: checked.append(1) or first_mismatch(cases)
+    )
+    labels, depth = list(connect.CATALOG), 12
+    with connect.shared_builds(labels, depth):
+        # planning walks the sides and runs no case
+        assert checked == [] and products == [] and sides == []
+        plan = dict(connect._builds.planned)
+        assert all(connect.verify(label, depth).passed for label in labels)
+    assert len(sides) == len(set(sides)) == sum(side.op == "@" for side in plan)
+    shared = {
+        connect._Feven @ connect._Fodd.inv: ["3.18", "3.26", "4.11", "4.14"],
+        connect._E.inv @ connect._O: ["3.24", "3.26", "4.13", "4.15"],
+    }
+    for side, readers in shared.items():
+        assert [label for label in labels if side in _planned([label], depth)] == readers
+        operands = tuple(connect._Table().get(x, plan[side]) for x in side.args)
+        assert sum(p == operands for p in products) == 1
+
+
+def test_builder_readers_follow_from_the_plan():
+    # BUILDER_LABELS and SHIFTED_LABELS, written out above, are what the plan
+    # of each label reads, the sources of a1/a2/z included.
+    readers = {}
+    for label in connect.CATALOG:
+        names = set()
+        for op, *family in _families(_planned([label], 6)):
+            names.add(op)
+            if op.startswith("stirling") and family[0].endswith("-shifted"):
+                names.add(f"{op}_shifted")
+        for name in names:
+            readers.setdefault(name, []).append(label)
+    assert readers == {**BUILDER_LABELS, **SHIFTED_LABELS}
 
 
 def test_connection_catalog_passes():
@@ -615,24 +669,28 @@ def test_truncation_consistency_of_families():
 
 def test_truncation_consistency_of_every_shared_family():
     # The families are read off the shared table's plan for the whole catalog,
-    # so a builder the catalog reads later is covered too.
-    with connect.shared_builds(list(connect.CATALOG), 1):
-        families = list(connect._builds.reads)
-    named = {(build.__name__, *family) for build, *family in families}
-    assert len(named) == len(families) == 34
+    # so a builder the catalog reads later is covered too; the plan walks the
+    # sources of a1/a2/z, so a family read only as a source would be too.
+    assert _families(_planned(["4.42", "4.50"], 1)) == {
+        ("a2_matrix",), ("a1_matrix",), ("genocchi_matrix",),
+        ("z_matrix",), ("genocchi_matrix_inverse",),
+    }
+    families = _families(_planned(list(connect.CATALOG), 1))
+    assert len(families) == 34
     assert {
         ("_genocchi_over_lucas",),
         ("stirling1", "stirling-shifted"),
         ("stirling2", "stirling-shifted"),
         ("stirling1", "central-factorial-shifted-shifted"),
         ("stirling2", "central-factorial-shifted-shifted"),
-    } <= named
-    for build, *family in families:
+    } <= families
+    for name, *family in families:
+        build = getattr(connect, name)
         if build in (stirling.stirling1, stirling.stirling2):
             family = [preset(name) for name in family]
         full = build(*family, 14)
         inverse = full.inverse()
         for k in range(1, 15):
             part = build(*family, k)
-            assert full.leading_submatrix(k) == part, (build.__name__, *family, k)
-            assert inverse.leading_submatrix(k) == part.inverse(), (build.__name__, *family, k)
+            assert full.leading_submatrix(k) == part, (name, *family, k)
+            assert inverse.leading_submatrix(k) == part.inverse(), (name, *family, k)
