@@ -192,77 +192,6 @@ def _cols(m: TriMatrix, scale: Callable[[int], Fraction | int]) -> TriMatrix:
 
 
 # ----------------------------------------------------------------------
-# linear functionals
-
-
-class LinearFunctional(NamedTuple):
-    """Linear functional on polynomials, stored by its monomial moments."""
-
-    name: str
-    moments: Tuple[Fraction | int, ...]
-
-
-def functional_apply(f: LinearFunctional, p: Poly) -> Fraction | int:
-    """Dot product of the coefficients of p with the stored moments."""
-    if p.degree >= len(f.moments):
-        raise ValueError(
-            f"functional {f.name} has {len(f.moments)} moments, "
-            f"cannot evaluate degree {p.degree}"
-        )
-    return sum(c * m for c, m in zip(p.coeffs, f.moments))
-
-
-def lambda_functional(depth: int) -> LinearFunctional:
-    """Functional that is 1 on the first odd Fibonacci polynomial, else 0.
-
-    Its monomial moments are the signed median Genocchi numbers.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return LinearFunctional(
-        "lambda",
-        tuple((-1) ** n * numbers.median_genocchi(n) for n in range(depth)),
-    )
-
-
-def lambda_star_functional(depth: int) -> LinearFunctional:
-    """Composition of the lambda functional with multiplication by -s."""
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    return LinearFunctional(
-        "lambda-star",
-        tuple((-1) ** n * numbers.median_genocchi(n + 1) for n in range(depth)),
-    )
-
-
-def mu_functional(depth: int) -> LinearFunctional:
-    """Functional that is 1 on the first even Fibonacci polynomial, else 0.
-
-    The moments are obtained operationally, by expanding monomials in the
-    even-index basis, so the even-basis values are definitional while the
-    odd-basis values are a theorem pinned down in the tests.
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    inv = basis_matrix("F_even", depth).inverse()
-    return LinearFunctional("mu", inv.column(0))
-
-
-def phi_functional(k: int, depth: int) -> LinearFunctional:
-    """Functional whose odd-Fibonacci values form a central-factorial column.
-
-    Indexing starts at k = 1; the monomial moments are a column of the
-    Legendre-Stirling triangle.
-    """
-    if k < 1:
-        raise ValueError("functional index must be >= 1")
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    ls = stirling2(preset("legendre-stirling"), max(depth, k))
-    return LinearFunctional(f"phi_{k}", tuple(ls[n, k - 1] for n in range(depth)))
-
-
-# ----------------------------------------------------------------------
 # identity catalog
 
 

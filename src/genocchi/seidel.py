@@ -97,12 +97,3 @@ def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
         prev, scale = row, grown
     return SeidelArray(variant, None if variant == "genocchi" else k, tuple(out))
 
-
-def seidel_diagonal(arr: SeidelArray, n: int) -> Fraction | int:
-    """The settled value h(2n, n) of the array."""
-    if n < 0:
-        raise ValueError("diagonal index must be >= 0")
-    if 2 * n >= len(arr.rows):
-        raise IndexError(f"diagonal {n} needs {2 * n + 1} rows, array has {len(arr.rows)}")
-    return arr.rows[2 * n][n]
-

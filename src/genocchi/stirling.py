@@ -21,7 +21,6 @@ from fractions import Fraction
 from operator import add, mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .polyalg import Poly
 from .trimat import Scalar, TriMatrix, _exact, _ratio, _scaled
 
 
@@ -129,43 +128,3 @@ def stirling1(spec: WeightSpec, order: int) -> TriMatrix:
 
     return TriMatrix(_unscaled(rows(), d, order))
 
-
-def row_poly_check(spec: WeightSpec, n: int) -> bool:
-    """Check row n of both triangles against their polynomial expansions.
-
-    Row n of the first-kind triangle must match the expanded product of the
-    linear factors (x - w(0)) ... (x - w(n-1)), and the second-kind row must
-    reassemble the monomial x**n from those factor prefixes.
-    """
-    if n < 0:
-        raise ValueError("index must be >= 0")
-    prefix = [Poly.one()]
-    for j in range(n):
-        prefix.append(prefix[-1] * Poly([-spec(j), 1]))
-    first = stirling1(spec, n + 1)
-    if Poly(first.rows[n]) != prefix[n]:
-        return False
-    second = stirling2(spec, n + 1)
-    recombined = Poly()
-    for k in range(n + 1):
-        recombined = recombined + second.rows[n][k] * prefix[k]
-    return recombined == Poly.monomial(n)
-
-
-def ogf_check(spec: WeightSpec, k: int, order: int) -> bool:
-    """Check column k of the second-kind triangle as a power series.
-
-    The column's ordinary generating function times the product of the
-    factors (1 - w(j) x) for j <= k must reduce to the single monomial x**k,
-    working modulo x**order throughout.  The column is zero above the
-    diagonal, so for k >= order both sides vanish.
-    """
-    if k < 0 or order < 1:
-        raise ValueError("column must be >= 0 and order >= 1")
-    second = stirling2(spec, order)
-    column = Poly(second[n, k] if k <= n else 0 for n in range(order))
-    denom = Poly.one()
-    for j in range(k + 1):
-        denom = (denom * Poly([1, -spec(j)])).truncate(order)
-    target = Poly.monomial(k) if k < order else Poly.zero()
-    return (column * denom).truncate(order) == target

@@ -140,9 +140,6 @@ class TriMatrix:
     def column(self, j: int) -> Tuple[Scalar, ...]:
         return tuple(self[i, j] for i in range(self.order))
 
-    def diagonal_entries(self) -> Tuple[Scalar, ...]:
-        return tuple(self._rows[i][i] for i in range(self.order))
-
     # ------------------------------------------------------------------
     # algebra
 
@@ -238,13 +235,11 @@ class TriMatrix:
             raise ValueError(f"submatrix order {order} outside 1..{self.order}")
         return TriMatrix._trusted(self._rows[:order])
 
-    def drop_leading(self, count: int = 1) -> "TriMatrix":
-        """Delete the first `count` rows and columns."""
-        if not (0 < count < self.order):
-            raise ValueError(f"cannot drop {count} rows from order {self.order}")
-        return TriMatrix._trusted(
-            self._rows[i + count][count : i + count + 1] for i in range(self.order - count)
-        )
+    def drop_leading(self) -> "TriMatrix":
+        """Delete the first row and column."""
+        if self.order == 1:
+            raise ValueError("cannot drop the only row of an order-1 matrix")
+        return TriMatrix._trusted(row[1:] for row in self._rows[1:])
 
     def first_difference(self, other: "TriMatrix") -> Optional[Tuple[int, int]]:
         """Row-major position of the first differing entry, or None."""

@@ -172,85 +172,63 @@ def test_eigen_relation():
 
 
 # ----------------------------------------------------------------------
-# linear functionals
+# linear functionals, each given by its monomial moments
+
+
+def _apply(moments, p):
+    """The linear functional with these monomial moments, evaluated at p."""
+    assert len(p.coeffs) <= len(moments), (p, len(moments))
+    return sum(c * m for c, m in zip(p.coeffs, moments))
+
+
+# lambda* is p -> lambda(-s p); mu is 1 on F_2 and 0 on F_4, F_6, ... by
+# construction; phi_k, k >= 1, reads column k - 1 of the Legendre-Stirling triangle.
+LAMBDA = tuple((-1) ** n * numbers.median_genocchi(n) for n in range(16))
+LAMBDA_STAR = tuple((-1) ** n * numbers.median_genocchi(n + 1) for n in range(16))
+MU = basis_matrix("F_even", 16).inverse().column(0)
+_LS = stirling2(preset("legendre-stirling"), 16)
+PHI = {k: _LS.column(k - 1) for k in range(1, 6)}
 
 
 def test_lambda_functional():
-    lam = connect.lambda_functional(16)
-    assert connect.functional_apply(lam, fib_poly(1)) == 1
-    assert connect.functional_apply(lam, fib_poly(6)) == 3
+    assert _apply(LAMBDA, fib_poly(1)) == 1
+    assert _apply(LAMBDA, fib_poly(6)) == 3
+    for n in range(13):
+        assert _apply(LAMBDA, fib_poly(2 * n + 1)) == (1 if n == 0 else 0)
     for n in range(1, 13):
-        assert connect.functional_apply(lam, fib_poly(2 * n + 1)) == (1 if n == 0 else 0)
-        assert connect.functional_apply(lam, fib_poly(2 * n)) == (-1) ** (n - 1) * numbers.genocchi(n)
-
-
-def test_lambda_moments_are_signed_medians():
-    lam = connect.lambda_functional(8)
-    assert lam.moments == tuple(
-        F((-1) ** n * numbers.median_genocchi(n)) for n in range(8)
-    )
+        assert _apply(LAMBDA, fib_poly(2 * n)) == (-1) ** (n - 1) * numbers.genocchi(n)
 
 
 def test_lambda_star_values():
-    star = connect.lambda_star_functional(16)
-    values = [connect.functional_apply(star, fib_poly(n)) for n in range(13)]
+    values = [_apply(LAMBDA_STAR, fib_poly(n)) for n in range(13)]
     assert values == [0, 1, 1, -1, -3, 3, 17, -17, -155, 155, 2073, -2073, -38227]
     for n in range(13):
         # the defining relation: negated evaluation against s times the polynomial
-        lam = connect.lambda_functional(16)
-        assert connect.functional_apply(star, fib_poly(n)) == -connect.functional_apply(
-            lam, fib_poly(n).shift(1)
-        )
+        assert _apply(LAMBDA_STAR, fib_poly(n)) == -_apply(LAMBDA, fib_poly(n).shift(1))
 
 
 def test_lambda_star_sums():
-    star = connect.lambda_star_functional(16)
     for n in range(13):
-        total = connect.functional_apply(star, fib_poly(2 * n) + fib_poly(2 * n + 1))
+        total = _apply(LAMBDA_STAR, fib_poly(2 * n) + fib_poly(2 * n + 1))
         assert total == (1 if n == 0 else 0)
     for n in range(1, 13):
-        total = connect.functional_apply(star, fib_poly(2 * n - 1) + fib_poly(2 * n))
+        total = _apply(LAMBDA_STAR, fib_poly(2 * n - 1) + fib_poly(2 * n))
         assert total == (-1) ** (n - 1) * (numbers.genocchi(n) + numbers.genocchi(n + 1))
 
 
 def test_mu_functional():
-    mu = connect.mu_functional(16)
     for n in range(13):
-        assert connect.functional_apply(mu, fib_poly(2 * n + 2)) == (1 if n == 0 else 0)
-        assert connect.functional_apply(mu, fib_poly(2 * n + 1)) == (2 * n + 1) * numbers.bernoulli(2 * n)
+        assert _apply(MU, fib_poly(2 * n + 2)) == (1 if n == 0 else 0)
+        assert _apply(MU, fib_poly(2 * n + 1)) == (2 * n + 1) * numbers.bernoulli(2 * n)
 
 
 def test_phi_functional():
-    phi2 = connect.phi_functional(2, 16)
-    assert connect.functional_apply(phi2, fib_poly(7)) == 21
+    assert _apply(PHI[2], fib_poly(7)) == 21
     t_sh = stirling2(preset("central-factorial-shifted"), 14)
     for k in range(1, 5):
-        phi = connect.phi_functional(k + 1, 16)
         for n in range(12):
-            assert connect.functional_apply(phi, fib_poly(2 * n + 1)) == t_sh[n, k]
-            assert connect.functional_apply(phi, fib_poly(2 * n + 2)) == (k + 1) * t_sh[n, k]
-    with pytest.raises(ValueError):
-        connect.phi_functional(0, 4)
-
-
-def test_functionals_reject_a_depth_below_one():
-    builders = [
-        connect.lambda_functional,
-        connect.lambda_star_functional,
-        connect.mu_functional,
-        lambda depth: connect.phi_functional(1, depth),
-    ]
-    for build in builders:
-        assert len(build(1).moments) == 1
-        for depth in (0, -3):
-            with pytest.raises(ValueError, match="depth must be >= 1"):
-                build(depth)
-
-
-def test_functional_apply_insufficient_moments():
-    lam = connect.lambda_functional(3)
-    with pytest.raises(ValueError):
-        connect.functional_apply(lam, fib_poly(9))
+            assert _apply(PHI[k + 1], fib_poly(2 * n + 1)) == t_sh[n, k]
+            assert _apply(PHI[k + 1], fib_poly(2 * n + 2)) == (k + 1) * t_sh[n, k]
 
 
 # ----------------------------------------------------------------------
@@ -430,6 +408,23 @@ def test_bumped_builder_fails_every_label_that_reads_it(name, monkeypatch):
         failed |= {label for label in connect.CATALOG if not connect.verify(label, 6).passed}
     assert [label for label in connect.CATALOG if label in failed] == readers
 
+
+
+def test_stirling_shift_first_kind_blind_entries(monkeypatch):
+    # 6.7, the one label that reads stirling1 of stirling-shift, weights
+    # column k by B_k, which is 0 for odd k >= 3, so no label compares
+    # columns 3 and 5 of the order-7 build a depth-6 run reads.  Outside the
+    # catalog, test_stirling.test_inverse_pair_for_all_presets (stirling2 @
+    # stirling1 == I) and test_stirling.test_row_poly_check cover them.
+    build, blind = connect.stirling1, []
+    for i in range(7):
+        for j in range(i + 1):
+            bumped = _bumped(build, lambda n, site=(i, j): site,
+                             lambda args: args[0].name == "stirling-shift")
+            monkeypatch.setattr(connect, "stirling1", bumped)
+            if all(connect.verify(label, 6).passed for label in BUILDER_LABELS["stirling1"]):
+                blind.append((i, j))
+    assert blind == [(3, 3), (4, 3), (5, 3), (5, 5), (6, 3), (6, 5)]
 
 def test_no_label_builds_a_family_twice(monkeypatch):
     builds = []

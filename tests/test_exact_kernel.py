@@ -206,8 +206,9 @@ def assert_kernel_outputs_exact(m: TriMatrix):
     assert_exact_matrix(m)
     for k in range(1, m.order + 1):
         assert_exact_matrix(m.leading_submatrix(k))
-    for k in range(1, m.order):
-        assert_exact_matrix(m.drop_leading(k))
+    while m.order > 1:
+        m = m.drop_leading()
+        assert_exact_matrix(m)
 
 
 @settings(max_examples=60, deadline=None)
@@ -237,7 +238,7 @@ def test_library_factorizations_invert_like_the_reference():
     half_odd = TriMatrix.from_rule(lambda i, j: Fraction(2 * j + 1, 2) if i == j else 0, order)
     varying = u_half @ half_odd @ stirling1(PRESETS["u-half-odd"], order)
     l_even = basis_matrix("L_even", order)
-    assert set(l_even.diagonal_entries()) == {2}
+    assert [l_even[i, i] for i in range(order)] == [2] * order
     for m in (varying, l_even, u_half, connect.genocchi_matrix_inverse(order)):
         inv = m.inverse()
         assert inv.rows == tuple(map(tuple, ref_inverse(m.rows)))

@@ -5,11 +5,7 @@ import pytest
 import golden
 from genocchi import numbers
 from genocchi.connect import verify
-from genocchi.seidel import (
-    VARIANTS,
-    seidel_array,
-    seidel_diagonal,
-)
+from genocchi.seidel import VARIANTS, seidel_array
 from genocchi.stirling import preset, stirling2
 
 F = Fraction
@@ -52,21 +48,17 @@ def test_difference_rule_holds_post_hoc():
 
 
 def test_diagonals():
+    # the settled value h(2n, n) of an array is arr.rows[2 * n][n]
     g = seidel_array("genocchi", rows=13)
-    assert seidel_diagonal(g, 2) == 2
-    for n in range(6):
-        assert seidel_diagonal(g, n) == (-1) ** n * numbers.median_genocchi(n)
+    assert g.rows[4][2] == 2
+    for n in range(7):
+        assert g.rows[2 * n][n] == (-1) ** n * numbers.median_genocchi(n)
 
     ls = seidel_array("ls-from-T", k=2, rows=9)
-    assert seidel_diagonal(ls, 3) == 8
+    assert ls.rows[6][3] == 8
 
     v = seidel_array("v-from-U", k=1, rows=7)
-    assert seidel_diagonal(v, 2) == F(1, 2)
-
-    with pytest.raises(IndexError):
-        seidel_diagonal(v, 4)
-    with pytest.raises(ValueError):
-        seidel_diagonal(g, -1)
+    assert v.rows[4][2] == F(1, 2)
 
 
 def test_ls_diagonal_matches_legendre_column():
@@ -74,7 +66,7 @@ def test_ls_diagonal_matches_legendre_column():
     for k in range(5):
         arr = seidel_array("ls-from-T", k=k, rows=22)
         for n in range(11):
-            assert seidel_diagonal(arr, n) == ls_tri[n, k]
+            assert arr.rows[2 * n][n] == ls_tri[n, k]
             # the settled value repeats once on the next row
             assert arr.rows[2 * n + 1][n] == ls_tri[n, k]
 
@@ -84,7 +76,7 @@ def test_v_diagonal_matches_v_column():
     for k in range(4):
         arr = seidel_array("v-from-U", k=k, rows=21)
         for n in range(10):
-            assert seidel_diagonal(arr, n) == v_tri[n, k]
+            assert arr.rows[2 * n][n] == v_tri[n, k]
 
 
 def test_odd_row_head_is_previous_row_sum():

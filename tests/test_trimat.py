@@ -84,8 +84,9 @@ def test_leading_submatrix():
 def test_drop_leading():
     m = TriMatrix([[1], [2, 3], [4, 5, 6]])
     assert m.drop_leading() == TriMatrix([[3], [5, 6]])
+    assert m.drop_leading().drop_leading() == TriMatrix([[6]])
     with pytest.raises(ValueError):
-        m.drop_leading(3)
+        TriMatrix([[1]]).drop_leading()
 
 
 def test_first_difference():
