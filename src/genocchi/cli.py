@@ -20,7 +20,6 @@ from itertools import zip_longest
 from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence
 
 from . import akiyama, connect, numbers, seidel
-from .polyalg import basis_matrix
 from .reports import IdentityReport
 from .stirling import PRESETS, preset, stirling1, stirling2
 from .trimat import TriMatrix
@@ -70,36 +69,17 @@ SEQUENCES: Dict[str, Callable[[int], List[Fraction | int]]] = {
 # ----------------------------------------------------------------------
 # triangles
 
-_MATRIX_BUILDERS: Dict[str, Callable[[int], TriMatrix]] = {
-    "genocchi-matrix": connect.genocchi_matrix,
-    "genocchi-matrix-squared": connect.genocchi_matrix_squared,
-    "genocchi-matrix-inverse": connect.genocchi_matrix_inverse,
-    "tangent-matrix": connect.tangent_matrix,
-    "tangent-matrix-inverse": connect.tangent_matrix_inverse,
-    "a1": connect.a1_matrix,
-    "a2": connect.a2_matrix,
-    "z": connect.z_matrix,
-    "c-matrix": connect.c_matrix,
-    "c-matrix-inverse": connect.c_matrix_inverse,
-    "pascal": connect.pascal_matrix,
-    "pascal-plus": connect.pascal_plus_matrix,
-    "choose-even": connect.choose_even_matrix,
-    "choose-odd": connect.choose_odd_matrix,
-    "f-odd": lambda n: basis_matrix("F_odd", n),
-    "f-even": lambda n: basis_matrix("F_even", n),
-    "l-even": lambda n: basis_matrix("L_even", n),
-    "l-odd": lambda n: basis_matrix("L_odd", n),
-}
-
-TRIANGLE_NAMES = tuple(PRESETS) + tuple(_MATRIX_BUILDERS)
+TRIANGLE_NAMES = tuple(PRESETS) + tuple(connect.MATRICES)
 
 
 def build_triangle(name: str, rows: int, kind: str) -> TriMatrix:
     if name in PRESETS:
         builder = stirling2 if kind == "second" else stirling1
         return builder(PRESETS[name], rows)
-    (build,) = _lookup(_MATRIX_BUILDERS, [name], "triangle", "names", TRIANGLE_NAMES)
-    return build(rows)
+    (side,) = _lookup(connect.MATRICES, [name], "triangle", "names", TRIANGLE_NAMES)
+    if kind != "second":
+        raise ValueError(f"--kind {kind} applies to weight presets only, not to {name!r}")
+    return connect.evaluate(side, rows)
 
 
 # ----------------------------------------------------------------------
@@ -239,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", help=f"one of: {', '.join(TRIANGLE_NAMES)}")
     p.add_argument("-n", "--rows", type=positive_int, default=8)
     p.add_argument("--kind", choices=("second", "first"), default="second",
-                   help="triangle kind for weight presets; ignored for named matrices")
+                   help="triangle kind for weight presets; named matrices take second only")
     p.set_defaults(handler=_cmd_triangle)
 
     p = sub.add_parser("verify", help="run identity checks from the catalog")
@@ -250,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("seidel", help="print a boustrophedon difference array")
     p.add_argument("variant", help=f"one of: {', '.join(seidel.VARIANTS)}")
     p.add_argument("-k", type=non_negative_int, default=0,
-                   help="column parameter (ignored by genocchi)")
+                   help="seed column of ls-from-T and v-from-U; genocchi takes 0 only")
     p.add_argument("-n", "--rows", type=positive_int, default=10)
     p.set_defaults(handler=_cmd_seidel)
 

@@ -15,15 +15,19 @@ identity, a weighted sum along a row of one Stirling triangle (6.6 to 6.17,
 the sums the Akiyama-Tanigawa engine's first column computes) or over a
 binomial row (4.17, 4.48).  Each matrix side is data, a _Side: a builder
 read by name (stirling2 of a preset, basis_matrix of a basis,
-genocchi_matrix, ...) or a @ b, x.inv, x.cols(scale) or x.drop() of other
-sides.  One evaluator, _Table, builds every side once and serves each read
-as a leading block; it looks builders up on this module when it runs them,
-so a swapped builder is seen by every label that reads it.  verify runs one
-label's cases through first_mismatch.  shared_builds plans one table for the
-verify calls made inside it from the sides the rows read and those that
-a1_matrix, a2_matrix and z_matrix derive from (_SOURCES), without running a
-case: each side is built at the largest order read and dropped after its
-last reader, and an alias label such as 4.6 reuses its twin's report.
+genocchi_matrix, ...) or a @ b, x.inv, x.cols(scale), x.drop(), x.sums()
+or x.diffs() of other sides; A1, A2 and Z are the prefix sums of the rows
+of A, the differences of consecutive A1 rows and the prefix sums of those
+differences of A^-1.  MATRICES names the sides the triangle subcommand
+prints.  One evaluator, _Table, plans every read before it builds, builds
+each side once at the largest order planned and serves each read as a
+leading block; it looks builders up on this module when it runs them, so a
+swapped builder is seen by every label that reads it.  verify runs one
+label's cases through first_mismatch.  shared_builds plans one table for
+the verify calls made inside it by walking the sides the rows read,
+without running a case: each side is dropped after its last reader, and an
+alias label such as 4.6 reuses its twin's report.  A row run outside such
+a scope, and evaluate, plan a table of their own.
 Labels such as "3.9" or "5.10" are part of the command line contract.
 """
 
@@ -117,40 +121,6 @@ def _genocchi_over_lucas(order: int) -> TriMatrix:
     return TriMatrix.from_rule(rule, order)
 
 
-def _differences(rows: Sequence[Sequence[Fraction | int]]) -> Iterator[Tuple[list, int]]:
-    """(ints, d) for each row n but the last: rows[n] - rows[n + 1] entrywise, times d.
-
-    d is the lcm of the two rows' denominators, so the differences are ints.
-    """
-    for (a, da), (b, db) in pairwise(map(_scaled, rows)):
-        d = lcm(da, db)
-        yield [x * (d // da) - y * (d // db) for x, y in zip(a, b)], d
-
-
-def a1_matrix(order: int) -> TriMatrix:
-    """Partial row sums of the Genocchi matrix, each row summed in ints over its lcm."""
-    return TriMatrix([
-        list(map(_ratio, accumulate(row), repeat(d)))
-        for row, d in map(_scaled, _source("a1_matrix", order).rows)
-    ])
-
-
-def a2_matrix(order: int) -> TriMatrix:
-    """Difference of consecutive rows of the partial-sum matrix."""
-    diffs = _differences(_source("a2_matrix", order).rows)
-    return TriMatrix([list(map(_ratio, diff, repeat(d))) for diff, d in diffs])
-
-
-def z_matrix(order: int) -> TriMatrix:
-    """Inverse of the row-difference matrix, in closed form.
-
-    Entry (n, k) sums the first k+1 column-wise differences of consecutive
-    rows of the inverse Genocchi matrix.
-    """
-    diffs = _differences(_source("z_matrix", order).rows)
-    return TriMatrix([list(map(_ratio, accumulate(diff), repeat(d))) for diff, d in diffs])
-
-
 def c_matrix(order: int) -> TriMatrix:
     """Signed augmented Pascal matrix: entry (i, j) is (-1)**(i-j) C(i+1, j)."""
     return TriMatrix.from_rule(lambda i, j: (-1) ** (i - j) * comb(i + 1, j), order)
@@ -191,6 +161,22 @@ def _cols(m: TriMatrix, scale: Callable[[int], Fraction | int]) -> TriMatrix:
     return TriMatrix([map(mul, row, scales) for row in m.rows])
 
 
+def _sums(m: TriMatrix) -> TriMatrix:
+    """Prefix sums along each row of m, each row summed in ints over its lcm."""
+    return TriMatrix([
+        list(map(_ratio, accumulate(row), repeat(d))) for row, d in map(_scaled, m.rows)
+    ])
+
+
+def _diffs(m: TriMatrix) -> TriMatrix:
+    """Row n of m minus row n + 1 for each row but the last, in ints over the two rows' lcm."""
+    rows = []
+    for (a, da), (b, db) in pairwise(map(_scaled, m.rows)):
+        d = lcm(da, db)
+        rows.append([_ratio(x * (d // da) - y * (d // db), d) for x, y in zip(a, b)])
+    return TriMatrix(rows)
+
+
 # ----------------------------------------------------------------------
 # identity catalog
 
@@ -220,6 +206,14 @@ class _Side(NamedTuple):
         """self without its first row and column, cut from one order more."""
         return _Side("drop", (self,))
 
+    def sums(self) -> _Side:
+        """Prefix sums along each row of self."""
+        return _Side("sums", (self,))
+
+    def diffs(self) -> _Side:
+        """Row n of self minus row n + 1, read from one order more."""
+        return _Side("diffs", (self,))
+
 
 # op -> f(get, order, *args), where get(side, order) reads an operand
 _OPERATORS: Dict[str, Callable[..., TriMatrix]] = {
@@ -227,47 +221,44 @@ _OPERATORS: Dict[str, Callable[..., TriMatrix]] = {
     "inv": lambda get, n, a: get(a, n).inverse(),
     "cols": lambda get, n, a, scale: _cols(get(a, n), scale),
     "drop": lambda get, n, a: get(a, n + 1).drop_leading(),
+    "sums": lambda get, n, a: _sums(get(a, n)),
+    "diffs": lambda get, n, a: _diffs(get(a, n + 1)),
     "identity": lambda get, n: TriMatrix.identity(n),
 }
+_READ_ONE_UP = ("drop", "diffs")  # the operators that read their operand at one order more
 
 
 class _Table:
-    """Builds each side once and serves every read of it as a leading block.
+    """Builds each planned side once and serves every read of it as a leading block.
 
-    Truncation commutes with building, products, inverses and column
-    scaling, so a side is built at its planned order, or without a plan (as
-    in the throwaway table of a verify call outside a scope) at the order
-    read, and again if a later read asks for more.
+    Truncation commutes with building and with every operator, so a side is
+    built once, at the largest order planned for it.  Every read is planned
+    before the table is read: a side read but never planned is a KeyError.
     """
 
-    def __init__(self):
+    def __init__(self, runs: Iterable[Tuple[Cases, int]] = ()):
         self.planned: Dict[_Side, int] = {}  # side -> largest order the run reads
-        self.last: Dict[_Side, Cases] = {}  # side -> cases of the last row that reads it
+        self.last: Dict[_Side, Any] = {}  # side -> the last reader of it
         self.entries: Dict[_Side, TriMatrix] = {}
         self.reports: Dict[tuple, IdentityReport] = {}  # (row, depth) -> report
-
-    def plan(self, rows: Iterable[Row], depth: int) -> None:
-        """Walk the sides the rows read, in the order the rows run; no case runs."""
-
-        def walk(side: _Side, order: int, reader: Cases) -> None:
-            self.planned[side] = max(self.planned.get(side, 0), order)
-            self.last[side] = reader
-            if side.op in _SOURCES:
-                source, offset = _SOURCES[side.op]
-                walk(source, order + offset, reader)
-            for x in side.args:
-                if isinstance(x, _Side):
-                    walk(x, order + (side.op == "drop"), reader)  # see _OPERATORS
-
-        for _, cases in rows:
+        self.runs = dict.fromkeys(runs)  # the (cases, depth) planned, in the order they run
+        for cases, depth in self.runs:
             for side, offset in getattr(cases, "reads", ()):
-                walk(side, depth + offset, cases)
+                self.plan(side, depth + offset, cases)
+
+    def plan(self, side: _Side, order: int, reader: Any = None) -> None:
+        """Plan a read of side at the order, with the reads it makes of its operands."""
+        self.planned[side] = max(self.planned.get(side, 0), order)
+        self.last[side] = reader
+        for x in side.args:
+            if isinstance(x, _Side):
+                self.plan(x, order + (side.op in _READ_ONE_UP), reader)
 
     def get(self, side: _Side, order: int) -> TriMatrix:
         m = self.entries.get(side)
-        if m is None or m.order < order:
+        if m is None:
             op, args = side
-            n = max(order, self.planned.get(side, 0))
+            n = self.planned[side]
             if op in _OPERATORS:
                 m = _OPERATORS[op](self.get, n, *args)
             else:  # a builder, looked up now so that a swapped one is seen
@@ -275,6 +266,13 @@ class _Table:
                 m = globals()[op](*family, n)
             self.entries[side] = m
         return m if m.order == order else m.leading_submatrix(order)
+
+
+def evaluate(side: _Side, order: int) -> TriMatrix:
+    """side at the order, from a table planned for this one read."""
+    table = _Table()
+    table.plan(side, order)
+    return table.get(side, order)
 
 
 _builds: Optional[_Table] = None  # the table of the open shared_builds scope
@@ -288,9 +286,9 @@ def shared_builds(labels: Iterable[str], depth: int) -> Iterator[None]:
     between two scopes is seen by the second.
     """
     global _builds
-    outer, _builds = _builds, _Table()
+    runs = [(CATALOG[label][1], depth) for label in labels if label in CATALOG]
+    outer, _builds = _builds, _Table(runs)
     try:
-        _builds.plan(dict.fromkeys(CATALOG[label] for label in labels if label in CATALOG), depth)
         yield
     finally:
         _builds = outer
@@ -308,12 +306,15 @@ Row = Tuple[str, Cases]
 def _reading(reads: Sequence[Tuple[_Side, int]], cases: Callable[..., Iterator[Case]]) -> Cases:
     """cases(depth, *matrices) of each (side, offset) of reads, read at depth + offset.
 
-    The sides come from the open scope's table, or a throwaway one, which
-    then drops those this row reads last.
+    The sides come from the open scope's table if it planned this row at
+    this depth, which then drops those this row reads last, or else from a
+    table planned for this one run.
     """
 
     def run(depth: int) -> Iterator[Case]:
-        table = _builds or _Table()
+        table = _builds
+        if table is None or (run, depth) not in table.runs:
+            table = _Table([(run, depth)])
         matrices = [table.get(side, depth + offset) for side, offset in reads]
         for side in [s for s, reader in table.last.items() if reader is run]:
             table.entries.pop(side, None)
@@ -427,20 +428,21 @@ _T2, _t2 = _s2("central-factorial-shifted-shifted"), _s1("central-factorial-shif
 _Fodd, _Feven = _Side("basis_matrix", ("F_odd",)), _Side("basis_matrix", ("F_even",))
 _Leven, _Lodd = _Side("basis_matrix", ("L_even",)), _Side("basis_matrix", ("L_odd",))
 _G, _Ginv = _Side("genocchi_matrix"), _Side("genocchi_matrix_inverse")
-_A1, _A2, _Z = _Side("a1_matrix"), _Side("a2_matrix"), _Side("z_matrix")
+_A1 = _G.sums()
+_A2, _Z = _A1.diffs(), _Ginv.diffs().sums()
 _B, _Binv = _Side("tangent_matrix"), _Side("tangent_matrix_inverse")
 _C, _Cinv = _Side("c_matrix"), _Side("c_matrix_inverse")
 _P, _Pplus = _Side("pascal_matrix"), _Side("pascal_plus_matrix")
 _E, _O = _Side("choose_even_matrix"), _Side("choose_odd_matrix")
-# builder -> (the side it derives its build from, that side's order minus its own)
-_SOURCES = {"a1_matrix": (_G, 0), "a2_matrix": (_A1, 1), "z_matrix": (_Ginv, 1)}
 
-
-def _source(name: str, order: int) -> TriMatrix:
-    """The source of builder `name` at its order, from the open scope's table if any."""
-    source, offset = _SOURCES[name]
-    return (_builds or _Table()).get(source, order + offset)
-
+# The named matrices of the triangle subcommand, by command line name.
+MATRICES: Dict[str, _Side] = {
+    "genocchi-matrix": _G, "genocchi-matrix-squared": _Side("genocchi_matrix_squared"),
+    "genocchi-matrix-inverse": _Ginv, "tangent-matrix": _B, "tangent-matrix-inverse": _Binv,
+    "a1": _A1, "a2": _A2, "z": _Z, "c-matrix": _C, "c-matrix-inverse": _Cinv,
+    "pascal": _P, "pascal-plus": _Pplus, "choose-even": _E, "choose-odd": _O,
+    "f-odd": _Fodd, "f-even": _Feven, "l-even": _Leven, "l-odd": _Lodd,
+}
 
 _fib_sum = lambda m: fib_poly(m) + fib_poly(m + 1)  # noqa: E731
 _nat = lambda j: j + 1  # noqa: E731

@@ -53,6 +53,8 @@ def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
         raise ValueError("need at least one row")
     if k < 0:
         raise ValueError("column parameter must be >= 0")
+    if k and variant == "genocchi":
+        raise ValueError(f"the genocchi variant takes no column parameter, got k={k}")
 
     # seeds[i] is the head of even row 2i as (numerator, denominator); an odd
     # row's head is factor times the seed above it, or for genocchi the sum

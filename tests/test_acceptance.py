@@ -47,8 +47,8 @@ def test_criterion_1_golden_tables():
         assert connect.genocchi_matrix_squared(5).rows == golden.A_5_SQUARED
         assert (connect.genocchi_matrix(5) @ connect.genocchi_matrix(5)).rows == golden.A_5_SQUARED
         assert connect.tangent_matrix(5).rows == golden.B_5
-        assert connect.a1_matrix(6).rows == golden.A1_6
-        assert connect.a2_matrix(5).rows == golden.A2_5
+        assert connect.evaluate(connect.MATRICES["a1"], 6).rows == golden.A1_6
+        assert connect.evaluate(connect.MATRICES["a2"], 5).rows == golden.A2_5
 
         assert stirling2(preset("central-factorial"), 7).rows == golden.CENTRAL_T_7
         assert stirling1(preset("central-factorial"), 7).rows == golden.CENTRAL_t_7
@@ -169,24 +169,8 @@ def test_criterion_7_cross_oracles():
 def test_criterion_8_property_suite():
     with criterion(8, "truncation consistency, inverse pairs, shifted-weight identities"):
         families = {
-            "genocchi-matrix": connect.genocchi_matrix,
-            "genocchi-matrix-squared": connect.genocchi_matrix_squared,
-            "genocchi-matrix-inverse": connect.genocchi_matrix_inverse,
-            "tangent-matrix": connect.tangent_matrix,
-            "tangent-matrix-inverse": connect.tangent_matrix_inverse,
-            "a1": connect.a1_matrix,
-            "a2": connect.a2_matrix,
-            "z": connect.z_matrix,
-            "c-matrix": connect.c_matrix,
-            "c-matrix-inverse": connect.c_matrix_inverse,
-            "pascal": connect.pascal_matrix,
-            "pascal-plus": connect.pascal_plus_matrix,
-            "choose-even": connect.choose_even_matrix,
-            "choose-odd": connect.choose_odd_matrix,
-            "f-odd": lambda n: basis_matrix("F_odd", n),
-            "f-even": lambda n: basis_matrix("F_even", n),
-            "l-even": lambda n: basis_matrix("L_even", n),
-            "l-odd": lambda n: basis_matrix("L_odd", n),
+            name: lambda n, side=side: connect.evaluate(side, n)
+            for name, side in connect.MATRICES.items()
         }
         for name, spec in PRESETS.items():
             families[f"{name}-second"] = lambda n, s=spec: stirling2(s, n)

@@ -137,6 +137,13 @@ def test_triangle_first_kind(capsys):
     assert cli.parse_triangle_csv(out).rows == golden.LEGENDRE_ls_7
 
 
+def test_named_matrix_takes_the_second_kind_only(capsys):
+    # --kind second, as the default, is accepted; --kind first is a usage error.
+    second = run(capsys, "triangle", "z", "-n", "4", "--kind", "second")
+    assert second == run(capsys, "triangle", "z", "-n", "4") and second[0] == 0
+    assert run(capsys, "triangle", "z", "-n", "4", "--kind", "first")[:2] == (2, "")
+
+
 def test_triangle_genocchi_matrix_table(capsys):
     code, out, _ = run(capsys, "triangle", "genocchi-matrix", "-n", "5")
     assert code == 0
@@ -427,6 +434,10 @@ def test_help_exits_zero(capsys):
         (["at", "--seed", "nope"],
          "unknown seed 'nope'; valid seeds: harmonic, linear, squares, ones"),
         (["at", "--weights", "central-factorial"], "zero weight w(0) encountered"),
+        (["triangle", "a1", "--kind", "first"],
+         "--kind first applies to weight presets only, not to 'a1'"),
+        (["seidel", "genocchi", "-k", "5", "--format", "json"],
+         "the genocchi variant takes no column parameter, got k=5"),
     ],
 )
 def test_usage_error_is_one_stderr_line(capsys, argv, message):
@@ -490,10 +501,11 @@ def test_every_public_function_is_run_by_the_cli_or_exported():
     # themselves.  The two triangle readers stay: they are documented as
     # readers of the CLI's own csv and json output.
     argvs = [["verify", "all", "--depth", "2"], ["at"]]
-    argvs += [["triangle", name, "-n", "3", "--kind", kind]
-              for name in cli.TRIANGLE_NAMES for kind in ("second", "first")]
+    argvs += [["triangle", name, "-n", "3", "--kind", "second"] for name in cli.TRIANGLE_NAMES]
+    argvs += [["triangle", name, "-n", "3", "--kind", "first"] for name in genocchi.PRESETS]
     argvs += [["sequence", name, "-n", "3"] for name in cli.SEQUENCES]
-    argvs += [["seidel", variant, "-k", "1", "-n", "3"] for variant in seidel.VARIANTS]
+    argvs += [["seidel", variant, "-n", "3"] + ([] if variant == "genocchi" else ["-k", "1"])
+              for variant in seidel.VARIANTS]
     run_codes = set()
     sys.setprofile(lambda frame, event, arg: event == "call" and run_codes.add(frame.f_code))
     try:

@@ -38,15 +38,19 @@ def test_tangent_matrix_golden():
     assert b5[0, 0] == F(1, 2)
 
 
+def _named(name, order):
+    return connect.evaluate(connect.MATRICES[name], order)
+
+
 def test_a1_matrix_golden():
-    a1 = connect.a1_matrix(6)
+    a1 = _named("a1", 6)
     assert a1.rows == golden.A1_6
     assert a1[2, 1] == -2
     assert a1[0, 0] == 1
 
 
 def test_a2_matrix_golden():
-    a2 = connect.a2_matrix(5)
+    a2 = _named("a2", 5)
     assert a2.rows == golden.A2_5
     assert a2[1, 0] == -4
     assert a2[0, 0] == 2
@@ -63,9 +67,9 @@ def test_partial_sum_matrices_match_definitions():
         [sum(w[n, j] - w[n + 1, j] for j in range(k + 1)) for k in range(n + 1)]
         for n in range(order)
     ]
-    assert connect.a1_matrix(order + 1) == TriMatrix(a1)
-    assert connect.a2_matrix(order) == TriMatrix(a2)
-    assert connect.z_matrix(order) == TriMatrix(z)
+    assert _named("a1", order + 1) == TriMatrix(a1)
+    assert _named("a2", order) == TriMatrix(a2)
+    assert _named("z", order) == TriMatrix(z)
 
 
 def test_inverse_binomial_golden():
@@ -129,8 +133,8 @@ def test_squared_row_relations():
 
 
 def test_z_matrix_inverts_a2():
-    assert connect.z_matrix(6) @ connect.a2_matrix(6) == TriMatrix.identity(6)
-    z = connect.z_matrix(3)
+    assert _named("z", 6) @ _named("a2", 6) == TriMatrix.identity(6)
+    z = _named("z", 3)
     assert z[0, 0] == F(1, 2)
     assert z[1, 0] == F(2, 3)
 
@@ -318,8 +322,8 @@ def test_perturbed_preset_fails_exactly_its_labels(name, monkeypatch):
 
 
 # The labels that read each matrix builder on the connect module, directly
-# or through another builder (a2_matrix reads a1_matrix, which reads
-# genocchi_matrix).
+# or through an operator (4.42 reads A2, the row differences of A1, the
+# prefix sums of the genocchi_matrix build).
 BUILDER_LABELS = {
     "genocchi_matrix": [
         "2.1", "4.6", "4.11", "4.12", "4.13", "4.14", "4.15", "4.16", "4.40", "4.42", "4.43",
@@ -328,9 +332,6 @@ BUILDER_LABELS = {
     "tangent_matrix": ["2.3", "5.7", "5.10"],
     "tangent_matrix_inverse": ["2.4"],
     "_genocchi_over_lucas": ["2.3"],
-    "a1_matrix": ["4.40", "4.42", "4.43"],
-    "a2_matrix": ["4.42", "4.43"],
-    "z_matrix": ["4.50"],
     "c_matrix": ["2.15/2.16-inverse", "3.9", "3.10"],
     "c_matrix_inverse": ["2.15/2.16-inverse"],
     "pascal_matrix": ["3.9", "3.10", "3.11", "3.13"],
@@ -367,14 +368,17 @@ SHIFTED_LABELS = {
 BUMP_SITES = (lambda n: (n - 1, 0), lambda n: (n - 1, n - 1), lambda n: (min(1, n - 1), 0))
 
 
+def _bump_at(m, site):
+    rows = [list(row) for row in m.rows]
+    i, j = site(len(rows))
+    rows[i][j] += 1
+    return TriMatrix(rows)
+
+
 def _bumped(build, site, reads=lambda args: True):
     def bumped(*args):
-        if not reads(args):
-            return build(*args)
-        rows = [list(row) for row in build(*args).rows]
-        i, j = site(len(rows))
-        rows[i][j] += 1
-        return TriMatrix(rows)
+        m = build(*args)
+        return _bump_at(m, site) if reads(args) else m
 
     return bumped
 
@@ -426,6 +430,24 @@ def test_stirling_shift_first_kind_blind_entries(monkeypatch):
                 blind.append((i, j))
     assert blind == [(3, 3), (4, 3), (5, 3), (5, 5), (6, 3), (6, 5)]
 
+
+@pytest.mark.parametrize("name", ["genocchi_matrix", "genocchi_matrix_inverse"])
+def test_genocchi_family_blind_entries(name, monkeypatch):
+    # Each entry of the build that a depth-6 run of the family's readers
+    # plans is bumped in turn.  Only (7, 7) goes unseen: the readers that
+    # reach row 7 take row 6 minus row 7 (of the prefix sums of A in 4.42
+    # and 4.43, of A^-1 in 4.50), and row 6 has no column 7.
+    readers = [label for label in connect.CATALOG if (name,) in _families(_planned([label], 6))]
+    order = _planned(readers, 6)[connect._Side(name)]
+    build, blind = getattr(connect, name), []
+    for i in range(order):
+        for j in range(i + 1):
+            monkeypatch.setattr(connect, name, _bumped(build, lambda n, site=(i, j): site))
+            if all(report.passed for report in _shared_reports(readers, 6)):
+                blind.append((i, j))
+    assert (order, blind) == (8, [(7, 7)])
+
+
 def test_no_label_builds_a_family_twice(monkeypatch):
     builds = []
 
@@ -475,6 +497,14 @@ def test_shared_run_gives_the_per_label_reports(labels, depth):
     assert _shared_reports(labels, depth) == [connect.verify(label, depth) for label in labels]
 
 
+def test_a_row_the_scope_did_not_plan_reads_its_own_table():
+    # 4.42 at depth 9 and 4.50 at all lie outside the plan of this scope.
+    with connect.shared_builds(["4.42"], 6):
+        reports = [connect.verify("4.42", 9), connect.verify("4.50", 6), connect.verify("4.42", 6)]
+        assert connect._builds.entries == {}
+    assert reports == [connect.verify("4.42", 9), connect.verify("4.50", 6), connect.verify("4.42", 6)]
+
+
 @pytest.mark.parametrize("name", list(BUILDER_LABELS) + list(SHIFTED_LABELS))
 def test_bumped_builder_fails_its_readers_in_a_shared_run(name, monkeypatch):
     # The table builds a family at the largest order any label reads, so the
@@ -490,6 +520,36 @@ def test_bumped_builder_fails_its_readers_in_a_shared_run(name, monkeypatch):
         monkeypatch.setattr(connect, name, _bumped(build, lambda n: site(min(n, 6)), reads))
         failed |= {report.ident for report in _shared_reports(labels, 6) if not report.passed}
     assert [label for label in labels if label in failed] == expected
+
+
+# The labels that read each side an operator derives from a build: A1, the
+# prefix sums of the rows of A, A2, the differences of its consecutive rows,
+# and Z, the prefix sums of those differences of A^-1.
+DERIVED_LABELS = {
+    connect._A1: ["4.40", "4.42", "4.43"],
+    connect._A2: ["4.42", "4.43"],
+    connect._Z: ["4.50"],
+}
+
+
+@pytest.mark.parametrize("shared", [False, True], ids=["per-label", "shared"])
+@pytest.mark.parametrize("side", list(DERIVED_LABELS), ids=["A1", "A2", "Z"])
+def test_bumped_derived_side_fails_its_readers(side, shared, monkeypatch):
+    # The operator's result is bumped for this side alone; in a shared run at
+    # the sites of an order-6 build, as for the builders above.
+    labels, operator, failed = list(connect.CATALOG), connect._OPERATORS[side.op], set()
+    assert [label for label in labels if side in _planned([label], 6)] == DERIVED_LABELS[side]
+    for site in BUMP_SITES:
+        at = (lambda n, site=site: site(min(n, 6))) if shared else site
+
+        def bumped(get, n, *args, at=at):
+            m = operator(get, n, *args)
+            return _bump_at(m, at) if args == side.args else m
+
+        monkeypatch.setitem(connect._OPERATORS, side.op, bumped)
+        reports = _shared_reports(labels, 6) if shared else [connect.verify(x, 6) for x in labels]
+        failed |= {report.ident for report in reports if not report.passed}
+    assert [label for label in labels if label in failed] == DERIVED_LABELS[side]
 
 
 def test_shared_runs_see_a_change_made_between_them(monkeypatch):
@@ -517,7 +577,7 @@ def _planned(labels, depth):
 
 
 def _families(plan):
-    """The (builder, *family) reads of a plan, the sources of a1/a2/z included."""
+    """The (builder, *family) reads of a plan, the operands of its operators included."""
     return {(side.op, *side.args) for side in plan if side.op not in connect._OPERATORS}
 
 
@@ -541,9 +601,9 @@ def test_shared_table_is_released():
 
 
 def test_shared_run_builds_each_family_once(monkeypatch):
-    # Builds are recorded per (builder, family), those a builder makes of its
-    # source included, such as the a1_matrix that a2_matrix differences.
-    builds, inverted = {}, []
+    # Builds are recorded per (builder, family), those that only an operator
+    # reads included, such as the genocchi_matrix that A2 reads through A1.
+    builds, inverted, products = {}, [], []
     for name in BUILDER_LABELS:
         build = getattr(connect, name)
 
@@ -554,8 +614,9 @@ def test_shared_run_builds_each_family_once(monkeypatch):
             return m
 
         monkeypatch.setattr(connect, name, recorded)
-    inverse, first_mismatch = TriMatrix.inverse, connect.first_mismatch
+    inverse, mul, first_mismatch = TriMatrix.inverse, TriMatrix.mul, connect.first_mismatch
     monkeypatch.setattr(TriMatrix, "inverse", lambda m: inverted.append(m) or inverse(m))
+    monkeypatch.setattr(TriMatrix, "__matmul__", lambda a, b: products.append(a) or mul(a, b))
     checked = []
     monkeypatch.setattr(
         connect, "first_mismatch", lambda cases: checked.append(1) or first_mismatch(cases)
@@ -572,7 +633,9 @@ def test_shared_run_builds_each_family_once(monkeypatch):
                 assert (sum(map(len, builds.values())), len(checked)) == (made, ran), label
     assert all(report.passed for report in reports)
     assert {family: len(made) for family, made in builds.items() if len(made) > 1} == {}
-    assert len(builds) == 34 and set(builds) == _families(plan)
+    assert len(builds) == 31 and set(builds) == _families(plan)
+    # one product per product side and one per polynomial basis product
+    assert len(products) == 38
     # each inverse side is inverted once, at its planned order, from the one
     # build of its operand
     inverses = [side for side in plan if side.op == "inv"]
@@ -606,13 +669,13 @@ def test_shared_run_computes_each_product_side_once(monkeypatch):
     }
     for side, readers in shared.items():
         assert [label for label in labels if side in _planned([label], depth)] == readers
-        operands = tuple(connect._Table().get(x, plan[side]) for x in side.args)
+        operands = tuple(connect.evaluate(x, plan[side]) for x in side.args)
         assert sum(p == operands for p in products) == 1
 
 
 def test_builder_readers_follow_from_the_plan():
     # BUILDER_LABELS and SHIFTED_LABELS, written out above, are what the plan
-    # of each label reads, the sources of a1/a2/z included.
+    # of each label reads, the operands of its operators included.
     readers = {}
     for label in connect.CATALOG:
         names = set()
@@ -644,34 +707,22 @@ def test_connection_hand_instances():
 
 
 def test_truncation_consistency_of_families():
-    builders = [
-        connect.genocchi_matrix,
-        connect.genocchi_matrix_squared,
-        connect.genocchi_matrix_inverse,
-        connect.tangent_matrix,
-        connect.tangent_matrix_inverse,
-        connect.a1_matrix,
-        connect.a2_matrix,
-        connect.z_matrix,
-        connect.c_matrix,
-        connect.c_matrix_inverse,
-    ]
-    for build in builders:
-        full = build(12)
+    for name, side in connect.MATRICES.items():
+        full = connect.evaluate(side, 12)
         for k in range(1, 13):
-            assert full.leading_submatrix(k) == build(k)
+            assert full.leading_submatrix(k) == connect.evaluate(side, k), (name, k)
 
 
 def test_truncation_consistency_of_every_shared_family():
     # The families are read off the shared table's plan for the whole catalog,
     # so a builder the catalog reads later is covered too; the plan walks the
-    # sources of a1/a2/z, so a family read only as a source would be too.
+    # operands of every operator, so a family read only through A1, A2 or Z
+    # would be too.
     assert _families(_planned(["4.42", "4.50"], 1)) == {
-        ("a2_matrix",), ("a1_matrix",), ("genocchi_matrix",),
-        ("z_matrix",), ("genocchi_matrix_inverse",),
+        ("genocchi_matrix",), ("genocchi_matrix_inverse",),
     }
     families = _families(_planned(list(connect.CATALOG), 1))
-    assert len(families) == 34
+    assert len(families) == 31
     assert {
         ("_genocchi_over_lucas",),
         ("stirling1", "stirling-shifted"),

@@ -126,6 +126,9 @@ def test_bounds_validation():
         seidel_array("genocchi", rows=0)
     with pytest.raises(ValueError):
         seidel_array("ls-from-T", k=-1, rows=3)
+    with pytest.raises(ValueError, match="k=5"):
+        seidel_array("genocchi", k=5, rows=3)
+    assert seidel_array("genocchi", k=0, rows=3) == seidel_array("genocchi", rows=3)
     with pytest.raises(ValueError):
         verify("4.17", 0)
 
