@@ -85,7 +85,7 @@ def build_triangle(name: str, rows: int, kind: str) -> TriMatrix:
 # ----------------------------------------------------------------------
 # identity catalog
 
-CATALOG: Dict[str, Callable[[int], IdentityReport]] = {
+CATALOG: Dict[str, Callable[..., IdentityReport]] = {
     label: partial(connect.verify, label) for label in connect.CATALOG
 }
 
@@ -167,8 +167,8 @@ def _cmd_triangle(args) -> int:
 def _cmd_verify(args) -> int:
     idents = list(CATALOG) if args.ids == ["all"] else args.ids
     checks = _lookup(CATALOG, idents, "identity", "labels", show=str)
-    with connect.shared_builds(idents, args.depth):
-        reports = [check(args.depth) for check in checks]
+    table = connect.shared_builds(idents, args.depth)
+    reports = [check(args.depth, table) for check in checks]
     if args.format == "json":
         _dump_json({"depth": args.depth, "results": [
             {"id": r.ident, "pass": r.passed, "counterexample":

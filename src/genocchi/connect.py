@@ -6,39 +6,41 @@ numbers, its eigenvalues are 1, 2, 3, ... with central-factorial columns as
 eigenvectors, and its inverse carries scaled Bernoulli numbers.  The Lucas
 analogue does the same with tangent numbers and half-odd eigenvalues.
 
-CATALOG holds all 56 identities in label order, each a row (kind, cases)
-from one adapter.  The cases are (where, reference, *others): one case of
-whole matrices for a factorization; one per index n (polynomials) or per
-(n, k) pair (scalars) for a connection identity, read off one
-coefficient-matrix x basis-matrix product; one per n for a summation
-identity, a weighted sum along a row of one Stirling triangle (6.6 to 6.17,
+CATALOG holds all 56 identities in label order, each a Row(kind, reads,
+cases) from one adapter: the matrix sides it reads, each at depth + an
+offset, and cases(depth, *matrices), which yields (where, reference,
+*others).  A factorization has one case of whole matrices; a connection
+identity one per index n (polynomials) or per (n, k) pair (scalars), read
+off one coefficient-matrix x basis-matrix product; a summation identity one
+per n, a weighted sum along a row of one Stirling triangle (6.6 to 6.17,
 the sums the Akiyama-Tanigawa engine's first column computes) or over a
-binomial row (4.17, 4.48).  Each matrix side is data, a _Side: a builder
-read by name (stirling2 of a preset, basis_matrix of a basis,
-genocchi_matrix, ...) or a @ b, x.inv, x.cols(scale), x.drop(), x.sums()
-or x.diffs() of other sides; A1, A2 and Z are the prefix sums of the rows
-of A, the differences of consecutive A1 rows and the prefix sums of those
-differences of A^-1.  MATRICES names the sides the triangle subcommand
-prints.  One evaluator, _Table, plans every read before it builds, builds
-each side once at the largest order planned and serves each read as a
-leading block; it looks builders up on this module when it runs them, so a
-swapped builder is seen by every label that reads it.  verify runs one
-label's cases through first_mismatch.  shared_builds plans one table for
-the verify calls made inside it by walking the sides the rows read,
-without running a case: each side is dropped after its last reader, and an
-alias label such as 4.6 reuses its twin's report.  A row run outside such
-a scope, and evaluate, plan a table of their own.
-Labels such as "3.9" or "5.10" are part of the command line contract.
+binomial row (4.17 and 4.48, which read no matrix).  Each matrix side is
+data, a _Side: a builder read by name (stirling2 of a preset, basis_matrix
+of a basis, genocchi_matrix, ...) or a @ b, x.inv, x.cols(scale),
+x.drop(), x.sums() or x.diffs() of other sides; A1, A2 and Z are the
+prefix sums of the rows of A, the differences of consecutive A1 rows and
+the prefix sums of those differences of A^-1.  MATRICES names the sides
+the triangle subcommand prints.  One evaluator, _Table, plans every read
+before it builds, builds each side once at the largest order planned and
+serves each read as a leading block; it looks builders up on this module
+when it runs them, so a swapped builder is seen by every label that reads
+it.  shared_builds(labels, depth) returns a table planned by walking the
+sides those rows read, without running a case.  verify(label, depth,
+table=None), the one runner, reads a row's sides from that table (or from
+one of its own if the table did not plan the row), drops each side after
+its last reader and keeps the report in the table, so an alias label such
+as 4.6 reuses its twin's report.  evaluate builds one side from a table of
+its own.  Labels such as "3.9" or "5.10" are part of the command line
+contract.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate, pairwise, repeat
 from math import comb, factorial, lcm
-from operator import mul
-from typing import Any, Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Sequence, Tuple
+from operator import matmul, mul
+from typing import Any, Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from . import numbers
 from .akiyama import odd_double_factorial
@@ -215,17 +217,36 @@ class _Side(NamedTuple):
         return _Side("diffs", (self,))
 
 
-# op -> f(get, order, *args), where get(side, order) reads an operand
-_OPERATORS: Dict[str, Callable[..., TriMatrix]] = {
-    "@": lambda get, n, a, b: get(a, n) @ get(b, n),
-    "inv": lambda get, n, a: get(a, n).inverse(),
-    "cols": lambda get, n, a, scale: _cols(get(a, n), scale),
-    "drop": lambda get, n, a: get(a, n + 1).drop_leading(),
-    "sums": lambda get, n, a: _sums(get(a, n)),
-    "diffs": lambda get, n, a: _diffs(get(a, n + 1)),
-    "identity": lambda get, n: TriMatrix.identity(n),
+# One check of a catalog identity: (where, reference, *others).  It holds
+# when every other side equals the reference; the sides are matrices,
+# polynomials or scalars.
+Case = Tuple[Any, ...]
+
+
+class Row(NamedTuple):
+    """A catalog row: its kind, the matrix sides it reads and its cases.
+
+    reads holds (side, offset) pairs, each side read at depth + offset;
+    cases(depth, *matrices) yields the checks over those matrices.
+    """
+
+    kind: str
+    reads: Tuple[Tuple[_Side, int], ...]
+    cases: Callable[..., Iterable[Case]]
+
+
+# op -> (offset, f): f takes the operands of a side, each read at the side's
+# order + offset, and its other args; the identity, which has no operand,
+# takes the order.
+_OPERATORS: Dict[str, Tuple[int, Callable[..., TriMatrix]]] = {
+    "@": (0, matmul),
+    "inv": (0, lambda m: m.inverse()),
+    "cols": (0, _cols),
+    "drop": (1, lambda m: m.drop_leading()),
+    "sums": (0, _sums),
+    "diffs": (1, _diffs),
+    "identity": (0, TriMatrix.identity),
 }
-_READ_ONE_UP = ("drop", "diffs")  # the operators that read their operand at one order more
 
 
 class _Table:
@@ -236,23 +257,24 @@ class _Table:
     before the table is read: a side read but never planned is a KeyError.
     """
 
-    def __init__(self, runs: Iterable[Tuple[Cases, int]] = ()):
+    def __init__(self, runs: Iterable[Tuple[Row, int]] = ()):
         self.planned: Dict[_Side, int] = {}  # side -> largest order the run reads
-        self.last: Dict[_Side, Any] = {}  # side -> the last reader of it
+        self.last: Dict[_Side, Optional[Row]] = {}  # side -> the last row that reads it
         self.entries: Dict[_Side, TriMatrix] = {}
-        self.reports: Dict[tuple, IdentityReport] = {}  # (row, depth) -> report
-        self.runs = dict.fromkeys(runs)  # the (cases, depth) planned, in the order they run
-        for cases, depth in self.runs:
-            for side, offset in getattr(cases, "reads", ()):
-                self.plan(side, depth + offset, cases)
+        self.reports: Dict[Tuple[Row, int], IdentityReport] = {}
+        self.runs = dict.fromkeys(runs)  # the (row, depth) planned, in the order they run
+        for row, depth in self.runs:
+            for side, offset in row.reads:
+                self.plan(side, depth + offset, row)
 
-    def plan(self, side: _Side, order: int, reader: Any = None) -> None:
+    def plan(self, side: _Side, order: int, reader: Optional[Row] = None) -> None:
         """Plan a read of side at the order, with the reads it makes of its operands."""
         self.planned[side] = max(self.planned.get(side, 0), order)
         self.last[side] = reader
+        offset = _OPERATORS[side.op][0] if side.op in _OPERATORS else 0
         for x in side.args:
             if isinstance(x, _Side):
-                self.plan(x, order + (side.op in _READ_ONE_UP), reader)
+                self.plan(x, order + offset, reader)
 
     def get(self, side: _Side, order: int) -> TriMatrix:
         m = self.entries.get(side)
@@ -260,7 +282,9 @@ class _Table:
             op, args = side
             n = self.planned[side]
             if op in _OPERATORS:
-                m = _OPERATORS[op](self.get, n, *args)
+                offset, f = _OPERATORS[op]
+                operands = [self.get(x, n + offset) if isinstance(x, _Side) else x for x in args]
+                m = f(*operands or [n])
             else:  # a builder, looked up now so that a swapped one is seen
                 family = map(preset, args) if op in ("stirling1", "stirling2") else args
                 m = globals()[op](*family, n)
@@ -275,53 +299,14 @@ def evaluate(side: _Side, order: int) -> TriMatrix:
     return table.get(side, order)
 
 
-_builds: Optional[_Table] = None  # the table of the open shared_builds scope
+def shared_builds(labels: Iterable[str], depth: int) -> _Table:
+    """One _Table planned for the verify calls of these labels at the depth.
 
-
-@contextmanager
-def shared_builds(labels: Iterable[str], depth: int) -> Iterator[None]:
-    """Share one planned _Table among the verify calls of these labels made inside.
-
-    The table lives for the scope only, so a builder or cache changed
-    between two scopes is seen by the second.
+    Pass it to each call as its table.  It builds each side on first read,
+    so a builder or cache changed after a side is built is seen only by a
+    new table.
     """
-    global _builds
-    runs = [(CATALOG[label][1], depth) for label in labels if label in CATALOG]
-    outer, _builds = _builds, _Table(runs)
-    try:
-        yield
-    finally:
-        _builds = outer
-
-
-# One check of a catalog identity: (where, reference, *others).  It holds
-# when every other side equals the reference; the sides are matrices,
-# polynomials or scalars.  A catalog row is (kind, cases); each adapter
-# below returns one, whose cases record the matrix sides they read.
-Case = Tuple[Any, ...]
-Cases = Callable[[int], Iterable[Case]]
-Row = Tuple[str, Cases]
-
-
-def _reading(reads: Sequence[Tuple[_Side, int]], cases: Callable[..., Iterator[Case]]) -> Cases:
-    """cases(depth, *matrices) of each (side, offset) of reads, read at depth + offset.
-
-    The sides come from the open scope's table if it planned this row at
-    this depth, which then drops those this row reads last, or else from a
-    table planned for this one run.
-    """
-
-    def run(depth: int) -> Iterator[Case]:
-        table = _builds
-        if table is None or (run, depth) not in table.runs:
-            table = _Table([(run, depth)])
-        matrices = [table.get(side, depth + offset) for side, offset in reads]
-        for side in [s for s, reader in table.last.items() if reader is run]:
-            table.entries.pop(side, None)
-        return cases(depth, *matrices)
-
-    run.reads = reads
-    return run
+    return _Table((CATALOG[label], depth) for label in labels if label in CATALOG)
 
 
 def _matrices(*sides: _Side) -> Row:
@@ -330,7 +315,7 @@ def _matrices(*sides: _Side) -> Row:
     def cases(order: int, *matrices: TriMatrix) -> Iterator[Case]:
         yield ("entry", *matrices)
 
-    return "factorization", _reading([(side, 0) for side in sides], cases)
+    return Row("factorization", tuple((side, 0) for side in sides), cases)
 
 
 def _poly_rows(reference: Callable[[int], Poly], basis: Callable[[int], Poly],
@@ -350,7 +335,7 @@ def _poly_rows(reference: Callable[[int], Poly], basis: Callable[[int], Poly],
         for n in range(order):
             yield (f"n={n}", reference(n), *(Poly(p.rows[n]) for p in products))
 
-    return "connection", _reading([(c, 1) for c in coefficients], cases)
+    return Row("connection", tuple((c, 1) for c in coefficients), cases)
 
 
 def _entries(product: _Side, triangle: _Side) -> Row:
@@ -366,7 +351,7 @@ def _entries(product: _Side, triangle: _Side) -> Row:
             for k in range(n + 1):
                 yield (f"n={n},k={k}", lhs[n][k], rhs[n][k])
 
-    return "connection", _reading([(product, 1), (triangle, 1)], cases)
+    return Row("connection", ((product, 1), (triangle, 1)), cases)
 
 
 def _row_sums(triangle: _Side, weight: Callable[[int, int], Fraction | int],
@@ -383,7 +368,7 @@ def _row_sums(triangle: _Side, weight: Callable[[int, int], Fraction | int],
         for n in range(first, depth + 1):
             yield (f"n={n}", sum(weight(n, k) * x for k, x in enumerate(rows[n - first])), rhs(n))
 
-    return "summation", _reading([(triangle, 1 - first)], cases)
+    return Row("summation", ((triangle, 1 - first),), cases)
 
 
 def seidel_identity_cases(depth: int) -> Iterator[Case]:
@@ -456,8 +441,9 @@ _odd_fibonacci_via_bernoulli = _poly_rows(
 _genocchi_via_fibonacci = _matrices(_G, _Feven @ _Fodd.inv)
 _genocchi_via_choose = _matrices(_G, _E.inv @ _O)
 
-# label -> (kind, cases), in label order, which is the order "verify all"
-# reports in.  Labels 4.6, 4.14, 4.15 and 4.46 restate 2.1, 4.11, 4.13 and 2.2.
+# label -> Row, in label order, which is the order "verify all"
+# reports in.  Labels 4.6, 4.14, 4.15 and 4.46 restate 2.1, 4.11, 4.13 and
+# 2.2 with the same Row, so a table checks each of those rows once.
 # An eigen-decomposition X diag(scale) X^-1 is X.cols(scale) @ X.inv.
 CATALOG: Dict[str, Row] = {
     "2.1": _even_fibonacci_via_genocchi,
@@ -494,13 +480,13 @@ CATALOG: Dict[str, Row] = {
     "4.14": _genocchi_via_fibonacci,
     "4.15": _genocchi_via_choose,
     "4.16": _matrices(_G, _Tsh.cols(_nat) @ _tsh),
-    "4.17": ("summation", seidel_identity_cases),
+    "4.17": Row("summation", (), seidel_identity_cases),
     "4.21": _matrices((_Fodd.inv @ _Feven).drop(), _LSsh.cols(lambda j: j + 2) @ _LSsh.inv),
     "4.40": _poly_rows(lambda n: fib_poly(2 * n + 1), lambda k: _fib_sum(2 * k), _A1),
     "4.42": _poly_rows(lambda n: _fib_sum(2 * n + 1), lambda k: _fib_sum(2 * k), _A2),
     "4.43": _matrices(_A2, _T2.cols(lambda j: j + 2) @ _t2),
     "4.46": _odd_fibonacci_via_bernoulli,
-    "4.48": ("summation", kaneko_cases),
+    "4.48": Row("summation", (), kaneko_cases),
     "4.49": _matrices(_Ginv, _Tsh.cols(lambda j: Fraction(1, j + 1)) @ _tsh),
     "4.50": _poly_rows(lambda n: _fib_sum(2 * n), lambda k: _fib_sum(2 * k + 1), _Z),
     "5.7": _matrices(_B, _Lodd @ _Leven.inv),
@@ -562,10 +548,10 @@ CATALOG: Dict[str, Row] = {
 }
 
 FACTORIZATION_IDS: Tuple[str, ...] = tuple(
-    label for label, (kind, _) in CATALOG.items() if kind == "factorization"
+    label for label, row in CATALOG.items() if row.kind == "factorization"
 )
 CONNECTION_IDS: Tuple[str, ...] = tuple(
-    label for label, (kind, _) in CATALOG.items() if kind == "connection"
+    label for label, row in CATALOG.items() if row.kind == "connection"
 )
 
 
@@ -586,18 +572,26 @@ def first_mismatch(cases: Iterable[Case]) -> Optional[Tuple[str, str, str]]:
     return None
 
 
-def verify(label: str, depth: int) -> IdentityReport:
+def verify(label: str, depth: int, table: Optional[_Table] = None) -> IdentityReport:
     """Check one catalog identity at every case up to the depth bound.
 
-    Inside shared_builds, a label whose row was checked at this depth
-    before (an alias such as 4.6, or a repeated label) reuses that report.
+    The row's sides come from table if it planned this row at this depth,
+    which then drops those this row reads last, or else from a table
+    planned for this one run.  A label whose row the table checked at this
+    depth before (an alias such as 4.6, or a repeated label) reuses that
+    report.
     """
     if label not in CATALOG:
         raise UnknownIdentityError(label, tuple(CATALOG))
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    row, reports = CATALOG[label], {} if _builds is None else _builds.reports
-    if (row, depth) not in reports:
-        counterexample = first_mismatch(row[1](depth))
-        reports[row, depth] = IdentityReport(label, depth, counterexample is None, counterexample)
-    return reports[row, depth]._replace(ident=label)
+    row = CATALOG[label]
+    if table is None or (row, depth) not in table.runs:
+        table = _Table([(row, depth)])
+    if (row, depth) not in table.reports:
+        matrices = [table.get(side, depth + offset) for side, offset in row.reads]
+        for side in [s for s, reader in table.last.items() if reader is row]:
+            table.entries.pop(side, None)
+        found = first_mismatch(row.cases(depth, *matrices))
+        table.reports[row, depth] = IdentityReport(label, depth, found is None, found)
+    return table.reports[row, depth]._replace(ident=label)

@@ -190,8 +190,6 @@ def basis_matrix(which: str, order: int) -> TriMatrix:
     against; Lucas rows are read off lucas_poly, which checks each one as it
     is built (recursion, closed form and the Fibonacci bridge).
     """
-    if order < 1:
-        raise ValueError("order must be >= 1")
     if which == "F_odd":
         return TriMatrix.from_rule(lambda i, j: comb(2 * i - j, j), order)
     if which == "F_even":

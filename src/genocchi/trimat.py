@@ -111,8 +111,6 @@ class TriMatrix:
     @classmethod
     def from_rule(cls, rule: Rule, order: int) -> "TriMatrix":
         """Materialize the entries rule(i, j) for all j <= i < order."""
-        if order < 1:
-            raise ValueError("order must be >= 1")
         return cls([[rule(i, j) for j in range(i + 1)] for i in range(order)])
 
     @classmethod

@@ -7,13 +7,15 @@ triangle-diagonal-inverse conjugation product directly, as an independent
 route for the first column of the row-difference-and-scale engine, which
 `at_first_column` reads off an engine run.  `perturbed` changes one entry
 of a number or polynomial cache for the length of a with block.
+`catalog_cases` lists the cases of a catalog row, its sides built by
+`connect.evaluate`.
 """
 
 from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
-from genocchi import numbers, polyalg
+from genocchi import connect, numbers, polyalg
 from genocchi.akiyama import ATSpec, at_matrix
 from genocchi.stirling import stirling2
 from genocchi.trimat import TriMatrix
@@ -65,3 +67,10 @@ def perturbed(cache, index, change):
     finally:
         for c, values in zip(CACHES, saved):
             c[:] = values
+
+
+def catalog_cases(label, depth):
+    """The cases of the label's catalog row at the depth, each side it reads evaluated alone."""
+    row = connect.CATALOG[label]
+    return list(row.cases(depth, *(connect.evaluate(side, depth + offset)
+                                   for side, offset in row.reads)))

@@ -4,7 +4,7 @@ from math import factorial
 import pytest
 
 import golden
-from fixtures import at_first_column, conjugation_first_column
+from fixtures import at_first_column, catalog_cases, conjugation_first_column
 from genocchi import connect, numbers
 from genocchi.akiyama import ATSpec, at_matrix, odd_double_factorial
 from genocchi.reports import UnknownIdentityError
@@ -223,7 +223,7 @@ def test_double_factorial():
 def test_sum_identity_catalog():
     sum_ids = tuple(f"6.{i}" for i in range(6, 18))
     assert tuple(
-        label for label, (kind, _) in connect.CATALOG.items() if kind == "summation"
+        label for label, row in connect.CATALOG.items() if row.kind == "summation"
     ) == ("4.17", "4.48", *sum_ids)
     for ident in sum_ids:
         report = connect.verify(ident, 12)
@@ -234,7 +234,7 @@ def test_integral_sum_sides_are_ints():
     # 6.8 to 6.14 sum integer triangles against integer sequences; 6.16 sums
     # a rational triangle against the tangent numbers.
     for ident in ("6.8", "6.9", "6.10", "6.11", "6.12", "6.13", "6.14", "6.16"):
-        for where, lhs, rhs in connect.CATALOG[ident][1](12):
+        for where, lhs, rhs in catalog_cases(ident, 12):
             assert type(rhs) is int, (ident, where)
             assert ident == "6.16" or type(lhs) is int, (ident, where)
 

@@ -252,7 +252,7 @@ def test_verify_json(capsys):
 
 def test_verify_failure_exit_code(monkeypatch, capsys):
     failing = IdentityReport("0.0", 3, False, ("n=2", "5", "7"))
-    monkeypatch.setitem(cli.CATALOG, "0.0", lambda depth: failing)
+    monkeypatch.setitem(cli.CATALOG, "0.0", lambda depth, table=None: failing)
     code, out, _ = run(capsys, "verify", "0.0")
     assert code == 1
     assert "FAIL at n=2" in out
@@ -262,7 +262,7 @@ def test_verify_csv_quotes_where(monkeypatch, capsys):
     wheres = {"0.1": "entry (4,0)", "0.2": "n=3,k=1"}
     for label, where in wheres.items():
         failing = IdentityReport(label, 6, False, (where, "87/10", "-3/10"))
-        monkeypatch.setitem(cli.CATALOG, label, lambda depth, r=failing: r)
+        monkeypatch.setitem(cli.CATALOG, label, lambda depth, table=None, r=failing: r)
     code, out, _ = run(capsys, "verify", "2.1", "0.1", "0.2", "6.11", "--depth", "6",
                        "--format", "csv")
     assert code == 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import golden
-from fixtures import perturbed, tangent_matrix_inverse_printed
+from fixtures import catalog_cases, perturbed, tangent_matrix_inverse_printed
 from genocchi import connect, numbers, stirling
 from genocchi.polyalg import Poly, basis_matrix, fib_poly
 from genocchi.reports import UnknownIdentityError
@@ -253,8 +253,7 @@ def test_factorization_unknown_id():
 
 def _mismatch_with_last_side(label, depth, change):
     """first_mismatch over the label's cases with the last side of the last case changed."""
-    _, cases = connect.CATALOG[label]
-    cases = list(cases(depth))
+    cases = catalog_cases(label, depth)
     where, *sides = cases[-1]
     sides[-1] = change(sides[-1])
     cases[-1] = (where, *sides)
@@ -413,41 +412,6 @@ def test_bumped_builder_fails_every_label_that_reads_it(name, monkeypatch):
     assert [label for label in connect.CATALOG if label in failed] == readers
 
 
-
-def test_stirling_shift_first_kind_blind_entries(monkeypatch):
-    # 6.7, the one label that reads stirling1 of stirling-shift, weights
-    # column k by B_k, which is 0 for odd k >= 3, so no label compares
-    # columns 3 and 5 of the order-7 build a depth-6 run reads.  Outside the
-    # catalog, test_stirling.test_inverse_pair_for_all_presets (stirling2 @
-    # stirling1 == I) and test_stirling.test_row_poly_check cover them.
-    build, blind = connect.stirling1, []
-    for i in range(7):
-        for j in range(i + 1):
-            bumped = _bumped(build, lambda n, site=(i, j): site,
-                             lambda args: args[0].name == "stirling-shift")
-            monkeypatch.setattr(connect, "stirling1", bumped)
-            if all(connect.verify(label, 6).passed for label in BUILDER_LABELS["stirling1"]):
-                blind.append((i, j))
-    assert blind == [(3, 3), (4, 3), (5, 3), (5, 5), (6, 3), (6, 5)]
-
-
-@pytest.mark.parametrize("name", ["genocchi_matrix", "genocchi_matrix_inverse"])
-def test_genocchi_family_blind_entries(name, monkeypatch):
-    # Each entry of the build that a depth-6 run of the family's readers
-    # plans is bumped in turn.  Only (7, 7) goes unseen: the readers that
-    # reach row 7 take row 6 minus row 7 (of the prefix sums of A in 4.42
-    # and 4.43, of A^-1 in 4.50), and row 6 has no column 7.
-    readers = [label for label in connect.CATALOG if (name,) in _families(_planned([label], 6))]
-    order = _planned(readers, 6)[connect._Side(name)]
-    build, blind = getattr(connect, name), []
-    for i in range(order):
-        for j in range(i + 1):
-            monkeypatch.setattr(connect, name, _bumped(build, lambda n, site=(i, j): site))
-            if all(report.passed for report in _shared_reports(readers, 6)):
-                blind.append((i, j))
-    assert (order, blind) == (8, [(7, 7)])
-
-
 def test_no_label_builds_a_family_twice(monkeypatch):
     builds = []
 
@@ -482,8 +446,8 @@ def test_no_label_builds_a_family_twice(monkeypatch):
 
 
 def _shared_reports(labels, depth):
-    with connect.shared_builds(labels, depth):
-        return [connect.verify(label, depth) for label in labels]
+    table = connect.shared_builds(labels, depth)
+    return [connect.verify(label, depth, table) for label in labels]
 
 
 @pytest.mark.parametrize("labels, depth", [
@@ -498,11 +462,12 @@ def test_shared_run_gives_the_per_label_reports(labels, depth):
 
 
 def test_a_row_the_scope_did_not_plan_reads_its_own_table():
-    # 4.42 at depth 9 and 4.50 at all lie outside the plan of this scope.
-    with connect.shared_builds(["4.42"], 6):
-        reports = [connect.verify("4.42", 9), connect.verify("4.50", 6), connect.verify("4.42", 6)]
-        assert connect._builds.entries == {}
-    assert reports == [connect.verify("4.42", 9), connect.verify("4.50", 6), connect.verify("4.42", 6)]
+    # 4.42 at depth 9 and 4.50 at all lie outside the plan of this table.
+    table = connect.shared_builds(["4.42"], 6)
+    runs = [("4.42", 9), ("4.50", 6), ("4.42", 6)]
+    reports = [connect.verify(label, depth, table) for label, depth in runs]
+    assert table.entries == {} and list(table.reports) == [(connect.CATALOG["4.42"], 6)]
+    assert reports == [connect.verify(label, depth) for label, depth in runs]
 
 
 @pytest.mark.parametrize("name", list(BUILDER_LABELS) + list(SHIFTED_LABELS))
@@ -535,18 +500,18 @@ DERIVED_LABELS = {
 @pytest.mark.parametrize("shared", [False, True], ids=["per-label", "shared"])
 @pytest.mark.parametrize("side", list(DERIVED_LABELS), ids=["A1", "A2", "Z"])
 def test_bumped_derived_side_fails_its_readers(side, shared, monkeypatch):
-    # The operator's result is bumped for this side alone; in a shared run at
-    # the sites of an order-6 build, as for the builders above.
-    labels, operator, failed = list(connect.CATALOG), connect._OPERATORS[side.op], set()
+    # Every read of this side alone is bumped; in a shared run at the sites of
+    # an order-6 build, as for the builders above.
+    labels, get, failed = list(connect.CATALOG), connect._Table.get, set()
     assert [label for label in labels if side in _planned([label], 6)] == DERIVED_LABELS[side]
     for site in BUMP_SITES:
         at = (lambda n, site=site: site(min(n, 6))) if shared else site
 
-        def bumped(get, n, *args, at=at):
-            m = operator(get, n, *args)
-            return _bump_at(m, at) if args == side.args else m
+        def bumped(table, read, order, at=at):
+            m = get(table, read, order)
+            return _bump_at(m, at) if read == side else m
 
-        monkeypatch.setitem(connect._OPERATORS, side.op, bumped)
+        monkeypatch.setattr(connect._Table, "get", bumped)
         reports = _shared_reports(labels, 6) if shared else [connect.verify(x, 6) for x in labels]
         failed |= {report.ident for report in reports if not report.passed}
     assert [label for label in labels if label in failed] == DERIVED_LABELS[side]
@@ -572,8 +537,7 @@ def test_shared_runs_see_a_change_made_between_them(monkeypatch):
 
 def _planned(labels, depth):
     """The shared table's plan for these labels: side -> the largest order read."""
-    with connect.shared_builds(labels, depth):
-        return dict(connect._builds.planned)
+    return connect.shared_builds(labels, depth).planned
 
 
 def _families(plan):
@@ -581,23 +545,53 @@ def _families(plan):
     return {(side.op, *side.args) for side in plan if side.op not in connect._OPERATORS}
 
 
+# The entries of each family's build that no reader compares: bumping one
+# leaves every label that reads the family passing.  Each family not named
+# here has none.
+BLIND_ENTRIES = {
+    # Only row differences reach row 7 of the order-8 build (of the prefix sums
+    # of A in 4.42 and 4.43, of A^-1 in 4.50), and row 6 has no column 7.
+    ("genocchi_matrix",): [(7, 7)],
+    ("genocchi_matrix_inverse",): [(7, 7)],
+    # 6.7, the one label that reads stirling1 of stirling-shift, weights
+    # column k by B_k, which is 0 for odd k >= 3, so no label compares
+    # columns 3 and 5 of the order-7 build a depth-6 run reads.  Outside the
+    # catalog, test_stirling.test_inverse_pair_for_all_presets (stirling2 @
+    # stirling1 == I) and test_stirling.test_row_poly_check cover them.
+    ("stirling1", "stirling-shift"): [(3, 3), (4, 3), (5, 3), (5, 5), (6, 3), (6, 5)],
+}
+
+
+@pytest.mark.parametrize(
+    "family", sorted(_families(_planned(list(connect.CATALOG), 6))), ids="-".join
+)
+def test_blind_entries(family, monkeypatch):
+    # Each entry of the build that a depth-6 run of the family's readers plans
+    # is bumped in turn, and only those readers run, in one shared run.
+    name, *args = family
+    readers = [label for label in connect.CATALOG if family in _families(_planned([label], 6))]
+    order = _planned(readers, 6)[connect._Side(name, tuple(args))]
+    build, blind = getattr(connect, name), []
+    reads = lambda a: [getattr(x, "name", x) for x in a[:-1]] == args  # noqa: E731
+    for i in range(order):
+        for j in range(i + 1):
+            monkeypatch.setattr(connect, name, _bumped(build, lambda n, site=(i, j): site, reads))
+            if all(report.passed for report in _shared_reports(readers, 6)):
+                blind.append((i, j))
+    assert blind == BLIND_ENTRIES.get(family, [])
+
+
 def test_shared_table_is_released():
     labels = list(connect.CATALOG)
     reads = {label: set(_planned([label], 12)) for label in labels}
-    with connect.shared_builds(labels, 12):
-        table, held = connect._builds, 0
-        assert table.planned and not table.entries
-        for i, label in enumerate(labels):
-            connect.verify(label, 12)
-            held = max(held, len(table.entries))
-            # every side is dropped after the last label that reads it
-            assert set(table.entries) <= set().union(*map(reads.get, labels[i + 1:])), label
-        assert table.entries == {} and held > 0
-    assert connect._builds is None
-    with pytest.raises(ZeroDivisionError):
-        with connect.shared_builds(["4.12"], 12):
-            1 / 0
-    assert connect._builds is None
+    table, held = connect.shared_builds(labels, 12), 0
+    assert table.planned and not table.entries
+    for i, label in enumerate(labels):
+        connect.verify(label, 12, table)
+        held = max(held, len(table.entries))
+        # every side is dropped after the last label that reads it
+        assert set(table.entries) <= set().union(*map(reads.get, labels[i + 1:])), label
+    assert table.entries == {} and held > 0
 
 
 def test_shared_run_builds_each_family_once(monkeypatch):
@@ -622,15 +616,14 @@ def test_shared_run_builds_each_family_once(monkeypatch):
         connect, "first_mismatch", lambda cases: checked.append(1) or first_mismatch(cases)
     )
     labels, depth = list(connect.CATALOG), 12
-    reports = []
-    with connect.shared_builds(labels, depth):
-        plan = dict(connect._builds.planned)
-        for label in labels:
-            made, ran = sum(map(len, builds.values())), len(checked)
-            reports.append(connect.verify(label, depth))
-            if label in ("4.6", "4.14", "4.15", "4.46"):
-                # an alias reuses its twin's report: no build, no case run
-                assert (sum(map(len, builds.values())), len(checked)) == (made, ran), label
+    table, reports = connect.shared_builds(labels, depth), []
+    plan = table.planned
+    for label in labels:
+        made, ran = sum(map(len, builds.values())), len(checked)
+        reports.append(connect.verify(label, depth, table))
+        if label in ("4.6", "4.14", "4.15", "4.46"):
+            # an alias reuses its twin's report: no build, no case run
+            assert (sum(map(len, builds.values())), len(checked)) == (made, ran), label
     assert all(report.passed for report in reports)
     assert {family: len(made) for family, made in builds.items() if len(made) > 1} == {}
     assert len(builds) == 31 and set(builds) == _families(plan)
@@ -647,22 +640,25 @@ def test_shared_run_builds_each_family_once(monkeypatch):
 
 
 def test_shared_run_computes_each_product_side_once(monkeypatch):
-    mul, product, first_mismatch = TriMatrix.mul, connect._OPERATORS["@"], connect.first_mismatch
-    products, sides, checked = [], [], []
+    mul, first_mismatch = TriMatrix.mul, connect.first_mismatch
+    offset, product = connect._OPERATORS["@"]
+    products, made, checked = [], [], []
     monkeypatch.setattr(TriMatrix, "__matmul__", lambda a, b: products.append((a, b)) or mul(a, b))
     monkeypatch.setitem(
-        connect._OPERATORS, "@", lambda get, n, a, b: sides.append(a @ b) or product(get, n, a, b)
+        connect._OPERATORS, "@", (offset, lambda a, b: made.append(1) or product(a, b))
     )
     monkeypatch.setattr(
         connect, "first_mismatch", lambda cases: checked.append(1) or first_mismatch(cases)
     )
     labels, depth = list(connect.CATALOG), 12
-    with connect.shared_builds(labels, depth):
-        # planning walks the sides and runs no case
-        assert checked == [] and products == [] and sides == []
-        plan = dict(connect._builds.planned)
-        assert all(connect.verify(label, depth).passed for label in labels)
-    assert len(sides) == len(set(sides)) == sum(side.op == "@" for side in plan)
+    table = connect.shared_builds(labels, depth)
+    # planning walks the sides and runs no case
+    assert checked == [] and products == [] and made == []
+    plan = table.planned
+    assert all(connect.verify(label, depth, table).passed for label in labels)
+    # each product side is read, so made at least once: as many products as
+    # sides means each was made once
+    assert len(made) == sum(side.op == "@" for side in plan)
     shared = {
         connect._Feven @ connect._Fodd.inv: ["3.18", "3.26", "4.11", "4.14"],
         connect._E.inv @ connect._O: ["3.24", "3.26", "4.13", "4.15"],

@@ -11,15 +11,11 @@ from fractions import Fraction
 import pytest
 
 from connection_reference import REFERENCES
-from fixtures import perturbed
+from fixtures import catalog_cases, perturbed
 from genocchi import connect, numbers, polyalg
 from genocchi.polyalg import Poly
 from genocchi.reports import IdentityReport
 from genocchi.trimat import _exact
-
-
-def catalog_cases(label, depth):
-    return list(connect.CATALOG[label][1](depth))
 
 
 def assert_same_side(got, want):
