@@ -70,11 +70,12 @@ SEQUENCES: Dict[str, Callable[[int], List[Fraction | int]]] = {
 # triangles
 
 TRIANGLE_NAMES = tuple(PRESETS) + tuple(connect.MATRICES)
+KINDS = {"second": stirling2, "first": stirling1}
 
 
 def build_triangle(name: str, rows: int, kind: str) -> TriMatrix:
+    (builder,) = _lookup(KINDS, [kind], "kind", "kinds")
     if name in PRESETS:
-        builder = stirling2 if kind == "second" else stirling1
         return builder(PRESETS[name], rows)
     (side,) = _lookup(connect.MATRICES, [name], "triangle", "names", TRIANGLE_NAMES)
     if kind != "second":
@@ -218,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("triangle", help="print a triangle or named matrix")
     p.add_argument("name", help=f"one of: {', '.join(TRIANGLE_NAMES)}")
     p.add_argument("-n", "--rows", type=positive_int, default=8)
-    p.add_argument("--kind", choices=("second", "first"), default="second",
+    p.add_argument("--kind", choices=tuple(KINDS), default="second",
                    help="triangle kind for weight presets; named matrices take second only")
     p.set_defaults(handler=_cmd_triangle)
 

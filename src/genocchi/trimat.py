@@ -8,12 +8,14 @@ Exact values are held as an int when integral and as a Fraction otherwise
 (see _exact).  Products and inverses run on a scaled-integer kernel: each
 rational row or column is scaled once to ints by the lcm of its
 denominators (_scaled), the work is done in int arithmetic, and each result
-entry is divided back once (_ratio).  Integral matrices skip the scaling,
-and an integral matrix with a +1/-1 diagonal is inverted in int arithmetic
-throughout.  The package's rational builds use the same two helpers: the
-Bernoulli recurrence, the Stirling triangles, the Seidel arrays, the
-Akiyama-Tanigawa engine and the closed-form connection matrices each run
-in int arithmetic over one common denominator per build, row or sequence.
+entry is divided back once (_ratio).  Integral matrices skip the scaling.
+The inverse is one fraction-free column solve for every matrix; a +1/-1
+pivot never grows a column's denominator, so an integral matrix with a
++1/-1 diagonal is inverted in int arithmetic throughout.  The package's
+rational builds use the same two helpers: the Bernoulli recurrence, the
+Stirling triangles, the Seidel arrays, the Akiyama-Tanigawa engine and the
+closed-form connection matrices each run in int arithmetic over one common
+denominator per build, row or sequence.
 """
 
 from __future__ import annotations
@@ -166,15 +168,16 @@ class TriMatrix:
     __matmul__ = mul
 
     def inverse(self) -> "TriMatrix":
-        """Exact inverse by forward substitution.
+        """Exact inverse by fraction-free forward substitution.
 
-        An integral matrix with a +1/-1 diagonal is inverted in int
-        arithmetic, each diagonal entry being its own reciprocal.  Any other
-        matrix is first scaled row by row to an int matrix R = D A, with D
-        diagonal, and R is inverted fraction-free one column at a time: the
-        column's entries are int numerators over one common denominator,
-        which grows by lcm as entries arrive.  Then inverse(A) =
-        inverse(R) D, so column j is scaled back by D[j].
+        The matrix is first scaled row by row to an int matrix R = D A, with
+        D diagonal, and R is inverted one column at a time: the column's
+        entries are int numerators over one common denominator.  An entry
+        is its row's sum over den * R[i][i], so the denominator grows only
+        by the part of the pivot R[i][i] that does not divide the sum; a
+        +1/-1 pivot divides every sum, so an integral matrix with a +1/-1
+        diagonal keeps a denominator of 1 and comes out all int.
+        Then inverse(A) = inverse(R) D, so column j is scaled back by D[j].
 
         Raises SingularMatrixError naming the first zero diagonal index.
         """
@@ -182,9 +185,6 @@ class TriMatrix:
         for i, row in enumerate(rows):
             if row[i] == 0:
                 raise SingularMatrixError(i)
-        integral = all(type(x) is int for row in rows for x in row)
-        if integral and all(row[i] in (1, -1) for i, row in enumerate(rows)):
-            return self._unit_inverse()
         n = len(rows)
         r, scales = zip(*map(_scaled, rows))
         inv: list[list[Scalar]] = [[] for _ in range(n)]
@@ -194,38 +194,21 @@ class TriMatrix:
             p, den = [1 if rjj > 0 else -1], abs(rjj)
             for i in range(j + 1, n):
                 num = -sum(map(mul, r[i][j:i], p))
-                dd = den * r[i][i]
-                if dd < 0:
-                    num, dd = -num, -dd
-                g = gcd(num, dd)
-                num, dd = num // g, dd // g
-                if den % dd:
-                    grown = lcm(den, dd)
-                    f = grown // den
+                # entry (i, j) is num / (den * d): the part f of the pivot d
+                # that does not divide num grows the denominator
+                d = r[i][i]
+                if num % d:
+                    f = abs(d) // gcd(num, d)
                     p = [x * f for x in p]
-                    den = grown
-                p.append(num * (den // dd))
+                    den *= f
+                    num *= f
+                p.append(num // d)
             dj = scales[j]
+            if den != 1 or dj != 1:
+                p = [_ratio(x * dj, den) for x in p]
             for t, x in enumerate(p):
-                inv[j + t].append(_ratio(x * dj, den))
+                inv[j + t].append(x)
         return TriMatrix._trusted(tuple(map(tuple, inv)))
-
-    def _unit_inverse(self) -> "TriMatrix":
-        """Inverse of an integral matrix whose diagonal entries are +1 or -1."""
-        # cols[j] holds the inverse's entries (j, j), (j+1, j), ... computed so far.
-        cols: list[list[int]] = []
-        inv = []
-        for i, row in enumerate(self._rows):
-            d = row[i]
-            out = []
-            for j in range(i):
-                x = -d * sum(map(mul, row[j:i], cols[j]))
-                cols[j].append(x)
-                out.append(x)
-            out.append(d)
-            cols.append([d])
-            inv.append(tuple(out))
-        return TriMatrix._trusted(tuple(inv))
 
     def leading_submatrix(self, order: int) -> "TriMatrix":
         """Top-left block of the given order."""

@@ -144,6 +144,13 @@ def test_named_matrix_takes_the_second_kind_only(capsys):
     assert run(capsys, "triangle", "z", "-n", "4", "--kind", "first")[:2] == (2, "")
 
 
+@pytest.mark.parametrize("name", ["stirling", "pascal"])
+def test_build_triangle_rejects_an_unknown_kind(name):
+    # argparse limits --kind to these two; a library caller is held to them too
+    with pytest.raises(ValueError, match=r"^unknown kind 'third'; valid kinds: second, first$"):
+        cli.build_triangle(name, 4, "third")
+
+
 def test_triangle_genocchi_matrix_table(capsys):
     code, out, _ = run(capsys, "triangle", "genocchi-matrix", "-n", "5")
     assert code == 0
@@ -472,16 +479,16 @@ def test_large_output_is_written_in_pieces(monkeypatch, fmt):
 def test_closed_stdout_exits_one_without_traceback():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "genocchi", "seidel", "genocchi", "-n", "300"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-    )
-    # The table is 10 MB, far more than a pipe holds, so the writer is still
-    # writing when the reader goes away.
-    assert len(proc.stdout.read(50)) == 50
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 1
+    ) as proc:
+        # The table is 10 MB, far more than a pipe holds, so the writer is
+        # still writing when the reader goes away.
+        assert len(proc.stdout.read(50)) == 50
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
     assert err == b""
 
 

@@ -76,15 +76,21 @@ def trimmed(cs):
 
 @st.composite
 def triangles(draw, order=None, entry=None, diagonal=None):
-    """Rows of a lower triangle: integral or rational entries, unit or non-unit diagonal."""
+    """Rows of a lower triangle: integral or rational entries, unit or non-unit diagonal.
+
+    Unless `entry` is given, each row draws its own entry kind, so integral
+    and rational rows mix in one matrix.
+    """
     if order is None:
         order = draw(st.integers(min_value=1, max_value=7))
-    if entry is None:
-        entry = draw(st.sampled_from([ints_st, fractions_st]))
     if diagonal is None:
         diagonal = draw(st.sampled_from([unit_st, ints_st, fractions_st]))
     diagonal = diagonal.filter(lambda x: x != 0)
-    return [[draw(diagonal) if j == i else draw(entry) for j in range(i + 1)] for i in range(order)]
+    rows = []
+    for i in range(order):
+        row_entry = entry if entry is not None else draw(st.sampled_from([ints_st, fractions_st]))
+        rows.append([draw(diagonal) if j == i else draw(row_entry) for j in range(i + 1)])
+    return rows
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,6 +123,16 @@ def test_non_unit_diagonal_inverse_is_rational():
     assert inv.rows == ((Fraction(1, 2),), (Fraction(-1, 6), Fraction(1, 3)))
     assert_exact_matrix(inv)
     assert TriMatrix([[2], [1, 3]]) @ inv == TriMatrix.identity(2)
+
+
+def test_unit_pivot_after_the_column_denominator_grew():
+    # Rows 0 and 2 grow column 0's denominator to 12 before row 3's -1 pivot
+    # arrives, and column 1's to 3 before it; column 3 stays integral.
+    rows = [[2], [1, 1], [Fraction(1, 2), 1, 3], [1, 1, 1, -1]]
+    inv = TriMatrix(rows).inverse()
+    assert inv.rows == tuple(map(tuple, ref_inverse(rows)))
+    assert inv.rows[3] == (Fraction(1, 12), Fraction(2, 3), Fraction(1, 3), -1)
+    assert_exact_matrix(inv)
 
 
 def test_entries_normalise_on_construction():

@@ -33,3 +33,12 @@ def test_stirling_preset_matches_sympy():
         for k in range(n + 1):
             assert second[n, k] == exact(stirling(n, k, kind=2)), (n, k)
             assert first[n, k] == exact(stirling(n, k, kind=1, signed=True)), (n, k)
+
+
+def test_tangent_matches_the_taylor_series_of_tan():
+    # (2k+1)! [x^(2k+1)] tan x, a route that shares nothing with the Bernoulli recurrence
+    x = sympy.Symbol("x")
+    series = sympy.tan(x).series(x, 0, 42).removeO()
+    for k in range(20):
+        coeff = exact(series.coeff(x, 2 * k + 1) * sympy.factorial(2 * k + 1))
+        assert numbers.tangent(k) == coeff, k
