@@ -14,12 +14,16 @@ identity one per index n (polynomials) or per (n, k) pair (scalars), read
 off one coefficient-matrix x basis-matrix product; a summation identity one
 per n, a weighted sum along a row of one Stirling triangle (6.6 to 6.17,
 the sums the Akiyama-Tanigawa engine's first column computes) or over a
-binomial row (4.17 and 4.48, which read no matrix).  Each matrix side is
-data, a _Side: a builder read by name (stirling2 of a preset, basis_matrix
-of a basis, genocchi_matrix, ...) or a @ b, x.inv, x.cols(scale),
-x.drop(), x.sums() or x.diffs() of other sides; A1, A2 and Z are the
-prefix sums of the rows of A, the differences of consecutive A1 rows and
-the prefix sums of those differences of A^-1.  MATRICES names the sides
+binomial row (4.17 and 4.48, which read no matrix); each case sum runs in
+ints over the scales of its terms and is divided back once.  Each matrix
+side is data, a _Side: a builder read by name (stirling2 of a preset,
+basis_matrix of a basis, genocchi_matrix, ...) or a @ b, x.inv,
+x.cols(scale), x.drop(), x.sums() or x.diffs() of other sides.  A product
+with an inverse operand is a solve against the matrix it inverts, so
+x.inv @ b is the side x.solve(b) and a @ x.inv the side x.solve_right(a),
+and a catalog run inverts no matrix.  A1, A2 and Z are the prefix sums of
+the rows of A, the differences of consecutive A1 rows and the prefix sums
+of those differences of A^-1.  MATRICES names the sides
 the triangle subcommand prints.  One evaluator, _Table, plans every read
 before it builds, builds each side once at the largest order planned and
 serves each read as a leading block; it looks builders up on this module
@@ -194,10 +198,16 @@ class _Side(NamedTuple):
     args: tuple = ()
 
     def __matmul__(self, other: _Side) -> _Side:
+        """self @ other; with an inverse operand, a solve against the matrix it inverts."""
+        if self.op == "inv":
+            return _Side("solve", (self.args[0], other))
+        if other.op == "inv":
+            return _Side("solve_right", (self, other.args[0]))
         return _Side("@", (self, other))
 
     @property
     def inv(self) -> _Side:
+        """Marks self as an inverse operand, which __matmul__ turns into a solve."""
         return _Side("inv", (self,))
 
     def cols(self, scale: Callable[[int], Fraction | int]) -> _Side:
@@ -240,7 +250,8 @@ class Row(NamedTuple):
 # takes the order.
 _OPERATORS: Dict[str, Tuple[int, Callable[..., TriMatrix]]] = {
     "@": (0, matmul),
-    "inv": (0, lambda m: m.inverse()),
+    "solve": (0, lambda x, b: x.solve(b)),  # x^-1 @ b
+    "solve_right": (0, lambda a, x: x.solve_right(a)),  # a @ x^-1
     "cols": (0, _cols),
     "drop": (1, lambda m: m.drop_leading()),
     "sums": (0, _sums),
@@ -366,7 +377,9 @@ def _row_sums(triangle: _Side, weight: Callable[[int, int], Fraction | int],
     def cases(depth: int, matrix: TriMatrix) -> Iterator[Case]:
         rows = matrix.rows
         for n in range(first, depth + 1):
-            yield (f"n={n}", sum(weight(n, k) * x for k, x in enumerate(rows[n - first])), rhs(n))
+            row, dr = _scaled(rows[n - first])
+            weights, dw = _scaled([weight(n, k) for k in range(len(row))])
+            yield (f"n={n}", _ratio(sum(map(mul, weights, row)), dw * dr), rhs(n))
 
     return Row("summation", ((triangle, 1 - first),), cases)
 
@@ -389,15 +402,12 @@ def kaneko_cases(depth: int) -> Iterator[Case]:
     C(n+1, 2n), that is 1 for n <= 1 and 0 afterwards.
     """
     for n in range(depth + 1):
-        full = sum(
-            comb(n + 1, i) * (n + i + 1) * numbers.bernoulli(n + i) for i in range(n + 2)
-        )
-        yield (f"n={n}", full, 0)
-        partial = sum(
-            comb(n + 1, 2 * n - 2 * j + 1) * (2 * j + 1) * numbers.bernoulli(2 * j)
-            for j in range(n + 1)
-        )
-        yield (f"n={n} (partial form)", partial, comb(n + 1, 2 * n))
+        b, d = _scaled([numbers.bernoulli(n + i) for i in range(n + 2)])
+        full = sum(comb(n + 1, i) * (n + i + 1) * x for i, x in enumerate(b))
+        yield (f"n={n}", _ratio(full, d), 0)
+        b, d = _scaled([numbers.bernoulli(2 * j) for j in range(n + 1)])
+        partial = sum(comb(n + 1, 2 * n - 2 * j + 1) * (2 * j + 1) * x for j, x in enumerate(b))
+        yield (f"n={n} (partial form)", _ratio(partial, d), comb(n + 1, 2 * n))
 
 
 _s2 = lambda name: _Side("stirling2", (name,))  # noqa: E731

@@ -143,7 +143,8 @@ def _fib_closed(n: int) -> Poly:
 def _lucas_closed(n: int) -> Poly:
     if n == 0:
         return Poly([2])
-    return Poly([Fraction(n, n - k) * comb(n - k, k) for k in range(n // 2 + 1)])
+    # n / (n-k) C(n-k, k) = C(n-k, k) + C(n-k-1, k-1), in ints
+    return Poly([1, *(comb(n - k, k) + comb(n - k - 1, k - 1) for k in range(1, n // 2 + 1))])
 
 
 def fib_poly(n: int) -> Poly:

@@ -5,17 +5,20 @@ lower-triangular matrix, so truncation consistency (the order-k block of an
 order-N build equals the order-k build) is a tested property throughout.
 
 Exact values are held as an int when integral and as a Fraction otherwise
-(see _exact).  Products and inverses run on a scaled-integer kernel: each
+(see _exact).  Products and solves run on a scaled-integer kernel: each
 rational row or column is scaled once to ints by the lcm of its
 denominators (_scaled), the work is done in int arithmetic, and each result
 entry is divided back once (_ratio).  Integral matrices skip the scaling.
-The inverse is one fraction-free column solve for every matrix; a +1/-1
-pivot never grows a column's denominator, so an integral matrix with a
-+1/-1 diagonal is inverted in int arithmetic throughout.  The package's
+x.solve(b), that is x^-1 @ b, is one fraction-free forward substitution per
+column of b; a +1/-1 pivot never grows a column's denominator, so an
+integral matrix with a +1/-1 diagonal is solved in int arithmetic
+throughout.  A product with an inverse operand is a solve and never forms
+the inverse: a @ x^-1 is x.solve_right(a), the solve of the anti-transposes
+(flip), and inverse() is the solve against the identity.  The package's
 rational builds use the same two helpers: the Bernoulli recurrence, the
-Stirling triangles, the Seidel arrays, the Akiyama-Tanigawa engine and the
-closed-form connection matrices each run in int arithmetic over one common
-denominator per build, row or sequence.
+Stirling triangles, the Seidel arrays, the Akiyama-Tanigawa engine, the
+closed-form connection matrices and the catalog's case sums each run in int
+arithmetic over one common denominator per build, row or sequence.
 """
 
 from __future__ import annotations
@@ -117,7 +120,9 @@ class TriMatrix:
 
     @classmethod
     def identity(cls, order: int) -> "TriMatrix":
-        return cls.from_rule(lambda i, j: 1 if i == j else 0, order)
+        if order < 1:
+            raise ValueError("order must be >= 1")
+        return cls._trusted((0,) * i + (1,) for i in range(order))
 
     # ------------------------------------------------------------------
     # accessors
@@ -167,33 +172,34 @@ class TriMatrix:
 
     __matmul__ = mul
 
-    def inverse(self) -> "TriMatrix":
-        """Exact inverse by fraction-free forward substitution.
+    def solve(self, b: "TriMatrix") -> "TriMatrix":
+        """self^-1 @ b by fraction-free forward substitution, never forming self^-1.
 
-        The matrix is first scaled row by row to an int matrix R = D A, with
-        D diagonal, and R is inverted one column at a time: the column's
-        entries are int numerators over one common denominator.  An entry
-        is its row's sum over den * R[i][i], so the denominator grows only
-        by the part of the pivot R[i][i] that does not divide the sum; a
-        +1/-1 pivot divides every sum, so an integral matrix with a +1/-1
-        diagonal keeps a denominator of 1 and comes out all int.
-        Then inverse(A) = inverse(R) D, so column j is scaled back by D[j].
+        self is first scaled row by row to an int matrix R = D A, with D
+        diagonal, so that A^-1 B = R^-1 (D B), and R y = c is solved one
+        column at a time, c being column j of D B scaled to ints by the lcm
+        s of its denominators.  The column's entries are int numerators over
+        one common denominator: an entry is its row's sum over den * R[i][i],
+        so the denominator grows only by the part of the pivot R[i][i] that
+        does not divide the sum, and a +1/-1 pivot divides every sum.  Each
+        entry is divided back once, by den * s.
 
         Raises SingularMatrixError naming the first zero diagonal index.
         """
-        rows = self._rows
-        for i, row in enumerate(rows):
-            if row[i] == 0:
-                raise SingularMatrixError(i)
-        n = len(rows)
-        r, scales = zip(*map(_scaled, rows))
-        inv: list[list[Scalar]] = [[] for _ in range(n)]
+        if self.order != b.order:
+            raise ValueError(f"order mismatch: {self.order} vs {b.order}")
+        self._check_pivots()
+        n, rhs = self.order, b._rows
+        r, scales = zip(*map(_scaled, self._rows))
+        out: list[list[Scalar]] = [[] for _ in range(n)]
         for j in range(n):
-            # column j of inverse(R): entry (j + t, j) is p[t] / den
-            rjj = r[j][j]
-            p, den = [1 if rjj > 0 else -1], abs(rjj)
-            for i in range(j + 1, n):
+            c, s = _scaled([rhs[k][j] for k in range(j, n)])
+            # column j of the solution: entry (j + t, j) is p[t] / (den * s)
+            p, den = [], 1
+            for i in range(j, n):
                 num = -sum(map(mul, r[i][j:i], p))
+                if c[i - j]:
+                    num += c[i - j] * scales[i] * den
                 # entry (i, j) is num / (den * d): the part f of the pivot d
                 # that does not divide num grows the denominator
                 d = r[i][i]
@@ -203,12 +209,41 @@ class TriMatrix:
                     den *= f
                     num *= f
                 p.append(num // d)
-            dj = scales[j]
-            if den != 1 or dj != 1:
-                p = [_ratio(x * dj, den) for x in p]
+            if den * s != 1:
+                p = [_ratio(x, den * s) for x in p]
             for t, x in enumerate(p):
-                inv[j + t].append(x)
-        return TriMatrix._trusted(tuple(map(tuple, inv)))
+                out[j + t].append(x)
+        return TriMatrix._trusted(map(tuple, out))
+
+    def solve_right(self, a: "TriMatrix") -> "TriMatrix":
+        """a @ self^-1, as flip(flip(self).solve(flip(a))), since flip(a @ x) = flip(x) @ flip(a).
+
+        Raises SingularMatrixError naming the first zero diagonal index of
+        self, as inverse does, not its index in the flipped matrix.
+        """
+        self._check_pivots()
+        return self.flip().solve(a.flip()).flip()
+
+    def inverse(self) -> "TriMatrix":
+        """Exact inverse, as the solve against the identity.
+
+        An integral matrix with a +1/-1 diagonal is inverted in int
+        arithmetic throughout.  Raises SingularMatrixError naming the first
+        zero diagonal index.
+        """
+        return self.solve(TriMatrix.identity(self.order))
+
+    def _check_pivots(self) -> None:
+        for i, row in enumerate(self._rows):
+            if row[i] == 0:
+                raise SingularMatrixError(i)
+
+    def flip(self) -> "TriMatrix":
+        """The anti-transpose: entry (i, j) moves to (n-1-j, n-1-i), again lower-triangular."""
+        rows, n = self._rows, self.order
+        return TriMatrix._trusted(
+            tuple(rows[i][j] for i in range(n - 1, j - 1, -1)) for j in range(n - 1, -1, -1)
+        )
 
     def leading_submatrix(self, order: int) -> "TriMatrix":
         """Top-left block of the given order."""

@@ -292,6 +292,44 @@ def test_every_label_reports_a_perturbed_side(label):
         assert found[0] == where and found[2] == str(bumped)
 
 
+# The report of each summation label at depth 6 with 1 added to the rhs of
+# its last case, recorded when the case sums ran in Fraction arithmetic:
+# they run in ints, and an int must render as a Fraction of its value did.
+PERTURBED_SUMMATIONS = {
+    "4.17": "4.17: FAIL at n=6: lhs=0 rhs=1",
+    "4.48": "4.48: FAIL at n=6 (partial form): lhs=0 rhs=1",
+    "6.6": "6.6: FAIL at n=6: lhs=1/42 rhs=43/42",
+    "6.7": "6.7: FAIL at n=6: lhs=720/7 rhs=727/7",
+    "6.8": "6.8: FAIL at n=6: lhs=-2073 rhs=-2072",
+    "6.9": "6.9: FAIL at n=6: lhs=86400 rhs=86401",
+    "6.10": "6.10: FAIL at n=6: lhs=-38227 rhs=-38226",
+    "6.11": "6.11: FAIL at n=6: lhs=518400 rhs=518401",
+    "6.12": "6.12: FAIL at n=6: lhs=198272 rhs=198273",
+    "6.13": "6.13: FAIL at n=6: lhs=967796 rhs=967797",
+    "6.14": "6.14: FAIL at n=6: lhs=203212800 rhs=203212801",
+    "6.15": "6.15: FAIL at n=6: lhs=-691/210 rhs=-481/210",
+    "6.16": "6.16: FAIL at n=6: lhs=22368256 rhs=22368257",
+    "6.17": "6.17: FAIL at n=6: lhs=-691/2730 rhs=2039/2730",
+}
+
+
+def test_perturbed_summations_render_as_pinned(monkeypatch):
+    assert list(PERTURBED_SUMMATIONS) == [
+        label for label, row in connect.CATALOG.items() if row.kind == "summation"
+    ]
+    for label, pinned in PERTURBED_SUMMATIONS.items():
+        row = connect.CATALOG[label]
+
+        def cases(depth, *matrices, row=row):
+            listed = list(row.cases(depth, *matrices))
+            where, *sides = listed[-1]
+            listed[-1] = (where, *sides[:-1], sides[-1] + 1)
+            return listed
+
+        monkeypatch.setitem(connect.CATALOG, label, row._replace(cases=cases))
+        assert connect.verify(label, 6).describe() == pinned
+
+
 # The labels whose triangles read each weight preset, so a change to w(3)
 # of that preset alone must fail them and no other.
 PRESET_LABELS = {
@@ -597,7 +635,7 @@ def test_shared_table_is_released():
 def test_shared_run_builds_each_family_once(monkeypatch):
     # Builds are recorded per (builder, family), those that only an operator
     # reads included, such as the genocchi_matrix that A2 reads through A1.
-    builds, inverted, products = {}, [], []
+    builds, inverted, products, solved = {}, [], [], []
     for name in BUILDER_LABELS:
         build = getattr(connect, name)
 
@@ -608,9 +646,11 @@ def test_shared_run_builds_each_family_once(monkeypatch):
             return m
 
         monkeypatch.setattr(connect, name, recorded)
-    inverse, mul, first_mismatch = TriMatrix.inverse, TriMatrix.mul, connect.first_mismatch
+    inverse, mul, solve = TriMatrix.inverse, TriMatrix.mul, TriMatrix.solve
+    first_mismatch = connect.first_mismatch
     monkeypatch.setattr(TriMatrix, "inverse", lambda m: inverted.append(m) or inverse(m))
     monkeypatch.setattr(TriMatrix, "__matmul__", lambda a, b: products.append(a) or mul(a, b))
+    monkeypatch.setattr(TriMatrix, "solve", lambda x, b: solved.append((x, b)) or solve(x, b))
     checked = []
     monkeypatch.setattr(
         connect, "first_mismatch", lambda cases: checked.append(1) or first_mismatch(cases)
@@ -628,45 +668,56 @@ def test_shared_run_builds_each_family_once(monkeypatch):
     assert {family: len(made) for family, made in builds.items() if len(made) > 1} == {}
     assert len(builds) == 31 and set(builds) == _families(plan)
     # one product per product side and one per polynomial basis product
-    assert len(products) == 38
-    # each inverse side is inverted once, at its planned order, from the one
-    # build of its operand
-    inverses = [side for side in plan if side.op == "inv"]
-    assert len(inverted) == len(inverses) == 7
-    for side in inverses:
-        (operand,) = side.args
-        (build,) = builds[(operand.op, *operand.args)]
-        assert sum(m == build.leading_submatrix(plan[side]) for m in inverted) == 1, side
+    assert len(products) == 26
+    # no inverse is built: each product with an inverse operand is solved
+    # once, at its planned order, against the one build of the operand it
+    # inverts; a @ x^-1 as flip(x)^-1 @ flip(a)
+    assert inverted == []
+    solves = [side for side in plan if side.op in ("solve", "solve_right")]
+    assert len(solved) == len(solves) == 12
+    built = {family: build for family, (build,) in builds.items()}
+    for side in solves:
+        operand, other = side.args if side.op == "solve" else side.args[::-1]
+        build = built[(operand.op, *operand.args)]
+        x, b = build.leading_submatrix(plan[side]), connect.evaluate(other, plan[side])
+        operands = (x, b) if side.op == "solve" else (x.flip(), b.flip())
+        assert sum(s == operands for s in solved) == 1, side
 
 
 def test_shared_run_computes_each_product_side_once(monkeypatch):
-    mul, first_mismatch = TriMatrix.mul, connect.first_mismatch
-    offset, product = connect._OPERATORS["@"]
-    products, made, checked = [], [], []
+    mul, solve, first_mismatch = TriMatrix.mul, TriMatrix.solve, connect.first_mismatch
+    products, solved, made, checked = [], [], [], []
     monkeypatch.setattr(TriMatrix, "__matmul__", lambda a, b: products.append((a, b)) or mul(a, b))
-    monkeypatch.setitem(
-        connect._OPERATORS, "@", (offset, lambda a, b: made.append(1) or product(a, b))
-    )
+    monkeypatch.setattr(TriMatrix, "solve", lambda x, b: solved.append((x, b)) or solve(x, b))
+    kinds = ("@", "solve", "solve_right")
+    for op in kinds:
+        offset, f = connect._OPERATORS[op]
+        monkeypatch.setitem(
+            connect._OPERATORS, op, (offset, lambda *args, f=f, op=op: made.append(op) or f(*args))
+        )
     monkeypatch.setattr(
         connect, "first_mismatch", lambda cases: checked.append(1) or first_mismatch(cases)
     )
     labels, depth = list(connect.CATALOG), 12
     table = connect.shared_builds(labels, depth)
     # planning walks the sides and runs no case
-    assert checked == [] and products == [] and made == []
+    assert checked == [] and products == [] and solved == [] and made == []
     plan = table.planned
     assert all(connect.verify(label, depth, table).passed for label in labels)
-    # each product side is read, so made at least once: as many products as
-    # sides means each was made once
-    assert len(made) == sum(side.op == "@" for side in plan)
+    # each product and solve side is read, so made at least once: as many of
+    # each kind as sides means each was made once
+    assert sorted(made) == sorted(side.op for side in plan if side.op in kinds)
+    assert len(solved) == made.count("solve") + made.count("solve_right") == 12
     shared = {
         connect._Feven @ connect._Fodd.inv: ["3.18", "3.26", "4.11", "4.14"],
         connect._E.inv @ connect._O: ["3.24", "3.26", "4.13", "4.15"],
     }
     for side, readers in shared.items():
         assert [label for label in labels if side in _planned([label], depth)] == readers
-        operands = tuple(connect.evaluate(x, plan[side]) for x in side.args)
-        assert sum(p == operands for p in products) == 1
+        a, b = (connect.evaluate(x, plan[side]) for x in side.args)
+        # a @ x^-1 is solved as flip(x)^-1 @ flip(a)
+        operands = (b.flip(), a.flip()) if side.op == "solve_right" else (a, b)
+        assert sum(s == operands for s in solved) == 1, side
 
 
 def test_builder_readers_follow_from_the_plan():

@@ -16,11 +16,12 @@ from hypothesis import strategies as st
 from genocchi import connect
 from genocchi.polyalg import Poly, basis_matrix
 from genocchi.stirling import PRESETS, stirling1, stirling2
-from genocchi.trimat import TriMatrix
+from genocchi.trimat import SingularMatrixError, TriMatrix
 
 ints_st = st.integers(min_value=-9, max_value=9)
 fractions_st = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 unit_st = st.sampled_from([1, -1])
+pivots_st = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])
 
 
 def assert_exact(values):
@@ -116,6 +117,36 @@ def test_unit_diagonal_integral_inverse_stays_int(rows):
     inv = TriMatrix(rows).inverse()
     assert all(type(x) is int for row in inv.rows for x in row)
     assert TriMatrix(rows) @ inv == TriMatrix.identity(len(rows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(triangles(diagonal=pivots_st), st.data())
+def test_solve_matches_fraction_reference(rows, data):
+    other = data.draw(st.one_of(triangles(order=len(rows)), rational_triangles(order=len(rows))))
+    x, b = TriMatrix(rows), TriMatrix(other)
+    got = x.solve(b)
+    assert got.rows == tuple(map(tuple, ref_mul(ref_inverse(rows), other)))
+    assert got == x.inverse() @ b
+    assert_kernel_outputs_exact(got)
+    # right division, through the anti-transpose
+    right = x.solve_right(b)
+    assert right.rows == tuple(map(tuple, ref_mul(other, ref_inverse(rows))))
+    assert right == b @ x.inverse()
+    assert_kernel_outputs_exact(right)
+    assert x.flip().flip() == x and (x @ b).flip() == b.flip() @ x.flip()
+
+
+@settings(max_examples=30, deadline=None)
+@given(triangles(order=6, diagonal=pivots_st), st.data())
+def test_zero_pivot_names_the_same_index_in_every_solve(rows, data):
+    zeros = data.draw(st.sets(st.integers(min_value=0, max_value=5), min_size=1))
+    x = TriMatrix([[0 if i == j and i in zeros else v for j, v in enumerate(row)]
+                   for i, row in enumerate(rows)])
+    b = TriMatrix.identity(6)
+    for run in (x.inverse, lambda: x.solve(b), lambda: x.solve_right(b)):
+        with pytest.raises(SingularMatrixError) as raised:
+            run()
+        assert raised.value.index == min(zeros)
 
 
 def test_non_unit_diagonal_inverse_is_rational():
@@ -246,6 +277,16 @@ def test_inverse_round_trips(rows):
     assert inv @ a == TriMatrix.identity(len(rows))
     assert inv.inverse() == a
     assert_kernel_outputs_exact(inv)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(rational_triangles(), triangles()), st.data())
+def test_column_scaling_matches_fraction_reference(rows, data):
+    scales = data.draw(st.lists(st.one_of(ints_st, fractions_st), min_size=len(rows),
+                                max_size=len(rows)))
+    got = connect._cols(TriMatrix(rows), scales.__getitem__)
+    assert got.rows == tuple(tuple(Fraction(x) * s for x, s in zip(row, scales)) for row in rows)
+    assert_kernel_outputs_exact(got)
 
 
 def test_library_factorizations_invert_like_the_reference():

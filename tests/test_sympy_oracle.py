@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 
 from genocchi import numbers
+from genocchi.polyalg import basis_matrix
 from genocchi.stirling import preset, stirling1, stirling2
+from genocchi.trimat import TriMatrix
 
 sympy = pytest.importorskip("sympy")
 from sympy.functions.combinatorial.numbers import stirling  # noqa: E402
@@ -42,3 +44,26 @@ def test_tangent_matches_the_taylor_series_of_tan():
     for k in range(20):
         coeff = exact(series.coeff(x, 2 * k + 1) * sympy.factorial(2 * k + 1))
         assert numbers.tangent(k) == coeff, k
+
+
+def to_sympy(m: TriMatrix):
+    return sympy.Matrix([[sympy.Rational(str(m[i, j])) for j in range(m.order)] for i in range(m.order)])
+
+
+def from_sympy(m) -> TriMatrix:
+    n = m.rows
+    assert all(m[i, j] == 0 for i in range(n) for j in range(i + 1, n))
+    return TriMatrix([[exact(m[i, j]) for j in range(i + 1)] for i in range(n)])
+
+
+@pytest.mark.parametrize("build", [
+    lambda order: stirling2(preset("legendre-stirling"), order),
+    lambda order: basis_matrix("L_even", order),
+], ids=["stirling2(legendre-stirling)", "L_even"])
+def test_solve_matches_the_sympy_inverse(build):
+    order = 12
+    x = build(order)
+    b = stirling2(preset("u-half-odd"), order)  # a rational right-hand side
+    inv = to_sympy(x).inv()
+    assert x.solve(b) == from_sympy(inv * to_sympy(b))
+    assert x.solve_right(b) == from_sympy(to_sympy(b) * inv)
