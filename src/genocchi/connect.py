@@ -10,32 +10,32 @@ CATALOG holds all 56 identities in label order, each a Row(kind, reads,
 cases) from one adapter: the matrix sides it reads, each at depth + an
 offset, and cases(depth, *matrices), which yields (where, reference,
 *others).  A factorization has one case of whole matrices; a connection
-identity one per index n (polynomials) or per (n, k) pair (scalars), read
-off one coefficient-matrix x basis-matrix product; a summation identity one
-per n, a weighted sum along a row of one Stirling triangle (6.6 to 6.17,
+identity one per index n, the polynomials of row n of a basis matrix and of
+the products that rewrite it, or one per (n, k) pair, the entries of a
+product and of a triangle, so no case builds a matrix; a summation identity
+one per n, a weighted sum along a row of one Stirling triangle (6.6 to 6.17,
 the sums the Akiyama-Tanigawa engine's first column computes) or over a
 binomial row (4.17 and 4.48, which read no matrix); each case sum runs in
 ints over the scales of its terms and is divided back once.  Each matrix
 side is data, a _Side: a builder read by name (stirling2 of a preset,
-basis_matrix of a basis, genocchi_matrix, ...) or a @ b, x.inv,
-x.cols(scale), x.drop(), x.sums() or x.diffs() of other sides.  A product
-with an inverse operand is a solve against the matrix it inverts, so
+basis_matrix of a basis, genocchi_matrix, ...) or a @ b, a + b, x.inv,
+x.cols(scale), x.down(), x.drop(), x.sums() or x.diffs() of other sides.  A
+product with an inverse operand is a solve against the matrix it inverts, so
 x.inv @ b is the side x.solve(b) and a @ x.inv the side x.solve_right(a),
 and a catalog run inverts no matrix.  A1, A2 and Z are the prefix sums of
-the rows of A, the differences of consecutive A1 rows and the prefix sums
-of those differences of A^-1.  MATRICES names the sides
-the triangle subcommand prints.  One evaluator, _Table, plans every read
-before it builds, builds each side once at the largest order planned and
-serves each read as a leading block; it looks builders up on this module
-when it runs them, so a swapped builder is seen by every label that reads
-it.  shared_builds(labels, depth) returns a table planned by walking the
-sides those rows read, without running a case.  verify(label, depth,
-table=None), the one runner, reads a row's sides from that table (or from
-one of its own if the table did not plan the row), drops each side after
-its last reader and keeps the report in the table, so an alias label such
-as 4.6 reuses its twin's report.  evaluate builds one side from a table of
-its own.  Labels such as "3.9" or "5.10" are part of the command line
-contract.
+the rows of A, the differences of consecutive A1 rows and the prefix sums of
+those differences of A^-1.  MATRICES names the sides the triangle subcommand
+prints.  One evaluator, _Table, plans every read before it builds, builds
+each side once at the largest order planned and serves each read as a
+leading block; it looks builders up on this module when it runs them, so a
+swapped builder is seen by every label that reads it.  shared_builds(labels,
+depth) returns a table planned by walking the sides those rows read, without
+running a case.  verify(label, depth, table=None), the one runner, reads a
+row's sides from that table (or from one of its own if the table did not
+plan the row), drops each side after its last reader and keeps the report in
+the table, so an alias label such as 4.6 reuses its twin's report.  evaluate
+builds one side from a table of its own.  Labels such as "3.9" or "5.10" are
+part of the command line contract.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate, pairwise, repeat
 from math import comb, factorial, lcm
-from operator import matmul, mul
+from operator import add, matmul, mul
 from typing import Any, Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from . import numbers
 from .akiyama import odd_double_factorial
-from .polyalg import Poly, basis_matrix, fib_poly, lucas_poly
+from .polyalg import Poly, basis_matrix
 from .reports import IdentityReport, UnknownIdentityError
 from .stirling import preset, stirling1, stirling2
 from .trimat import TriMatrix, _ratio, _scaled
@@ -197,6 +197,10 @@ class _Side(NamedTuple):
     op: str
     args: tuple = ()
 
+    def __add__(self, other: _Side) -> _Side:
+        """self + other, entrywise; not the concatenation of two tuples."""
+        return _Side("+", (self, other))
+
     def __matmul__(self, other: _Side) -> _Side:
         """self @ other; with an inverse operand, a solve against the matrix it inverts."""
         if self.op == "inv":
@@ -213,6 +217,10 @@ class _Side(NamedTuple):
     def cols(self, scale: Callable[[int], Fraction | int]) -> _Side:
         """self @ diag(scale(0), scale(1), ...)."""
         return _Side("cols", (self, scale))
+
+    def down(self) -> _Side:
+        """self moved down one row, over a zero first row."""
+        return _Side("down", (self,))
 
     def drop(self) -> _Side:
         """self without its first row and column, cut from one order more."""
@@ -250,6 +258,8 @@ class Row(NamedTuple):
 # takes the order.
 _OPERATORS: Dict[str, Tuple[int, Callable[..., TriMatrix]]] = {
     "@": (0, matmul),
+    "+": (0, lambda a, b: TriMatrix([map(add, x, y) for x, y in zip(a.rows, b.rows)])),
+    "down": (0, lambda m: TriMatrix([(0,), *((*row, 0) for row in m.rows[:-1])])),
     "solve": (0, lambda x, b: x.solve(b)),  # x^-1 @ b
     "solve_right": (0, lambda a, x: x.solve_right(a)),  # a @ x^-1
     "cols": (0, _cols),
@@ -329,24 +339,19 @@ def _matrices(*sides: _Side) -> Row:
     return Row("factorization", tuple((side, 0) for side in sides), cases)
 
 
-def _poly_rows(reference: Callable[[int], Poly], basis: Callable[[int], Poly],
-               *coefficients: _Side) -> Row:
-    """A connection identity as the rows of coefficient @ basis matrices.
+def _poly_rows(reference: _Side, *products: _Side) -> Row:
+    """A connection identity as the rows of matrices whose row k is a polynomial.
 
-    Case n compares reference(n) with sum_k C[n, k] basis(k) for each
-    coefficient matrix C, read at order depth + 1, as row n of the product
-    C @ B, where row k of B holds the coefficients of basis(k), a
-    polynomial of degree k.
+    Case n compares the polynomial of row n of each product, typically a
+    coefficient matrix @ a basis matrix, with that of row n of reference,
+    all read at order depth + 1.
     """
 
     def cases(depth: int, *matrices: TriMatrix) -> Iterator[Case]:
-        order = depth + 1
-        b = TriMatrix([basis(k).coeffs for k in range(order)])
-        products = [c @ b for c in matrices]
-        for n in range(order):
-            yield (f"n={n}", reference(n), *(Poly(p.rows[n]) for p in products))
+        for n in range(depth + 1):
+            yield (f"n={n}", *(Poly(m.rows[n]) for m in matrices))
 
-    return Row("connection", tuple((c, 1) for c in coefficients), cases)
+    return Row("connection", tuple((side, 1) for side in (reference, *products)), cases)
 
 
 def _entries(product: _Side, triangle: _Side) -> Row:
@@ -422,6 +427,8 @@ _V = _s2("v-product-quarter")
 _T2, _t2 = _s2("central-factorial-shifted-shifted"), _s1("central-factorial-shifted-shifted")
 _Fodd, _Feven = _Side("basis_matrix", ("F_odd",)), _Side("basis_matrix", ("F_even",))
 _Leven, _Lodd = _Side("basis_matrix", ("L_even",)), _Side("basis_matrix", ("L_odd",))
+# Row k of _Sodd is F(2k+1) + F(2k+2), of _Seven F(2k) + F(2k+1).
+_Sodd, _Seven = _Fodd + _Feven, _Fodd + _Feven.down()
 _G, _Ginv = _Side("genocchi_matrix"), _Side("genocchi_matrix_inverse")
 _A1 = _G.sums()
 _A2, _Z = _A1.diffs(), _Ginv.diffs().sums()
@@ -439,15 +446,10 @@ MATRICES: Dict[str, _Side] = {
     "f-odd": _Fodd, "f-even": _Feven, "l-even": _Leven, "l-odd": _Lodd,
 }
 
-_fib_sum = lambda m: fib_poly(m) + fib_poly(m + 1)  # noqa: E731
 _nat = lambda j: j + 1  # noqa: E731
 
-_even_fibonacci_via_genocchi = _poly_rows(
-    lambda n: fib_poly(2 * n + 2), lambda k: fib_poly(2 * k + 1), _G
-)
-_odd_fibonacci_via_bernoulli = _poly_rows(
-    lambda n: fib_poly(2 * n + 1), lambda k: fib_poly(2 * k + 2), _Ginv
-)
+_even_fibonacci_via_genocchi = _poly_rows(_Feven, _G @ _Fodd)
+_odd_fibonacci_via_bernoulli = _poly_rows(_Fodd, _Ginv @ _Feven)
 _genocchi_via_fibonacci = _matrices(_G, _Feven @ _Fodd.inv)
 _genocchi_via_choose = _matrices(_G, _E.inv @ _O)
 
@@ -458,11 +460,8 @@ _genocchi_via_choose = _matrices(_G, _E.inv @ _O)
 CATALOG: Dict[str, Row] = {
     "2.1": _even_fibonacci_via_genocchi,
     "2.2": _odd_fibonacci_via_bernoulli,
-    "2.3": _poly_rows(
-        lambda n: lucas_poly(2 * n + 1), lambda k: lucas_poly(2 * k),
-        _B, _Side("_genocchi_over_lucas"),
-    ),
-    "2.4": _poly_rows(lambda n: lucas_poly(2 * n), lambda k: lucas_poly(2 * k + 1), _Binv),
+    "2.3": _poly_rows(_Lodd, _B @ _Leven, _Side("_genocchi_over_lucas") @ _Leven),
+    "2.4": _poly_rows(_Leven, _Binv @ _Lodd),
     "2.15/2.16-inverse": _matrices(_Side("identity"), _C @ _Cinv),
     "3.9": _matrices(_C, _Pplus @ _P.inv, _Ssh.cols(_nat) @ _ssh),
     "3.10": _matrices(_Pplus, _C @ _P),
@@ -492,13 +491,13 @@ CATALOG: Dict[str, Row] = {
     "4.16": _matrices(_G, _Tsh.cols(_nat) @ _tsh),
     "4.17": Row("summation", (), seidel_identity_cases),
     "4.21": _matrices((_Fodd.inv @ _Feven).drop(), _LSsh.cols(lambda j: j + 2) @ _LSsh.inv),
-    "4.40": _poly_rows(lambda n: fib_poly(2 * n + 1), lambda k: _fib_sum(2 * k), _A1),
-    "4.42": _poly_rows(lambda n: _fib_sum(2 * n + 1), lambda k: _fib_sum(2 * k), _A2),
+    "4.40": _poly_rows(_Fodd, _A1 @ _Seven),
+    "4.42": _poly_rows(_Sodd, _A2 @ _Seven),
     "4.43": _matrices(_A2, _T2.cols(lambda j: j + 2) @ _t2),
     "4.46": _odd_fibonacci_via_bernoulli,
     "4.48": Row("summation", (), kaneko_cases),
     "4.49": _matrices(_Ginv, _Tsh.cols(lambda j: Fraction(1, j + 1)) @ _tsh),
-    "4.50": _poly_rows(lambda n: _fib_sum(2 * n), lambda k: _fib_sum(2 * k + 1), _Z),
+    "4.50": _poly_rows(_Seven, _Z @ _Sodd),
     "5.7": _matrices(_B, _Lodd @ _Leven.inv),
     "5.8": _entries(_Leven @ _V, _U.cols(lambda k: 2)),
     "5.9": _entries(_Lodd @ _V, _U.cols(lambda k: 2 * k + 1)),

@@ -69,6 +69,44 @@ def poly_46(depth):
         yield (f"n={n}", fib_poly(2 * n + 2), rhs)
 
 
+def _fib_sum(m):
+    return fib_poly(m) + fib_poly(m + 1)
+
+
+def _prefix_sums(row):
+    return [sum(row[: k + 1]) for k in range(len(row))]
+
+
+def poly_440(depth):
+    a = connect.genocchi_matrix(depth + 1)
+    for n in range(depth + 1):
+        a1 = _prefix_sums(a.rows[n])
+        rhs = Poly()
+        for k in range(n + 1):
+            rhs = rhs + a1[k] * _fib_sum(2 * k)
+        yield (f"n={n}", fib_poly(2 * n + 1), rhs)
+
+
+def poly_442(depth):
+    a = connect.genocchi_matrix(depth + 2)
+    for n in range(depth + 1):
+        a1, below = _prefix_sums(a.rows[n]), _prefix_sums(a.rows[n + 1])
+        rhs = Poly()
+        for k in range(n + 1):
+            rhs = rhs + (a1[k] - below[k]) * _fib_sum(2 * k)
+        yield (f"n={n}", _fib_sum(2 * n + 1), rhs)
+
+
+def poly_450(depth):
+    b = connect.genocchi_matrix_inverse(depth + 2)
+    for n in range(depth + 1):
+        z = _prefix_sums([b[n, k] - b[n + 1, k] for k in range(n + 1)])
+        rhs = Poly()
+        for k in range(n + 1):
+            rhs = rhs + z[k] * _fib_sum(2 * k + 1)
+        yield (f"n={n}", _fib_sum(2 * n), rhs)
+
+
 def scalar_314(depth):
     ls = stirling2(preset("legendre-stirling"), depth + 1)
     t2 = stirling2(preset("central-factorial"), depth + 2)
@@ -95,5 +133,8 @@ REFERENCES = {
     "2.4": poly_24,
     "3.14": scalar_314,
     "4.6": poly_46,
+    "4.40": poly_440,
+    "4.42": poly_442,
+    "4.50": poly_450,
     "5.8": scalar_58,
 }

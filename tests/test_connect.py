@@ -292,12 +292,56 @@ def test_every_label_reports_a_perturbed_side(label):
         assert found[0] == where and found[2] == str(bumped)
 
 
-# The report of each summation label at depth 6 with 1 added to the rhs of
-# its last case, recorded when the case sums ran in Fraction arithmetic:
-# they run in ints, and an int must render as a Fraction of its value did.
-PERTURBED_SUMMATIONS = {
+# The report of each connection and summation label at depth 6 with _bump
+# applied to the last side of its last case, recorded when the connection
+# cases built their basis matrix from fib_poly and lucas_poly and the
+# summation sums ran in Fraction arithmetic: the cases now read table
+# sides, and the sums run in ints, whose str must be the Fraction's.
+PERTURBED_LAST_CASES = {
+    "2.1": (
+        "2.1: FAIL at n=6: lhs=1 + 12*s + 55*s^2 + 120*s^3 + 126*s^4 + 56*s^5 + 7*s^6 "
+        "rhs=2 + 12*s + 55*s^2 + 120*s^3 + 126*s^4 + 56*s^5 + 7*s^6"
+    ),
+    "2.2": (
+        "2.2: FAIL at n=6: lhs=1 + 11*s + 45*s^2 + 84*s^3 + 70*s^4 + 21*s^5 + s^6 "
+        "rhs=2 + 11*s + 45*s^2 + 84*s^3 + 70*s^4 + 21*s^5 + s^6"
+    ),
+    "2.3": (
+        "2.3: FAIL at n=6: lhs=1 + 13*s + 65*s^2 + 156*s^3 + 182*s^4 + 91*s^5 + 13*s^6 "
+        "rhs=2 + 13*s + 65*s^2 + 156*s^3 + 182*s^4 + 91*s^5 + 13*s^6"
+    ),
+    "2.4": (
+        "2.4: FAIL at n=6: lhs=1 + 12*s + 54*s^2 + 112*s^3 + 105*s^4 + 36*s^5 + 2*s^6 "
+        "rhs=2 + 12*s + 54*s^2 + 112*s^3 + 105*s^4 + 36*s^5 + 2*s^6"
+    ),
+    "3.14": "3.14: FAIL at n=6,k=6: lhs=1 rhs=2",
+    "3.15": "3.15: FAIL at n=6,k=6: lhs=7 rhs=8",
+    "3.20": "3.20: FAIL at n=6,k=6: lhs=1 rhs=2",
+    "3.21": "3.21: FAIL at n=6,k=6: lhs=7 rhs=8",
+    "4.6": (
+        "4.6: FAIL at n=6: lhs=1 + 12*s + 55*s^2 + 120*s^3 + 126*s^4 + 56*s^5 + 7*s^6 "
+        "rhs=2 + 12*s + 55*s^2 + 120*s^3 + 126*s^4 + 56*s^5 + 7*s^6"
+    ),
     "4.17": "4.17: FAIL at n=6: lhs=0 rhs=1",
+    "4.40": (
+        "4.40: FAIL at n=6: lhs=1 + 11*s + 45*s^2 + 84*s^3 + 70*s^4 + 21*s^5 + s^6 "
+        "rhs=2 + 11*s + 45*s^2 + 84*s^3 + 70*s^4 + 21*s^5 + s^6"
+    ),
+    "4.42": (
+        "4.42: FAIL at n=6: lhs=2 + 23*s + 100*s^2 + 204*s^3 + 196*s^4 + 77*s^5 + 8*s^6 "
+        "rhs=3 + 23*s + 100*s^2 + 204*s^3 + 196*s^4 + 77*s^5 + 8*s^6"
+    ),
+    "4.46": (
+        "4.46: FAIL at n=6: lhs=1 + 11*s + 45*s^2 + 84*s^3 + 70*s^4 + 21*s^5 + s^6 "
+        "rhs=2 + 11*s + 45*s^2 + 84*s^3 + 70*s^4 + 21*s^5 + s^6"
+    ),
     "4.48": "4.48: FAIL at n=6 (partial form): lhs=0 rhs=1",
+    "4.50": (
+        "4.50: FAIL at n=6: lhs=2 + 21*s + 81*s^2 + 140*s^3 + 105*s^4 + 27*s^5 + s^6 "
+        "rhs=3 + 21*s + 81*s^2 + 140*s^3 + 105*s^4 + 27*s^5 + s^6"
+    ),
+    "5.8": "5.8: FAIL at n=6,k=6: lhs=2 rhs=3",
+    "5.9": "5.9: FAIL at n=6,k=6: lhs=13 rhs=14",
     "6.6": "6.6: FAIL at n=6: lhs=1/42 rhs=43/42",
     "6.7": "6.7: FAIL at n=6: lhs=720/7 rhs=727/7",
     "6.8": "6.8: FAIL at n=6: lhs=-2073 rhs=-2072",
@@ -314,16 +358,16 @@ PERTURBED_SUMMATIONS = {
 
 
 def test_perturbed_summations_render_as_pinned(monkeypatch):
-    assert list(PERTURBED_SUMMATIONS) == [
-        label for label, row in connect.CATALOG.items() if row.kind == "summation"
+    assert list(PERTURBED_LAST_CASES) == [
+        label for label, row in connect.CATALOG.items() if row.kind != "factorization"
     ]
-    for label, pinned in PERTURBED_SUMMATIONS.items():
+    for label, pinned in PERTURBED_LAST_CASES.items():
         row = connect.CATALOG[label]
 
         def cases(depth, *matrices, row=row):
             listed = list(row.cases(depth, *matrices))
             where, *sides = listed[-1]
-            listed[-1] = (where, *sides[:-1], sides[-1] + 1)
+            listed[-1] = (where, *sides[:-1], _bump(sides[-1]))
             return listed
 
         monkeypatch.setitem(connect.CATALOG, label, row._replace(cases=cases))
@@ -382,8 +426,9 @@ BUILDER_LABELS = {
         "5.8", "5.9", "5.10", "6.6", "6.8", "6.10", "6.12", "6.13", "6.15", "6.16", "6.17",
     ],
     "basis_matrix": [
-        "3.14", "3.15", "3.16", "3.17", "3.18", "3.19", "3.26", "3.27", "4.11", "4.14", "4.21",
-        "5.7", "5.8", "5.9",
+        "2.1", "2.2", "2.3", "2.4", "3.14", "3.15", "3.16", "3.17", "3.18", "3.19", "3.26",
+        "3.27", "4.6", "4.11", "4.14", "4.21", "4.40", "4.42", "4.46", "4.50", "5.7", "5.8",
+        "5.9",
     ],
 }
 
@@ -401,7 +446,10 @@ SHIFTED_LABELS = {
 
 # Entries of an order-n build that a bump adds 1 to.  No one site reaches
 # every reader: a last-row bump of stirling2 cancels in 5.8, whose L_even
-# has diagonal 2, and a column-0 bump of basis_matrix is dropped by 4.21.
+# has diagonal 2, a column-0 bump of basis_matrix is dropped by 4.21, and
+# 4.40 fails only at (1, 0): A1's diagonal is the row sums of A, which are
+# 1, so a last-row bump of F_odd moves A1 @ (F_odd + F_even.down()) as it
+# moves F_odd, and one of F_even falls off the foot of F_even.down().
 BUMP_SITES = (lambda n: (n - 1, 0), lambda n: (n - 1, n - 1), lambda n: (min(1, n - 1), 0))
 
 
@@ -527,16 +575,22 @@ def test_bumped_builder_fails_its_readers_in_a_shared_run(name, monkeypatch):
 
 # The labels that read each side an operator derives from a build: A1, the
 # prefix sums of the rows of A, A2, the differences of its consecutive rows,
-# and Z, the prefix sums of those differences of A^-1.
+# Z, the prefix sums of those differences of A^-1, and the Fibonacci-sum
+# bases, F_odd + F_even (row k is F(2k+1) + F(2k+2)) and F_odd +
+# F_even.down() (row k is F(2k) + F(2k+1)).
 DERIVED_LABELS = {
     connect._A1: ["4.40", "4.42", "4.43"],
     connect._A2: ["4.42", "4.43"],
     connect._Z: ["4.50"],
+    connect._Sodd: ["4.42", "4.50"],
+    connect._Seven: ["4.40", "4.42", "4.50"],
 }
 
 
 @pytest.mark.parametrize("shared", [False, True], ids=["per-label", "shared"])
-@pytest.mark.parametrize("side", list(DERIVED_LABELS), ids=["A1", "A2", "Z"])
+@pytest.mark.parametrize(
+    "side", list(DERIVED_LABELS), ids=["A1", "A2", "Z", "Fsum-odd", "Fsum-even"]
+)
 def test_bumped_derived_side_fails_its_readers(side, shared, monkeypatch):
     # Every read of this side alone is bumped; in a shared run at the sites of
     # an order-6 build, as for the builders above.
@@ -667,7 +721,7 @@ def test_shared_run_builds_each_family_once(monkeypatch):
     assert all(report.passed for report in reports)
     assert {family: len(made) for family, made in builds.items() if len(made) > 1} == {}
     assert len(builds) == 31 and set(builds) == _families(plan)
-    # one product per product side and one per polynomial basis product
+    # one product per product side: no case multiplies matrices
     assert len(products) == 26
     # no inverse is built: each product with an inverse operand is solved
     # once, at its planned order, against the one build of the operand it
@@ -707,6 +761,8 @@ def test_shared_run_computes_each_product_side_once(monkeypatch):
     # each product and solve side is read, so made at least once: as many of
     # each kind as sides means each was made once
     assert sorted(made) == sorted(side.op for side in plan if side.op in kinds)
+    # every product is made by an @ side: no case multiplies matrices
+    assert len(products) == made.count("@")
     assert len(solved) == made.count("solve") + made.count("solve_right") == 12
     shared = {
         connect._Feven @ connect._Fodd.inv: ["3.18", "3.26", "4.11", "4.14"],
@@ -767,6 +823,7 @@ def test_truncation_consistency_of_every_shared_family():
     # would be too.
     assert _families(_planned(["4.42", "4.50"], 1)) == {
         ("genocchi_matrix",), ("genocchi_matrix_inverse",),
+        ("basis_matrix", "F_odd"), ("basis_matrix", "F_even"),
     }
     families = _families(_planned(list(connect.CATALOG), 1))
     assert len(families) == 31
