@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
+from math import prod
 from typing import Callable, NamedTuple, Tuple
 
 from .stirling import WeightSpec
@@ -59,7 +60,4 @@ def at_matrix(spec: ATSpec) -> Tuple[Tuple[Fraction | int, ...], ...]:
 
 def odd_double_factorial(k: int) -> int:
     """Product of the first k odd numbers; empty product is 1."""
-    result = 1
-    for i in range(1, k + 1):
-        result *= 2 * i - 1
-    return result
+    return prod(range(1, 2 * k, 2))

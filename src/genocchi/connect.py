@@ -41,9 +41,9 @@ part of the command line contract.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, pairwise, repeat
-from math import comb, factorial, lcm
-from operator import add, matmul, mul
+from itertools import accumulate, pairwise
+from math import comb, factorial
+from operator import add, matmul, mul, sub
 from typing import Any, Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from . import numbers
@@ -167,22 +167,6 @@ def _cols(m: TriMatrix, scale: Callable[[int], Fraction | int]) -> TriMatrix:
     return TriMatrix([map(mul, row, scales) for row in m.rows])
 
 
-def _sums(m: TriMatrix) -> TriMatrix:
-    """Prefix sums along each row of m, each row summed in ints over its lcm."""
-    return TriMatrix([
-        list(map(_ratio, accumulate(row), repeat(d))) for row, d in map(_scaled, m.rows)
-    ])
-
-
-def _diffs(m: TriMatrix) -> TriMatrix:
-    """Row n of m minus row n + 1 for each row but the last, in ints over the two rows' lcm."""
-    rows = []
-    for (a, da), (b, db) in pairwise(map(_scaled, m.rows)):
-        d = lcm(da, db)
-        rows.append([_ratio(x * (d // da) - y * (d // db), d) for x, y in zip(a, b)])
-    return TriMatrix(rows)
-
-
 # ----------------------------------------------------------------------
 # identity catalog
 
@@ -255,7 +239,9 @@ class Row(NamedTuple):
 
 # op -> (offset, f): f takes the operands of a side, each read at the side's
 # order + offset, and its other args; the identity, which has no operand,
-# takes the order.
+# takes the order.  Each operator is a kernel call (@, solve, solve_right,
+# drop) or plain int and Fraction arithmetic at one operation per entry,
+# where scaling to ints would cost more than it saves (see trimat).
 _OPERATORS: Dict[str, Tuple[int, Callable[..., TriMatrix]]] = {
     "@": (0, matmul),
     "+": (0, lambda a, b: TriMatrix([map(add, x, y) for x, y in zip(a.rows, b.rows)])),
@@ -264,8 +250,8 @@ _OPERATORS: Dict[str, Tuple[int, Callable[..., TriMatrix]]] = {
     "solve_right": (0, lambda a, x: x.solve_right(a)),  # a @ x^-1
     "cols": (0, _cols),
     "drop": (1, lambda m: m.drop_leading()),
-    "sums": (0, _sums),
-    "diffs": (1, _diffs),
+    "sums": (0, lambda m: TriMatrix([accumulate(row) for row in m.rows])),
+    "diffs": (1, lambda m: TriMatrix([map(sub, a, b) for a, b in pairwise(m.rows)])),
     "identity": (0, TriMatrix.identity),
 }
 

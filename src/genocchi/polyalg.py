@@ -135,8 +135,6 @@ _lucas: list[Poly] = [Poly([2]), Poly([1])]
 
 
 def _fib_closed(n: int) -> Poly:
-    if n == 0:
-        return Poly()
     return Poly([comb(n - 1 - k, k) for k in range((n - 1) // 2 + 1)])
 
 

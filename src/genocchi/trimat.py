@@ -14,11 +14,17 @@ column of b; a +1/-1 pivot never grows a column's denominator, so an
 integral matrix with a +1/-1 diagonal is solved in int arithmetic
 throughout.  A product with an inverse operand is a solve and never forms
 the inverse: a @ x^-1 is x.solve_right(a), the solve of the anti-transposes
-(flip), and inverse() is the solve against the identity.  The package's
-rational builds use the same two helpers: the Bernoulli recurrence, the
+(flip), and inverse() is the solve against the identity.
+
+Scaling pays where each output entry costs many multiply-adds: kernels,
+recurrences and dot-product sums.  The package's rational builds of that
+kind use the same two helpers, each in int arithmetic over one common
+denominator per build, row or sequence: the Bernoulli recurrence, the
 Stirling triangles, the Seidel arrays, the Akiyama-Tanigawa engine, the
-closed-form connection matrices and the catalog's case sums each run in int
-arithmetic over one common denominator per build, row or sequence.
+closed-form connection matrices and the catalog's case sums.  Where an
+entry costs one operation, plain int and Fraction arithmetic is faster than
+the round trip, so the catalog's entrywise operators (a + b, column scaling,
+moving down a row, prefix sums and row differences) do not scale.
 """
 
 from __future__ import annotations

@@ -2,15 +2,16 @@
 
 Every value the kernel holds must be an int when it is integral and a
 Fraction otherwise, never a float; the references below compute the same
-products and inverses with every entry a Fraction, entry by entry, with no
-scaling to ints.
+products and inverses, and the catalog's exact-arithmetic operators, with
+every entry a Fraction, entry by entry, with no scaling to ints.
 """
 
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from genocchi import connect
@@ -279,13 +280,36 @@ def test_inverse_round_trips(rows):
     assert_kernel_outputs_exact(inv)
 
 
-@settings(max_examples=40, deadline=None)
-@given(st.one_of(rational_triangles(), triangles()), st.data())
-def test_column_scaling_matches_fraction_reference(rows, data):
-    scales = data.draw(st.lists(st.one_of(ints_st, fractions_st), min_size=len(rows),
-                                max_size=len(rows)))
-    got = connect._cols(TriMatrix(rows), scales.__getitem__)
-    assert got.rows == tuple(tuple(Fraction(x) * s for x, s in zip(row, scales)) for row in rows)
+# The catalog's exact-arithmetic operators, each applied to Fraction rows a
+# (and b) entry by entry, with s the column scales of "cols".
+EXACT_OPERATORS = {
+    "cols": lambda a, b, s: [[x * y for x, y in zip(row, s)] for row in a],
+    "sums": lambda a, b, s: [list(accumulate(row)) for row in a],
+    "diffs": lambda a, b, s: [[x - y for x, y in zip(r, t)] for r, t in zip(a, a[1:])],
+    "+": lambda a, b, s: [[x + y for x, y in zip(r, t)] for r, t in zip(a, b)],
+    "down": lambda a, b, s: [[Fraction(0)], *([*row, Fraction(0)] for row in a[:-1])],
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(EXACT_OPERATORS)),
+    st.one_of(rational_triangles(), triangles(), triangles(entry=ints_st, diagonal=ints_st)),
+    st.data(),
+)
+def test_exact_operators_match_fraction_reference(op, rows, data):
+    n = len(rows)
+    offset, f = connect._OPERATORS[op]
+    assume(n > offset)  # an operand read at one order more has at least two rows
+    other = data.draw(st.one_of(rational_triangles(order=n), triangles(order=n)))
+    scales = data.draw(st.lists(st.one_of(ints_st, fractions_st), min_size=n, max_size=n))
+    a, b = TriMatrix(rows), TriMatrix(other)
+    operands = {"cols": (a, scales.__getitem__), "+": (a, b)}.get(op, (a,))
+    got = f(*operands)
+    as_fractions = lambda m: [[Fraction(x) for x in row] for row in m]  # noqa: E731
+    want = EXACT_OPERATORS[op](as_fractions(rows), as_fractions(other), scales)
+    assert got.order == n - offset
+    assert got.rows == tuple(map(tuple, want))
     assert_kernel_outputs_exact(got)
 
 
