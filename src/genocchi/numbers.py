@@ -10,8 +10,8 @@ enters its cache.  tangent has no cache: it is derived from genocchi and
 checked on every call, so a changed Genocchi value reaches 2.3, 5.7 and
 5.10, which a tangent cache would hide.
 genocchi, genocchi_signed, tangent and median_genocchi return ints.
-bernoulli and bernoulli_b stay Fractions even when integral: callers divide
-them by ints, as in comb(...) * bernoulli(...) / (k + 1), which an int would make a float.
+bernoulli and bernoulli_b stay Fractions even when integral: tests pin the
+type, and the fixture tangent_matrix_inverse_printed divides one by an int.
 """
 
 from __future__ import annotations

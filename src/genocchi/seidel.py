@@ -2,20 +2,20 @@
 
 Every array follows the same cell rule h(i, j) = h(i, j-1) - h(i-1, j-1)
 for 1 <= j <= floor(i/2), with zeros beyond; the variants differ only in
-how the first column is seeded.  Rows are stored densely with
-floor(i/2) + 1 entries each.
+how the first column is seeded, by an exact Stirling column or by itself.
+Rows are stored densely with floor(i/2) + 1 entries each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, repeat
-from math import gcd, lcm
+from math import lcm
 from operator import mul, sub
 from typing import NamedTuple, Optional, Tuple
 
 from .stirling import _second_kind, preset
-from .trimat import _ratio, _scaled
+from .trimat import _ratio
 
 VARIANTS = ("ls-from-T", "v-from-U", "genocchi")
 
@@ -42,10 +42,11 @@ def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
     triangle and odd rows with k+1 times it; v-from-U seeds with column k
     of the u-half-odd triangle and (2k+1)/2 times it; genocchi seeds
     itself.  Construction is strictly row-sequential because the genocchi
-    odd-row seed needs the completed previous row.  The seed column comes
-    from an int build of columns 0..k of the triangle, and each row runs in
-    int arithmetic over a power of 2 (v-from-U) or 1; every cell is divided
-    back once.
+    odd-row seed needs the completed previous row.  The exact seed column is
+    read from stirling's build of columns 0..k, which is skipped when every
+    seed is 0 (k past the last even row).  Each row runs in int arithmetic
+    over the lcm of the heads' denominators, a power of 2 (v-from-U) or 1;
+    every cell is divided back once.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; valid variants: {', '.join(VARIANTS)}")
@@ -56,26 +57,21 @@ def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
     if k and variant == "genocchi":
         raise ValueError(f"the genocchi variant takes no column parameter, got k={k}")
 
-    # seeds[i] is the head of even row 2i as (numerator, denominator); an odd
-    # row's head is factor times the seed above it, or for genocchi the sum
-    # of the completed row above.
+    # seeds[i] is the head of even row 2i; an odd row's head is factor times
+    # the seed above it, or for genocchi the sum of the completed row above.
     top = (rows - 1) // 2
     if variant == "genocchi":
-        seeds, factor = [(1, 1), *[(0, 1)] * top], None
+        seeds, factor = [1, *[0] * top], None
     else:
         name, factor = (
-            ("central-factorial-shifted", (k + 1, 1)) if variant == "ls-from-T"
-            else ("u-half-odd", (2 * k + 1, 2))
+            ("central-factorial-shifted", k + 1) if variant == "ls-from-T"
+            else ("u-half-odd", Fraction(2 * k + 1, 2))
         )
-        # The array reads column k of its triangle only in rows up to its
-        # last even row's seed, so only columns 0..k of those rows are
-        # built; an entry right of the diagonal (k past the row) is 0.
-        seeds = [(0, 1)] * min(k, top + 1)
+        # Only columns 0..k of rows 0..top are read; an entry right of the
+        # diagonal (k past the row) is 0.
+        seeds = [0] * min(k, top + 1)
         if k <= top:
-            spec = preset(name)
-            weights, d = _scaled([spec(j) for j in range(k + 1)])
-            tri = _second_kind(weights, top + 1, k + 1)
-            seeds += [(row[k], d ** (i - k)) for i, row in enumerate(tri) if i >= k]
+            seeds += [row[k] for row in _second_kind(preset(name), top + 1, k + 1)[k:]]
 
     # Row r is held as ints h(r, j) over a scale D_r, the lcm of D_{r-1} and
     # its head's denominator, so h(r, j) = h(r, j-1) - (D_r/D_{r-1}) h(r-1, j-1).
@@ -84,17 +80,15 @@ def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
     scale = 1
     for r in range(rows):
         if r % 2 == 0:
-            num, den = seeds[r // 2]
+            head = seeds[r // 2]
         elif factor is None:
-            num, den = sum(prev), scale
+            head = _ratio(sum(prev), scale)
         else:
-            num, den = seeds[r // 2][0] * factor[0], seeds[r // 2][1] * factor[1]
-        g = gcd(num, den)
-        num, den = num // g, den // g
-        grown = lcm(scale, den)
+            head = factor * seeds[r // 2]
+        grown = lcm(scale, head.denominator)
         f = grown // scale
         above = prev[: r // 2] if f == 1 else map(mul, prev[: r // 2], repeat(f))
-        row = list(accumulate(above, sub, initial=num * (grown // den)))
+        row = list(accumulate(above, sub, initial=head.numerator * (grown // head.denominator)))
         out.append(tuple(row) if grown == 1 else tuple(map(_ratio, row, repeat(grown))))
         prev, scale = row, grown
     return SeidelArray(variant, None if variant == "genocchi" else k, tuple(out))

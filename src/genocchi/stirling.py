@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .trimat import Scalar, TriMatrix, _exact, _ratio, _scaled
 
@@ -77,20 +77,26 @@ def shift_weight(spec: WeightSpec, by: int = 1) -> WeightSpec:
     return WeightSpec(spec.name + "-shifted" * by, lambda n: inner(n + by))
 
 
-def _second_kind(weights: Sequence[int], order: int, width: int) -> Iterator[list[int]]:
-    """Rows 0..order-1 of the second-kind recurrence, in columns k < width only.
+def _second_kind(spec: WeightSpec, order: int, width: int) -> list[list[Scalar]]:
+    """Exact rows 0..order-1 of the second-kind triangle, in columns k < width.
 
     Column k reads only columns up to k, so each row of a narrow build is a
-    prefix of the whole triangle's row.
+    prefix of the whole triangle's row; only w(k) for k < min(width, order-1)
+    are read and scaled.
     """
-    row = [1]
-    yield row
-    for _ in range(1, order):
-        # S(n, k) = S(n-1, k-1) + w(k) S(n-1, k), with S(n-1, -1) = S(n-1, n) = 0
-        row = list(map(add, [0, *row], [*map(mul, weights, row), 0]))
-        if len(row) > width:
-            row.pop()
+    weights, d = _scaled([spec(k) for k in range(min(width, order - 1))])
+
+    def rows() -> Iterator[list[int]]:
+        row = [1]
         yield row
+        for _ in range(1, order):
+            # S(n, k) = S(n-1, k-1) + w(k) S(n-1, k), with S(n-1, -1) = S(n-1, n) = 0
+            row = list(map(add, [0, *row], [*map(mul, weights, row), 0]))
+            if len(row) > width:
+                row.pop()
+            yield row
+
+    return _unscaled(rows(), d, order)
 
 
 def _unscaled(rows: Iterable[list[int]], d: int, order: int) -> list[list[Scalar]]:
@@ -108,8 +114,7 @@ def stirling2(spec: WeightSpec, order: int) -> TriMatrix:
     """Second-kind triangle for the given weights, as an order-N matrix."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    weights, d = _scaled([spec(k) for k in range(order - 1)])
-    return TriMatrix(_unscaled(_second_kind(weights, order, order), d, order))
+    return TriMatrix(_second_kind(spec, order, order))
 
 
 def stirling1(spec: WeightSpec, order: int) -> TriMatrix:

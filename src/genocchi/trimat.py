@@ -20,7 +20,7 @@ Scaling pays where each output entry costs many multiply-adds: kernels,
 recurrences and dot-product sums.  The package's rational builds of that
 kind use the same two helpers, each in int arithmetic over one common
 denominator per build, row or sequence: the Bernoulli recurrence, the
-Stirling triangles, the Seidel arrays, the Akiyama-Tanigawa engine, the
+Stirling triangles with the Seidel seeds, the Akiyama-Tanigawa engine, the
 closed-form connection matrices and the catalog's case sums.  Where an
 entry costs one operation, plain int and Fraction arithmetic is faster than
 the round trip, so the catalog's entrywise operators (a + b, column scaling,

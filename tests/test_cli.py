@@ -18,11 +18,12 @@ from hypothesis import strategies as st
 
 import golden
 import genocchi
-from genocchi import cli, seidel
+from genocchi import cli, connect, numbers, polyalg, seidel
 from genocchi.akiyama import ATSpec
 from genocchi.reports import IdentityReport
 from genocchi.seidel import SeidelArray
 from genocchi.stirling import WeightSpec
+from genocchi.trimat import TriMatrix
 
 
 def run(capsys, *argv):
@@ -502,7 +503,24 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
 
 
 
-def test_every_public_function_is_run_by_the_cli_or_exported():
+def _bumped(build):
+    """build with the first entry of its last row raised by one."""
+
+    def bumped(*args):
+        rows = [list(row) for row in build(*args).rows]
+        rows[-1][0] += 1
+        return TriMatrix(rows)
+
+    return bumped
+
+
+def _method_code(attr):
+    """The code behind a method, class or static method or property, if any."""
+    f = getattr(attr, "__func__", None) or getattr(attr, "fget", None) or attr
+    return getattr(f, "__code__", None)
+
+
+def test_every_public_function_is_run_by_the_cli_or_exported(monkeypatch):
     # A public module-level function that no subcommand runs and genocchi
     # does not export serves only the tests, which keep such oracles
     # themselves.  The two triangle readers stay: they are documented as
@@ -513,10 +531,21 @@ def test_every_public_function_is_run_by_the_cli_or_exported():
     argvs += [["sequence", name, "-n", "3"] for name in cli.SEQUENCES]
     argvs += [["seidel", variant, "-n", "3"] + ([] if variant == "genocchi" else ["-k", "1"])
               for variant in seidel.VARIANTS]
+    # Start from the caches of a fresh process, so that the code that fills
+    # them is seen to run whichever tests ran before this one.
+    for module, cache, fresh in ((polyalg, "_fib", 2), (polyalg, "_lucas", 2),
+                                 (numbers, "_bernoulli", 1), (numbers, "_genocchi", 0),
+                                 (numbers, "_medians", 0)):
+        monkeypatch.setattr(module, cache, getattr(module, cache)[:fresh])
     run_codes = set()
     sys.setprofile(lambda frame, event, arg: event == "call" and run_codes.add(frame.f_code))
     try:
         assert [cli.main(argv) for argv in argvs] == [0] * len(argvs)
+        # A failing run: a bumped stirling2 fails the matrix label 3.9 and a
+        # bumped basis_matrix the polynomial label 2.1, so the FAIL path runs.
+        for name in ("stirling2", "basis_matrix"):
+            monkeypatch.setattr(connect, name, _bumped(getattr(connect, name)))
+        assert cli.main(["verify", "2.1", "3.9", "--depth", "2"]) == 1
     finally:
         sys.setprofile(None)
     modules = [importlib.import_module(f"genocchi.{info.name}")
@@ -528,6 +557,32 @@ def test_every_public_function_is_run_by_the_cli_or_exported():
         and name not in genocchi.__all__ and f.__code__ not in run_codes
     }
     assert unreached == {"cli.parse_triangle_csv", "cli.parse_triangle_json"}
+
+    # Methods too, on the classes genocchi exports.  The methods NamedTuple
+    # generates are left out: their code is not in the package.
+    package = os.path.dirname(genocchi.__file__)
+    classes = [cls for cls in map(vars(genocchi).get, genocchi.__all__) if inspect.isclass(cls)]
+    unreached = {
+        f"{cls.__name__}.{name}"
+        for cls in classes for name, attr in vars(cls).items()
+        if (code := _method_code(attr)) is not None and code.co_filename.startswith(package)
+        and code not in run_codes
+    }
+    # Kept though no subcommand runs them.  The tests use Poly arithmetic,
+    # truncate, monomial and eval as reference routes (the Stirling row and
+    # generating-function expansions, the Binet oracle), and perfbench/shim.py
+    # looks up Poly.__mul__/__rmul__ and TriMatrix.inverse by name.  __hash__
+    # goes with __eq__ and __repr__ with debugging.  The two errors reach
+    # library callers only: no matrix the CLI solves has a zero pivot, and the
+    # CLI rejects an unknown label itself, before connect.verify would.
+    assert unreached == {
+        *(f"Poly.{name}" for name in (
+            "zero", "one", "monomial", "degree", "eval", "__call__", "truncate", "__sub__",
+            "__neg__", "__mul__", "__rmul__", "__repr__", "__hash__")),
+        *(f"TriMatrix.{name}" for name in ("column", "inverse", "__repr__", "__hash__")),
+        "SingularMatrixError.__init__",
+        "UnknownIdentityError.__init__",
+    }
 
 _RECORDS = [
     (IdentityReport("2.1", 3, True), "passed"),

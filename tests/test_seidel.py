@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import golden
-from genocchi import numbers
+from genocchi import numbers, seidel
 from genocchi.connect import verify
 from genocchi.seidel import VARIANTS, seidel_array
 from genocchi.stirling import preset, stirling2
@@ -163,3 +163,12 @@ def test_seeded_arrays_past_the_seed_column(variant, k):
             assert arr.rows == _array_from_whole_triangle(variant, k, rows)
         assert arr.k == k
         assert all((type(x) is int) == (x.denominator == 1) for row in arr.rows for x in row)
+
+
+def test_a_seed_column_past_every_seed_builds_no_triangle(monkeypatch):
+    def unexpected(*args):
+        raise AssertionError(f"built a seed triangle for {args}")
+
+    monkeypatch.setattr(seidel, "_second_kind", unexpected)
+    for variant in ("ls-from-T", "v-from-U"):
+        assert seidel_array(variant, k=3, rows=6).rows == tuple((0,) * (i // 2 + 1) for i in range(6))

@@ -8,6 +8,7 @@ from genocchi.polyalg import Poly
 from genocchi.stirling import (
     PRESETS,
     WeightSpec,
+    _second_kind,
     preset,
     shift_weight,
     stirling1,
@@ -217,6 +218,21 @@ def test_truncation_consistency():
         for k in range(1, 17):
             assert full2.leading_submatrix(k) == stirling2(spec, k)
             assert full1.leading_submatrix(k) == stirling1(spec, k)
+
+
+@pytest.mark.parametrize("name", ["stirling", "u-half-odd", "central-factorial-shifted"])
+def test_narrow_second_kind_reads_only_the_weights_of_its_columns(name):
+    spec = preset(name)
+    for order, width in ((1, 1), (6, 1), (6, 3), (6, 6), (6, 9), (12, 5)):
+        read = min(width, order - 1)
+
+        def w(n):
+            if n >= read:
+                raise IndexError(f"read w({n}) for order {order}, width {width}")
+            return spec(n)
+
+        rows = _second_kind(WeightSpec("strict", w), order, width)
+        assert rows == [list(row[:width]) for row in stirling2(spec, order).rows]
 
 
 def test_order_validation():

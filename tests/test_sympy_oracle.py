@@ -37,6 +37,47 @@ def test_stirling_preset_matches_sympy():
             assert first[n, k] == exact(stirling(n, k, kind=1, signed=True)), (n, k)
 
 
+# The weights of every preset name the catalog reads, written out here rather
+# than read from genocchi.stirling, so that the oracles share no code with it.
+CATALOG_WEIGHTS = {
+    "stirling": lambda n: n,
+    "stirling-shift": lambda n: n + 1,
+    "central-factorial": lambda n: n**2,
+    "legendre-stirling": lambda n: n * (n + 1),
+    "u-half-odd": lambda n: sympy.Rational((2 * n + 1) ** 2, 4),
+    "v-product-quarter": lambda n: sympy.Rational((2 * n - 1) * (2 * n + 1), 4),
+    "stirling-shifted": lambda n: n + 1,
+    "central-factorial-shifted": lambda n: (n + 1) ** 2,
+    "central-factorial-shifted-shifted": lambda n: (n + 2) ** 2,
+    "legendre-stirling-shifted": lambda n: (n + 1) * (n + 2),
+}
+
+
+def first_kind_by_expansion(w, order):
+    """Row n holds the coefficients of prod_{m<n} (x - w(m)), lowest degree first."""
+    x = sympy.Symbol("x")
+    rows = []
+    for n in range(order):
+        coeffs = sympy.Poly(sympy.prod([x - w(m) for m in range(n)]), x).all_coeffs()[::-1]
+        rows.append(coeffs + [0] * (order - len(coeffs)))
+    return sympy.Matrix(rows)
+
+
+@pytest.mark.parametrize("name", CATALOG_WEIGHTS)
+def test_stirling_triangles_match_the_product_expansion_and_its_inverse(name):
+    order = 10
+    first = first_kind_by_expansion(CATALOG_WEIGHTS[name], order)
+    assert to_sympy(stirling1(preset(name), order)) == first
+    assert to_sympy(stirling2(preset(name), order)) == first.inv()
+
+
+def test_median_genocchi_is_a_column_of_the_binomial_inverse():
+    n = 14
+    inverse = sympy.Matrix(n, n, lambda i, j: sympy.binomial(2 * i - j, j) if j <= i else 0).inv()
+    for i in range(n):
+        assert numbers.median_genocchi(i) == (-1) ** i * inverse[i, 0], i
+
+
 def test_tangent_matches_the_taylor_series_of_tan():
     # (2k+1)! [x^(2k+1)] tan x, a route that shares nothing with the Bernoulli recurrence
     x = sympy.Symbol("x")
