@@ -13,11 +13,13 @@ offset, and cases(depth, *matrices), which yields (where, reference,
 identity one per index n, the polynomials of row n of a basis matrix and of
 the products that rewrite it, or one per (n, k) pair, the entries of a
 product and of a triangle, so no case builds a matrix; a summation identity
-one per n, a weighted sum along a row of one Stirling triangle (6.6 to 6.17,
-the sums the Akiyama-Tanigawa engine's first column computes) or over a
-binomial row (4.17 and 4.48, which read no matrix); each case sum runs in
-ints over the scales of its terms and is divided back once.  Each matrix
-side is data, a _Side: a builder read by name (stirling2 of a preset,
+one per n, a weighted sum along a row of one triangle (6.6 to 6.17, the
+sums the Akiyama-Tanigawa engine's first column computes on Stirling
+triangles, and 4.17, Seidel's alternating Genocchi sum, which is column 0
+of E G = O up to sign, on the choose-even matrix E) or over a binomial row
+(4.48, the one label that reads no matrix); each case sum runs in ints
+over the scales of its terms and is divided back once.  Each matrix side
+is data, a _Side: a builder read by name (stirling2 of a preset,
 basis_matrix of a basis, genocchi_matrix, ...) or a @ b, a + b, x.inv,
 x.cols(scale), x.down(), x.drop(), x.sums() or x.diffs() of other sides.  A
 product with an inverse operand is a solve against the matrix it inverts, so
@@ -375,15 +377,6 @@ def _row_sums(triangle: _Side, weight: Callable[[int, int], Fraction | int],
     return Row("summation", ((triangle, 1 - first),), cases)
 
 
-def seidel_identity_cases(depth: int) -> Iterator[Case]:
-    """Alternating binomial sum of Genocchi numbers: 1 at n = 1, else 0."""
-    for n in range(1, depth + 1):
-        total = sum(
-            (-1) ** k * comb(n, 2 * k) * numbers.genocchi(n - k) for k in range(n // 2 + 1)
-        )
-        yield (f"n={n}", total, 1 if n == 1 else 0)
-
-
 def kaneko_cases(depth: int) -> Iterator[Case]:
     """Weighted Bernoulli recurrence over a shifted binomial row.
 
@@ -475,7 +468,11 @@ CATALOG: Dict[str, Row] = {
     "4.14": _genocchi_via_fibonacci,
     "4.15": _genocchi_via_choose,
     "4.16": _matrices(_G, _Tsh.cols(_nat) @ _tsh),
-    "4.17": Row("summation", (), seidel_identity_cases),
+    # Row n-1 of E holds C(n, 2k) at column n-1-k: Seidel's sum, 1 at n = 1 and 0 after.
+    "4.17": _row_sums(
+        _E, lambda n, j: (-1) ** (n - 1 - j) * numbers.genocchi(j + 1),
+        lambda n: 1 if n == 1 else 0, first=1,
+    ),
     "4.21": _matrices((_Fodd.inv @ _Feven).drop(), _LSsh.cols(lambda j: j + 2) @ _LSsh.inv),
     "4.40": _poly_rows(_Fodd, _A1 @ _Seven),
     "4.42": _poly_rows(_Sodd, _A2 @ _Seven),

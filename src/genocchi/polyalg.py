@@ -175,26 +175,26 @@ def lucas_poly(n: int) -> Poly:
     return _lucas[n]
 
 
-BASIS_KINDS = ("F_odd", "F_even", "L_even", "L_odd")
+# Row i of a basis matrix is poly(2i + offset), read from its checked cache.
+_BASES = {
+    "F_odd": (fib_poly, 1), "F_even": (fib_poly, 2),
+    "L_even": (lucas_poly, 0), "L_odd": (lucas_poly, 1),
+}
+BASIS_KINDS = tuple(_BASES)
 
 
 def basis_matrix(which: str, order: int) -> TriMatrix:
     """Coefficient matrix of one of the four polynomial bases.
 
     Row i holds the coefficients of the i-th basis element: F_odd gives the
-    odd-index Fibonacci polynomials (binomial entries C(2i-j, j)), F_even
-    the even-index ones (C(2i+1-j, j)), and L_even / L_odd the Lucas
-    polynomials with even and odd index.  Fibonacci rows come from their
-    binomial rule alone, the closed form that fib_poly checks its recursion
-    against; Lucas rows are read off lucas_poly, which checks each one as it
-    is built (recursion, closed form and the Fibonacci bridge).
+    odd-index Fibonacci polynomials F(2i+1) (binomial entries C(2i-j, j)),
+    F_even the even-index ones F(2i+2) (C(2i+1-j, j)), and L_even / L_odd
+    the Lucas polynomials L(2i) and L(2i+1).  Every row is read off
+    fib_poly or lucas_poly, which check each polynomial as it enters their
+    cache (recursion against closed form, and for Lucas the Fibonacci
+    bridge).
     """
-    if which == "F_odd":
-        return TriMatrix.from_rule(lambda i, j: comb(2 * i - j, j), order)
-    if which == "F_even":
-        return TriMatrix.from_rule(lambda i, j: comb(2 * i + 1 - j, j), order)
-    if which == "L_even":
-        return TriMatrix([lucas_poly(2 * i).coeffs for i in range(order)])
-    if which == "L_odd":
-        return TriMatrix([lucas_poly(2 * i + 1).coeffs for i in range(order)])
-    raise ValueError(f"unknown basis {which!r}; expected one of {BASIS_KINDS}")
+    if which not in _BASES:
+        raise ValueError(f"unknown basis {which!r}; expected one of {BASIS_KINDS}")
+    poly, offset = _BASES[which]
+    return TriMatrix([poly(2 * i + offset).coeffs for i in range(order)])

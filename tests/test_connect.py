@@ -417,7 +417,9 @@ BUILDER_LABELS = {
     "c_matrix_inverse": ["2.15/2.16-inverse"],
     "pascal_matrix": ["3.9", "3.10", "3.11", "3.13"],
     "pascal_plus_matrix": ["3.9", "3.10", "3.12", "3.13"],
-    "choose_even_matrix": ["3.20", "3.22", "3.24", "3.25", "3.26", "3.27", "4.13", "4.15"],
+    "choose_even_matrix": [
+        "3.20", "3.22", "3.24", "3.25", "3.26", "3.27", "4.13", "4.15", "4.17",
+    ],
     "choose_odd_matrix": ["3.21", "3.23", "3.24", "3.25", "3.26", "3.27", "4.13", "4.15"],
     "stirling1": ["3.9", "3.13", "4.16", "4.43", "4.49", "5.10", "6.7", "6.9", "6.11", "6.14"],
     "stirling2": [

@@ -54,6 +54,7 @@ def reference_report(label, depth):
 PERTURBATIONS = {
     "bernoulli": (numbers._bernoulli, 8, lambda b: b + 1),
     "lucas": (polyalg._lucas, 6, lambda p: p + Poly.one()),
+    "fibonacci": (polyalg._fib, 6, lambda p: p + Poly.one()),
 }
 
 

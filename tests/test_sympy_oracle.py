@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from genocchi import numbers
+from genocchi import connect, numbers
 from genocchi.polyalg import basis_matrix
 from genocchi.stirling import preset, stirling1, stirling2
 from genocchi.trimat import TriMatrix
@@ -108,3 +108,51 @@ def test_solve_matches_the_sympy_inverse(build):
     inv = to_sympy(x).inv()
     assert x.solve(b) == from_sympy(inv * to_sympy(b))
     assert x.solve_right(b) == from_sympy(to_sympy(b) * inv)
+
+
+S = sympy.Symbol("s")
+
+
+def fibonacci(n):
+    """This package's F(n) = F(n-1) + s F(n-2) as a polynomial in s, from sympy's
+    F_n(x) = x F_(n-1)(x) + F_(n-2)(x): the coefficient of s**k is that of x**(n-1-2k)."""
+    if n == 0:  # sympy defines F_n(x) for n >= 1 only
+        return sympy.Poly(0, S)
+    x = sympy.Symbol("x")
+    fx = sympy.Poly(sympy.fibonacci(n, x), x)
+    coeffs = [fx.coeff_monomial(x ** (n - 1 - 2 * k)) for k in range((n + 1) // 2)]
+    return sympy.Poly(coeffs[::-1], S)
+
+
+def lucas(n):
+    """L(n) = F(n+1) + s F(n-1) over sympy's Fibonacci polynomials, and L(0) = 2."""
+    return sympy.Poly(2, S) if n == 0 else fibonacci(n + 1) + sympy.Poly(S, S) * fibonacci(n - 1)
+
+
+# Row i of each basis is the polynomial of index 2i + offset.
+ORACLE_BASES = {"F_odd": (fibonacci, 1), "F_even": (fibonacci, 2),
+                "L_even": (lucas, 0), "L_odd": (lucas, 1)}
+
+
+def oracle_basis(which, order):
+    poly, offset = ORACLE_BASES[which]
+    rows = [poly(2 * i + offset).all_coeffs()[::-1] for i in range(order)]
+    return sympy.Matrix(order, order, lambda i, j: rows[i][j] if j < len(rows[i]) else 0)
+
+
+@pytest.mark.parametrize("which", ORACLE_BASES)
+def test_basis_rows_match_sympy_fibonacci(which):
+    order = 12
+    assert to_sympy(basis_matrix(which, order)) == oracle_basis(which, order)
+
+
+@pytest.mark.parametrize("build, numerator, denominator", [
+    (connect.genocchi_matrix, "F_even", "F_odd"),
+    (connect.tangent_matrix, "L_odd", "L_even"),
+], ids=["genocchi_matrix", "tangent_matrix"])
+def test_connection_matrix_is_a_quotient_of_sympy_bases(build, numerator, denominator):
+    # G rewrites the odd-index Fibonacci basis as the even one, B the even-index Lucas
+    # basis as the odd one: G = F_even F_odd^-1 and B = L_odd L_even^-1.
+    order = 12
+    want = oracle_basis(numerator, order) * oracle_basis(denominator, order).inv()
+    assert to_sympy(build(order)) == want
