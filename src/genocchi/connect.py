@@ -33,11 +33,21 @@ leading block; it looks builders up on this module when it runs them, so a
 swapped builder is seen by every label that reads it.  shared_builds(labels,
 depth) returns a table planned by walking the sides those rows read, without
 running a case.  verify(label, depth, table=None), the one runner, reads a
-row's sides from that table (or from one of its own if the table did not
-plan the row), drops each side after its last reader and keeps the report in
-the table, so an alias label such as 4.6 reuses its twin's report.  evaluate
-builds one side from a table of its own.  Labels such as "3.9" or "5.10" are
-part of the command line contract.
+row's sides from that table, drops each side after its last reader and
+keeps the report in the table, so an alias label such as 4.6 reuses its
+twin's report.  A call without a table that planned its row plans one for
+that row alone, whose builder sides come from _KEPT, the one store this
+module keeps for the life of the process: each builder side such a call
+has read, at the largest order read so far, each later read served as a
+leading block.  A kept side is built again when its builder on this module
+is swapped, when its preset's PRESETS entry changes, or when any number or
+polynomial cache is edited in place (trimat.Cache counts the edits); a
+cache replaced by another object, or a swapped function on numbers or
+polyalg, is not seen by a kept side.  Derived sides (products, solves, sums
+and the other operators) stay per call, and neither a shared table, as
+verify all runs, nor evaluate, which builds one side from a table of its
+own, reads or fills the store.  Labels such as "3.9" or "5.10" are part of
+the command line contract.
 """
 
 from __future__ import annotations
@@ -52,8 +62,8 @@ from . import numbers
 from .akiyama import odd_double_factorial
 from .polyalg import Poly, basis_matrix
 from .reports import IdentityReport, UnknownIdentityError
-from .stirling import preset, stirling1, stirling2
-from .trimat import TriMatrix, _ratio, _scaled
+from .stirling import PRESETS, preset, stirling1, stirling2
+from .trimat import Cache, TriMatrix, _ratio, _scaled
 
 # ----------------------------------------------------------------------
 # matrix builders
@@ -264,13 +274,15 @@ class _Table:
     Truncation commutes with building and with every operator, so a side is
     built once, at the largest order planned for it.  Every read is planned
     before the table is read: a side read but never planned is a KeyError.
+    A table that keeps reads its builder sides through _kept.
     """
 
-    def __init__(self, runs: Iterable[Tuple[Row, int]] = ()):
+    def __init__(self, runs: Iterable[Tuple[Row, int]] = (), keeps: bool = False):
         self.planned: Dict[_Side, int] = {}  # side -> largest order the run reads
         self.last: Dict[_Side, Optional[Row]] = {}  # side -> the last row that reads it
         self.entries: Dict[_Side, TriMatrix] = {}
         self.reports: Dict[Tuple[Row, int], IdentityReport] = {}
+        self.keeps = keeps
         self.runs = dict.fromkeys(runs)  # the (row, depth) planned, in the order they run
         for row, depth in self.runs:
             for side, offset in row.reads:
@@ -294,15 +306,50 @@ class _Table:
                 offset, f = _OPERATORS[op]
                 operands = [self.get(x, n + offset) if isinstance(x, _Side) else x for x in args]
                 m = f(*operands or [n])
-            else:  # a builder, looked up now so that a swapped one is seen
-                family = map(preset, args) if op in ("stirling1", "stirling2") else args
-                m = globals()[op](*family, n)
+            else:
+                m = _kept(side, n) if self.keeps else _build(side, n)
             self.entries[side] = m
         return m if m.order == order else m.leading_submatrix(order)
 
 
+def _build(side: _Side, order: int) -> TriMatrix:
+    """A builder side at the order, its builder looked up now so that a swapped one is seen."""
+    op, args = side
+    family = map(preset, args) if op in ("stirling1", "stirling2") else args
+    return globals()[op](*family, order)
+
+
+# The builder sides that per-call verify runs read: side -> (key, build).
+# See _kept.
+_KEPT: Dict[_Side, Tuple[tuple, TriMatrix]] = {}
+
+
+def _kept(side: _Side, order: int) -> TriMatrix:
+    """A builder side at the order or above, kept in _KEPT for later reads.
+
+    A kept build is read while its key holds: the builder that the side's
+    name looks up, Cache.edits and, for a Stirling side, the PRESETS entry
+    its preset name resolves to (preset makes a new spec for a shifted
+    name on every call).  Otherwise, and for a read above the kept order,
+    the side is built again at the order read and replaces the kept build,
+    so _KEPT holds one order of each side.
+    """
+    op, args = side
+    key = (globals()[op], Cache.edits)
+    if op in ("stirling1", "stirling2"):
+        key += tuple(PRESETS.get(name.split("-shifted")[0]) for name in args)
+    held = _KEPT.pop(side, None)
+    if held and held[0] == key and held[1].order >= order:
+        m = held[1]
+    else:
+        del held  # dropped before the new build, so one order of a side is held at a time
+        m = _build(side, order)
+    _KEPT[side] = key, m
+    return m
+
+
 def evaluate(side: _Side, order: int) -> TriMatrix:
-    """side at the order, from a table planned for this one read."""
+    """side at the order, from a table planned for this one read; _KEPT is neither read nor filled."""
     table = _Table()
     table.plan(side, order)
     return table.get(side, order)
@@ -568,10 +615,12 @@ def verify(label: str, depth: int, table: Optional[_Table] = None) -> IdentityRe
     """Check one catalog identity at every case up to the depth bound.
 
     The row's sides come from table if it planned this row at this depth,
-    which then drops those this row reads last, or else from a table
-    planned for this one run.  A label whose row the table checked at this
-    depth before (an alias such as 4.6, or a repeated label) reuses that
-    report.
+    which then drops those this row reads last, and a label whose row the
+    table checked at this depth before (an alias such as 4.6, or a repeated
+    label) reuses that report.  Otherwise they come from a table planned for
+    this one run, which reads its builder sides from _KEPT, so a warm
+    process builds a family again only for a larger order or after its
+    builder, preset or a cache changed; its derived sides are made anew.
     """
     if label not in CATALOG:
         raise UnknownIdentityError(label, tuple(CATALOG))
@@ -579,7 +628,7 @@ def verify(label: str, depth: int, table: Optional[_Table] = None) -> IdentityRe
         raise ValueError("depth must be >= 1")
     row = CATALOG[label]
     if table is None or (row, depth) not in table.runs:
-        table = _Table([(row, depth)])
+        table = _Table([(row, depth)], keeps=True)
     if (row, depth) not in table.reports:
         matrices = [table.get(side, depth + offset) for side, offset in row.reads]
         for side in [s for s, reader in table.last.items() if reader is row]:

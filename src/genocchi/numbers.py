@@ -21,9 +21,9 @@ from itertools import compress
 from math import comb, isqrt, lcm, prod
 from operator import add, mul
 
-from .trimat import _scaled
+from .trimat import Cache, _scaled
 
-_bernoulli: list[Fraction] = [Fraction(1)]
+_bernoulli: list[Fraction] = Cache([Fraction(1)])
 
 
 def bernoulli(n: int) -> Fraction:
@@ -89,7 +89,7 @@ def bernoulli_b(n: int) -> Fraction:
 
 
 # _genocchi[n - 1] is the Genocchi number with index 2n.
-_genocchi: list[int] = []
+_genocchi: list[int] = Cache()
 
 
 def genocchi(n: int) -> int:
@@ -141,7 +141,7 @@ def tangent(k: int) -> int:
 
 
 # _medians[n] is the median Genocchi number with index 2n+1.
-_medians: list[int] = []
+_medians: list[int] = Cache()
 
 
 def median_genocchi(n: int) -> int:

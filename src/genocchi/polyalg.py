@@ -14,7 +14,7 @@ from math import comb
 from operator import add
 from typing import Iterable, Tuple
 
-from .trimat import Scalar, TriMatrix, _exact
+from .trimat import Cache, Scalar, TriMatrix, _exact
 
 
 class Poly:
@@ -130,8 +130,8 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
-_fib: list[Poly] = [Poly(), Poly([1])]
-_lucas: list[Poly] = [Poly([2]), Poly([1])]
+_fib: list[Poly] = Cache([Poly(), Poly([1])])
+_lucas: list[Poly] = Cache([Poly([2]), Poly([1])])
 
 
 def _fib_closed(n: int) -> Poly:
@@ -139,8 +139,6 @@ def _fib_closed(n: int) -> Poly:
 
 
 def _lucas_closed(n: int) -> Poly:
-    if n == 0:
-        return Poly([2])
     # n / (n-k) C(n-k, k) = C(n-k, k) + C(n-k-1, k-1), in ints
     return Poly([1, *(comb(n - k, k) + comb(n - k - 1, k - 1) for k in range(1, n // 2 + 1))])
 

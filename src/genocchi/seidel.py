@@ -35,7 +35,7 @@ class SeidelArray(NamedTuple):
     rows: Tuple[Tuple[Fraction | int, ...], ...]
 
 
-def seidel_array(variant: str, k: int = 0, rows: int = 1) -> SeidelArray:
+def seidel_array(variant: str, k: int = 0, *, rows: int) -> SeidelArray:
     """Build a difference array row by row.
 
     ls-from-T seeds even rows with column k of the central-factorial-shifted

@@ -25,6 +25,11 @@ closed-form connection matrices and the catalog's case sums.  Where an
 entry costs one operation, plain int and Fraction arithmetic is faster than
 the round trip, so the catalog's entrywise operators (a + b, column scaling,
 moving down a row, prefix sums and row differences) do not scale.
+
+Cache, the list type of the number and polynomial caches, lives here
+beside _scaled and _ratio, at the bottom of the imports: it counts the
+in-place edits of every cache, so that connect can tell whether a build it
+keeps may read a changed value.
 """
 
 from __future__ import annotations
@@ -71,6 +76,27 @@ def _scaled(values: Sequence[Scalar]) -> Tuple[Sequence[int], int]:
         return values, 1
     d = lcm(*dens)
     return [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in values], d
+
+
+class Cache(list):
+    """A number or polynomial cache that counts the edits made to it.
+
+    c[i] = x, c[:] = v and del c[i] can change a held value, so each adds 1
+    to Cache.edits, one count shared by every cache: a result computed from
+    cached values is still current while the count is unchanged.  append
+    and extend only grow a cache, by values computed from the held ones, so
+    they count nothing.
+    """
+
+    edits = 0
+
+    def __setitem__(self, index, value) -> None:
+        Cache.edits += 1
+        super().__setitem__(index, value)
+
+    def __delitem__(self, index) -> None:
+        Cache.edits += 1
+        super().__delitem__(index)
 
 
 class SingularMatrixError(ValueError):

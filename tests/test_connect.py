@@ -3,12 +3,12 @@ from fractions import Fraction
 import pytest
 
 import golden
-from fixtures import catalog_cases, perturbed, tangent_matrix_inverse_printed
-from genocchi import connect, numbers, stirling
+from fixtures import CACHES, catalog_cases, perturbed, tangent_matrix_inverse_printed
+from genocchi import cli, connect, numbers, polyalg, stirling
 from genocchi.polyalg import Poly, basis_matrix, fib_poly
 from genocchi.reports import UnknownIdentityError
 from genocchi.stirling import WeightSpec, preset, stirling2
-from genocchi.trimat import TriMatrix
+from genocchi.trimat import Cache, TriMatrix
 
 F = Fraction
 
@@ -478,8 +478,25 @@ def _bump_target(name):
     return name, lambda args: True
 
 
+@pytest.fixture
+def cold_verify():
+    """connect.verify with the kept builder sides dropped before each call, as in a fresh process.
+
+    A bump lands at a site of whatever order the bumped builder makes, so a
+    bumped build kept at a larger order by an earlier label would move the
+    bump past the rows a later, smaller read compares; and a warm family is
+    not built again, so a label's builds would depend on the labels before it.
+    """
+
+    def verify(label, depth):
+        connect._KEPT.clear()
+        return connect.verify(label, depth)
+
+    return verify
+
+
 @pytest.mark.parametrize("name", list(BUILDER_LABELS) + list(SHIFTED_LABELS))
-def test_bumped_builder_fails_every_label_that_reads_it(name, monkeypatch):
+def test_bumped_builder_fails_every_label_that_reads_it(name, monkeypatch, cold_verify):
     expected = {**BUILDER_LABELS, **SHIFTED_LABELS}[name]
     name, reads = _bump_target(name)
     build = getattr(connect, name)
@@ -489,18 +506,18 @@ def test_bumped_builder_fails_every_label_that_reads_it(name, monkeypatch):
         monkeypatch.setattr(
             connect, name, lambda *args: (reads(args) and calls.append(args)) or build(*args)
         )
-        connect.verify(label, 6)
+        cold_verify(label, 6)
         if calls:
             readers.append(label)
     assert readers == expected
     failed = set()
     for site in BUMP_SITES:
         monkeypatch.setattr(connect, name, _bumped(build, site, reads))
-        failed |= {label for label in connect.CATALOG if not connect.verify(label, 6).passed}
+        failed |= {label for label in connect.CATALOG if not cold_verify(label, 6).passed}
     assert [label for label in connect.CATALOG if label in failed] == readers
 
 
-def test_no_label_builds_a_family_twice(monkeypatch):
+def test_no_label_builds_a_family_twice(monkeypatch, cold_verify):
     builds = []
 
     def recorded(build, family):
@@ -516,7 +533,7 @@ def test_no_label_builds_a_family_twice(monkeypatch):
     by_label = {}
     for label in connect.CATALOG:
         builds.clear()
-        assert connect.verify(label, 12).passed
+        assert cold_verify(label, 12).passed
         by_label[label] = list(builds)
     assert {
         label: [build for build in found if found.count(build) > 1]
@@ -846,3 +863,106 @@ def test_truncation_consistency_of_every_shared_family():
             part = build(*family, k)
             assert full.leading_submatrix(k) == part, (name, *family, k)
             assert inverse.leading_submatrix(k) == part.inverse(), (name, *family, k)
+
+
+# ----------------------------------------------------------------------
+# builder sides kept between per-call verify runs
+
+
+def _record_builds(monkeypatch):
+    """Every builder on connect wrapped to record (name, *family, order) per call."""
+    builds = []
+    for name in BUILDER_LABELS:
+
+        def recorded(*args, build=getattr(connect, name), name=name):
+            builds.append((name, *(getattr(a, "name", a) for a in args)))
+            return build(*args)
+
+        monkeypatch.setattr(connect, name, recorded)
+    return builds
+
+
+def test_a_warm_verify_calls_no_builder(monkeypatch):
+    builds = _record_builds(monkeypatch)
+    first = connect.verify("3.18", 48)
+    assert first.passed and sorted(builds) == [
+        ("basis_matrix", "F_even", 48),
+        ("basis_matrix", "F_odd", 48),
+        ("stirling2", "central-factorial-shifted", 48),
+    ]
+    builds.clear()
+    assert connect.verify("3.18", 48) == first and builds == []
+
+
+def test_a_larger_read_rebuilds_once(monkeypatch):
+    builds = _record_builds(monkeypatch)
+    for depth in (8, 20, 12, 20, 8):
+        assert connect.verify("6.16", depth).passed
+    assert builds == [("stirling2", "u-half-odd", 9), ("stirling2", "u-half-odd", 21)]
+    _, kept = connect._KEPT[connect._U]
+    assert kept == stirling2(preset("u-half-odd"), 21)
+
+
+def test_a_builder_swapped_after_a_warm_call_is_seen(monkeypatch):
+    assert connect.verify("5.7", 12).passed
+    monkeypatch.setattr(connect, "tangent_matrix", _bumped(connect.tangent_matrix, BUMP_SITES[0]))
+    assert connect.verify("5.7", 12).counterexample[0] == "entry (11,0)"
+    monkeypatch.undo()
+    assert connect.verify("5.7", 12).passed
+
+
+def test_a_changed_preset_after_a_warm_call_is_seen(monkeypatch):
+    # 3.18 reads the shifted preset, for which preset() makes a new spec on every call.
+    assert connect.verify("3.18", 12).passed
+    w = stirling.PRESETS["central-factorial"].w
+    monkeypatch.setitem(
+        stirling.PRESETS, "central-factorial",
+        WeightSpec("central-factorial", lambda n: w(n) + 1 if n == 3 else w(n)),
+    )
+    assert not connect.verify("3.18", 12).passed
+    monkeypatch.undo()
+    assert connect.verify("3.18", 12).passed
+
+
+@pytest.mark.parametrize("label, cache, index, change", [
+    ("2.2", numbers._bernoulli, 8, lambda b: b + 1),
+    ("3.18", polyalg._fib, 6, lambda p: p + Poly.one()),
+], ids=["bernoulli", "fibonacci"])
+def test_a_perturbed_cache_after_a_warm_call_is_seen(label, cache, index, change):
+    numbers.bernoulli(60)
+    assert connect.verify(label, 12).passed
+    with perturbed(cache, index, change):
+        report = connect.verify(label, 12)
+        connect._KEPT.clear()
+        assert not report.passed and report == connect.verify(label, 12)
+    assert connect.verify(label, 12).passed
+
+
+def test_shared_runs_the_cli_and_evaluate_leave_the_store_as_they_found_it(capsys):
+    def runs():
+        assert cli.main(["verify", "3.18", "6.16", "--depth", "20"]) == 0
+        table = connect.shared_builds(["5.7", "4.42"], 14)
+        assert all(connect.verify(label, 14, table).passed for label in ("5.7", "4.42"))
+        connect.evaluate(connect.MATRICES["a2"], 30)
+        assert cli.build_triangle("genocchi-matrix", 40, "second").order == 40
+
+    connect._KEPT.clear()
+    runs()
+    assert connect._KEPT == {}
+    assert connect.verify("3.18", 12).passed
+    before = dict(connect._KEPT)
+    runs()
+    assert connect._KEPT.keys() == before.keys()
+    assert all(connect._KEPT[side] is held for side, held in before.items())
+
+
+def test_cache_counts_the_writes_that_can_change_a_held_value():
+    assert all(type(cache) is Cache for cache in CACHES)
+    c, start = Cache([1, 2, 3]), Cache.edits
+    c.append(4)
+    c.extend([5, 6])
+    assert Cache.edits == start
+    c[0] = 7
+    c[:] = [1, 2]
+    del c[1]
+    assert Cache.edits == start + 3 and c == [1]

@@ -5,6 +5,7 @@ from math import comb
 import pytest
 
 import golden
+from fixtures import perturbed
 from genocchi import numbers
 from genocchi.seidel import seidel_array
 from genocchi.trimat import TriMatrix
@@ -219,6 +220,38 @@ def test_tangent_check_runs_on_every_call(monkeypatch):
         monkeypatch.setattr(numbers, "genocchi", lambda n, g=g: g)
         with pytest.raises(ArithmeticError, match=rf"^tangent\(2\) came out as {shown},"):
             numbers.tangent(2)
+
+
+# Each positivity check meets a value of exactly 0: an entry it is computed
+# from is zeroed, and the cache that holds the value is cut back so that the
+# value is computed again.  A check weakened to < 0 lets the 0 through.
+
+
+def test_genocchi_positivity_check_rejects_zero():
+    numbers.genocchi(2)
+    with perturbed(numbers._bernoulli, 4, lambda b: Fraction(0)):
+        del numbers._genocchi[1:]
+        with pytest.raises(
+            ArithmeticError, match=r"^genocchi\(2\) came out as 0, expected a positive integer$"
+        ):
+            numbers.genocchi(2)
+
+
+def test_tangent_positivity_check_rejects_zero():
+    numbers.genocchi(3)
+    with perturbed(numbers._genocchi, 2, lambda g: 0):
+        with pytest.raises(
+            ArithmeticError, match=r"^tangent\(2\) came out as 0, expected a positive integer$"
+        ):
+            numbers.tangent(2)
+
+
+def test_median_genocchi_positivity_check_rejects_zero():
+    numbers.median_genocchi(1)
+    with perturbed(numbers._medians, 0, lambda m: 0):
+        del numbers._medians[1:]
+        with pytest.raises(ArithmeticError, match=r"^median genocchi 1 came out as 0$"):
+            numbers.median_genocchi(1)
 
 
 def test_index_validation():
