@@ -29,25 +29,22 @@ the rows of A, the differences of consecutive A1 rows and the prefix sums of
 those differences of A^-1.  MATRICES names the sides the triangle subcommand
 prints.  One evaluator, _Table, plans every read before it builds, builds
 each side once at the largest order planned and serves each read as a
-leading block; it looks builders up on this module when it runs them, so a
-swapped builder is seen by every label that reads it.  shared_builds(labels,
-depth) returns a table planned by walking the sides those rows read, without
-running a case.  verify(label, depth, table=None), the one runner, reads a
-row's sides from that table, drops each side after its last reader and
-keeps the report in the table, so an alias label such as 4.6 reuses its
-twin's report.  A call without a table that planned its row plans one for
-that row alone, whose builder sides come from _KEPT, the one store this
-module keeps for the life of the process: each builder side such a call
-has read, at the largest order read so far, each later read served as a
-leading block.  A kept side is built again when its builder on this module
-is swapped, when its preset's PRESETS entry changes, or when any number or
-polynomial cache is edited in place (trimat.Cache counts the edits); a
-cache replaced by another object, or a swapped function on numbers or
-polyalg, is not seen by a kept side.  Derived sides (products, solves, sums
-and the other operators) stay per call, and neither a shared table, as
-verify all runs, nor evaluate, which builds one side from a table of its
-own, reads or fills the store.  Labels such as "3.9" or "5.10" are part of
-the command line contract.
+leading block.  Every table reads its builder sides from _KEPT, the one
+store this module keeps for the life of the process: each builder side any
+table has read, at the largest order read so far.  A kept side is built
+again when its builder on this module is swapped, so a swapped builder is
+seen by every label that reads it, when its preset's PRESETS entry changes,
+or when any number or polynomial cache is edited in place (trimat.Cache
+counts the edits); a cache replaced by another object, or a swapped function
+on numbers or polyalg, is not seen by a kept side.  Derived sides (products,
+solves, sums and the other operators) are made per table.
+shared_builds(labels, depth) returns a table planned by walking the sides
+those rows read, without running a case, and evaluate(side, order) one
+planned for a single side.  verify(label, depth, table=None), the one
+runner, reads a row's sides from that table, or from one it plans for that
+row alone, drops each side from the table after its last reader and keeps
+the report there, so an alias label such as 4.6 reuses its twin's report.
+Labels such as "3.9" or "5.10" are part of the command line contract.
 """
 
 from __future__ import annotations
@@ -274,15 +271,14 @@ class _Table:
     Truncation commutes with building and with every operator, so a side is
     built once, at the largest order planned for it.  Every read is planned
     before the table is read: a side read but never planned is a KeyError.
-    A table that keeps reads its builder sides through _kept.
+    Builder sides come from _kept; derived sides are made by the table.
     """
 
-    def __init__(self, runs: Iterable[Tuple[Row, int]] = (), keeps: bool = False):
+    def __init__(self, runs: Iterable[Tuple[Row, int]] = ()):
         self.planned: Dict[_Side, int] = {}  # side -> largest order the run reads
         self.last: Dict[_Side, Optional[Row]] = {}  # side -> the last row that reads it
         self.entries: Dict[_Side, TriMatrix] = {}
         self.reports: Dict[Tuple[Row, int], IdentityReport] = {}
-        self.keeps = keeps
         self.runs = dict.fromkeys(runs)  # the (row, depth) planned, in the order they run
         for row, depth in self.runs:
             for side, offset in row.reads:
@@ -307,20 +303,12 @@ class _Table:
                 operands = [self.get(x, n + offset) if isinstance(x, _Side) else x for x in args]
                 m = f(*operands or [n])
             else:
-                m = _kept(side, n) if self.keeps else _build(side, n)
+                m = _kept(side, n)
             self.entries[side] = m
         return m if m.order == order else m.leading_submatrix(order)
 
 
-def _build(side: _Side, order: int) -> TriMatrix:
-    """A builder side at the order, its builder looked up now so that a swapped one is seen."""
-    op, args = side
-    family = map(preset, args) if op in ("stirling1", "stirling2") else args
-    return globals()[op](*family, order)
-
-
-# The builder sides that per-call verify runs read: side -> (key, build).
-# See _kept.
+# Every builder side a table has read: side -> (key, build).  See _kept.
 _KEPT: Dict[_Side, Tuple[tuple, TriMatrix]] = {}
 
 
@@ -335,21 +323,23 @@ def _kept(side: _Side, order: int) -> TriMatrix:
     so _KEPT holds one order of each side.
     """
     op, args = side
-    key = (globals()[op], Cache.edits)
-    if op in ("stirling1", "stirling2"):
+    build = globals()[op]  # looked up now, so that a swapped builder is seen
+    key = (build, Cache.edits)
+    stirling = op in ("stirling1", "stirling2")
+    if stirling:
         key += tuple(PRESETS.get(name.split("-shifted")[0]) for name in args)
     held = _KEPT.pop(side, None)
     if held and held[0] == key and held[1].order >= order:
         m = held[1]
     else:
         del held  # dropped before the new build, so one order of a side is held at a time
-        m = _build(side, order)
+        m = build(*(map(preset, args) if stirling else args), order)
     _KEPT[side] = key, m
     return m
 
 
 def evaluate(side: _Side, order: int) -> TriMatrix:
-    """side at the order, from a table planned for this one read; _KEPT is neither read nor filled."""
+    """side at the order, from a table planned for this one read."""
     table = _Table()
     table.plan(side, order)
     return table.get(side, order)
@@ -358,9 +348,9 @@ def evaluate(side: _Side, order: int) -> TriMatrix:
 def shared_builds(labels: Iterable[str], depth: int) -> _Table:
     """One _Table planned for the verify calls of these labels at the depth.
 
-    Pass it to each call as its table.  It builds each side on first read,
-    so a builder or cache changed after a side is built is seen only by a
-    new table.
+    Pass it to each call as its table.  It holds each side from its first
+    read to its last reader, so a builder or cache changed in between is
+    seen only by a new table.
     """
     return _Table((CATALOG[label], depth) for label in labels if label in CATALOG)
 
@@ -618,9 +608,9 @@ def verify(label: str, depth: int, table: Optional[_Table] = None) -> IdentityRe
     which then drops those this row reads last, and a label whose row the
     table checked at this depth before (an alias such as 4.6, or a repeated
     label) reuses that report.  Otherwise they come from a table planned for
-    this one run, which reads its builder sides from _KEPT, so a warm
-    process builds a family again only for a larger order or after its
-    builder, preset or a cache changed; its derived sides are made anew.
+    this one run.  Either table reads its builder sides from _KEPT, so a
+    warm process builds a family again only for a larger order or after its
+    builder, preset or a cache changed; derived sides are made per table.
     """
     if label not in CATALOG:
         raise UnknownIdentityError(label, tuple(CATALOG))
@@ -628,7 +618,7 @@ def verify(label: str, depth: int, table: Optional[_Table] = None) -> IdentityRe
         raise ValueError("depth must be >= 1")
     row = CATALOG[label]
     if table is None or (row, depth) not in table.runs:
-        table = _Table([(row, depth)], keeps=True)
+        table = _Table([(row, depth)])
     if (row, depth) not in table.reports:
         matrices = [table.get(side, depth + offset) for side, offset in row.reads]
         for side in [s for s, reader in table.last.items() if reader is row]:

@@ -329,9 +329,20 @@ def test_seidel_genocchi_csv(capsys):
 
 
 def test_seidel_table_marks_diagonal(capsys):
+    # The settled value h(2n, n) of every even row is bracketed, the last at row 8.
     code, out, _ = run(capsys, "seidel", "ls-from-T", "-k", "2", "-n", "9")
     assert code == 0
-    assert "[52]" in out
+    assert out == (
+        "[0]\n"
+        "  0\n"
+        "  0 [0]\n"
+        "  0   0\n"
+        "  1   1 [1]\n"
+        "  3   2   1\n"
+        " 14  11   9 [8]\n"
+        " 42  28  17   8\n"
+        "147 105  77  60 [52]"
+    )
 
 
 def test_seidel_bad_variant(capsys):
@@ -364,6 +375,15 @@ def test_at_matches_golden(capsys):
         tuple(Fraction(cell) for cell in line.split(",")) for line in out.splitlines()
     )
     assert rows == golden.AT_SQUARES_LINEAR_6
+
+
+def test_at_seeds_are_pinned():
+    assert {name: [seed(j) for j in range(5)] for name, seed in cli.SEEDS.items()} == {
+        "harmonic": [1, Fraction(1, 2), Fraction(1, 3), Fraction(1, 4), Fraction(1, 5)],
+        "linear": [1, 2, 3, 4, 5],
+        "squares": [1, 4, 9, 16, 25],
+        "ones": [1, 1, 1, 1, 1],
+    }
 
 
 def test_at_bad_weights(capsys):
@@ -537,6 +557,7 @@ def test_every_public_function_is_run_by_the_cli_or_exported(monkeypatch):
                                  (numbers, "_bernoulli", 1), (numbers, "_genocchi", 0),
                                  (numbers, "_medians", 0)):
         monkeypatch.setattr(module, cache, getattr(module, cache)[:fresh])
+    monkeypatch.setattr(connect, "_KEPT", {})
     run_codes = set()
     sys.setprofile(lambda frame, event, arg: event == "call" and run_codes.add(frame.f_code))
     try:

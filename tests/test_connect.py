@@ -246,6 +246,17 @@ def test_factorization_catalog_passes():
         assert report.counterexample is None
 
 
+def test_catalog_kinds_are_counted():
+    # Each ID tuple holds exactly the labels of its kind, in label order.
+    kinds = {kind: tuple(label for label, row in connect.CATALOG.items() if row.kind == kind)
+             for kind in ("factorization", "connection", "summation")}
+    assert kinds["factorization"] == connect.FACTORIZATION_IDS
+    assert kinds["connection"] == connect.CONNECTION_IDS
+    assert {kind: len(labels) for kind, labels in kinds.items()} == {
+        "factorization": 27, "connection": 15, "summation": 14,
+    }
+
+
 def test_factorization_unknown_id():
     with pytest.raises(UnknownIdentityError):
         connect.verify("9.99", 5)
@@ -866,7 +877,7 @@ def test_truncation_consistency_of_every_shared_family():
 
 
 # ----------------------------------------------------------------------
-# builder sides kept between per-call verify runs
+# builder sides kept for the life of the process
 
 
 def _record_builds(monkeypatch):
@@ -938,22 +949,34 @@ def test_a_perturbed_cache_after_a_warm_call_is_seen(label, cache, index, change
     assert connect.verify(label, 12).passed
 
 
-def test_shared_runs_the_cli_and_evaluate_leave_the_store_as_they_found_it(capsys):
-    def runs():
-        assert cli.main(["verify", "3.18", "6.16", "--depth", "20"]) == 0
-        table = connect.shared_builds(["5.7", "4.42"], 14)
-        assert all(connect.verify(label, 14, table).passed for label in ("5.7", "4.42"))
-        connect.evaluate(connect.MATRICES["a2"], 30)
-        assert cli.build_triangle("genocchi-matrix", 40, "second").order == 40
-
+def test_a_named_triangle_fills_the_store_that_verify_reads(monkeypatch):
     connect._KEPT.clear()
-    runs()
-    assert connect._KEPT == {}
-    assert connect.verify("3.18", 12).passed
-    before = dict(connect._KEPT)
-    runs()
-    assert connect._KEPT.keys() == before.keys()
-    assert all(connect._KEPT[side] is held for side, held in before.items())
+    builds = _record_builds(monkeypatch)
+    assert cli.build_triangle("genocchi-matrix", 40, "second").order == 40
+    assert builds == [("genocchi_matrix", 40)]
+    builds.clear()
+    assert connect.verify("4.12", 12).passed
+    assert builds == [("stirling2", "central-factorial-shifted", 12)]
+
+
+def test_verify_all_fills_the_store_with_every_builder_side_it_reads(monkeypatch, capsys):
+    connect._KEPT.clear()
+    builds = _record_builds(monkeypatch)
+    assert cli.main(["verify", "all", "--depth", "6"]) == 0
+    plan = connect.shared_builds(connect.CATALOG, 6).planned
+    assert {side: m.order for side, (_, m) in connect._KEPT.items()} == {
+        side: order for side, order in plan.items() if side.op not in connect._OPERATORS
+    }
+    builds.clear()
+    assert all(connect.verify(label, 6).passed for label in connect.CATALOG) and builds == []
+
+
+def test_verify_after_evaluate_reports_as_a_cold_run(cold_verify):
+    connect._KEPT.clear()
+    for side in connect.MATRICES.values():
+        assert connect.evaluate(side, 40).order == 40
+    warm = {label: connect.verify(label, 12) for label in connect.CATALOG}
+    assert warm == {label: cold_verify(label, 12) for label in connect.CATALOG}
 
 
 def test_cache_counts_the_writes_that_can_change_a_held_value():

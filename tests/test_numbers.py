@@ -206,10 +206,12 @@ def test_bernoulli_check_runs_as_a_value_enters_the_cache(monkeypatch, index, va
 
 def test_median_genocchi_cross_check_runs_as_a_value_enters_the_cache(monkeypatch):
     monkeypatch.setattr(numbers, "_medians", [1, 1, 2])
-    # the true value G_8 is 17; cached values are served without a check
-    monkeypatch.setattr(numbers, "genocchi", lambda n: 18)
+    # every Genocchi number is read one too large (the true G_8 is 17), so the
+    # message shows which index was read; cached values are served without a check
+    monkeypatch.setattr(numbers, "genocchi", lambda n, g=numbers.genocchi: g(n) + 1)
     assert numbers.median_genocchi(2) == 2
-    with pytest.raises(ArithmeticError, match="cross-check failed at n=3"):
+    message = r"^median genocchi cross-check failed at n=3: 17 != 18$"
+    with pytest.raises(ArithmeticError, match=message):
         numbers.median_genocchi(3)
     assert numbers._medians == [1, 1, 2]
 

@@ -39,6 +39,13 @@ def test_trailing_zeros_trimmed():
     assert Poly([1, 2, 0, 0]).degree == 1
 
 
+def test_str_writes_a_unit_coefficient_bare():
+    assert str(Poly([0, 1])) == "s"
+    assert str(Poly([0, 0, 1])) == "s^2"
+    assert str(Poly([3, -1, 2])) == "3 - 1*s + 2*s^2"
+    assert str(Poly()) == "0"
+
+
 def test_arithmetic():
     p = Poly([1, 2])
     q = Poly([0, 1, 1])

@@ -35,6 +35,13 @@ def test_from_rule_rejects_zero_order():
         TriMatrix.from_rule(lambda i, j: 1, 0)
 
 
+def test_constructor_rejects_a_row_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"^row 1 has 3 entries, expected 2$"):
+        TriMatrix([[1], [2, 3, 4]])
+    with pytest.raises(ValueError, match=r"^row 2 has 2 entries, expected 3$"):
+        TriMatrix([[1], [2, 3], [4, 5]])
+
+
 def test_entry_above_diagonal_is_zero():
     m = TriMatrix([[1], [2, 3]])
     assert m[0, 1] == 0
