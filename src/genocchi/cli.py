@@ -10,8 +10,6 @@ unknown names or labels (one line on stderr).
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 from fractions import Fraction
@@ -109,6 +107,8 @@ Rows = Sequence[Sequence[Fraction | int]]
 
 
 def _dump_json(payload) -> None:
+    import json  # json and csv load only for the formats that print through them
+
     json.dump(payload, sys.stdout)
     print()
 
@@ -141,6 +141,8 @@ def parse_triangle_csv(text: str) -> TriMatrix:
 
 
 def parse_triangle_json(text: str) -> TriMatrix:
+    import json
+
     rows = json.loads(text, parse_float=Fraction)["rows"]
     return TriMatrix([[Fraction(x) if type(x) is str else x for x in row] for row in rows])
 
@@ -177,6 +179,8 @@ def _cmd_verify(args) -> int:
             for r in reports
         ]})
     elif args.format == "csv":
+        import csv
+
         csv.writer(sys.stdout, lineterminator="\n").writerows(
             [r.ident, r.depth, "pass" if r.passed else "fail", *(r.counterexample or ("",) * 3)]
             for r in reports)
@@ -265,7 +269,3 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

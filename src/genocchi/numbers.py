@@ -24,23 +24,35 @@ from operator import add, mul
 from .trimat import Cache, _scaled
 
 _bernoulli: list[Fraction] = Cache([Fraction(1)])
+# (cache, Cache.edits, nums, den, binom) as the last extension of bernoulli
+# left them: the cache's values scaled by den, and the Pascal row C(m, k)
+# for m = len(nums).
+_scaled_bernoulli: tuple = (None,) * 5
 
 
 def bernoulli(n: int) -> Fraction:
     """n-th Bernoulli number, with B(1) = -1/2.
 
     Extends the cache by B(m) = -sum_{k<m} C(m+1, k) B(k) / (m+1) in int
-    arithmetic: the cached values are scaled once to one common
-    denominator, which grows by lcm when a new value needs it, the zero
-    terms are skipped, and each value is divided back once.  A new value
-    must pass _check_bernoulli before it enters the cache.
+    arithmetic: the cached values are scaled to one common denominator,
+    which grows by lcm when a new value needs it, the zero terms are
+    skipped, and each value is divided back once.  The scaled values and
+    the Pascal row are kept between calls, so a cache read one index at a
+    time grows in one pass; they are made again from the cache when it is
+    another object, has been edited in place (Cache.edits) or has another
+    length.  A new value must pass _check_bernoulli before it enters the
+    cache.
     """
+    global _scaled_bernoulli
     if n < 0:
         raise ValueError("index must be >= 0")
-    if len(_bernoulli) <= n:
-        nums, den = _scaled(_bernoulli)
-        nums = list(nums)  # _scaled hands all-int values back as given, and nums grows
-        binom = [comb(len(nums), k) for k in range(len(nums) + 1)]
+    cache = _bernoulli
+    if len(cache) <= n:
+        held, edits, nums, den, binom = _scaled_bernoulli
+        if held is not cache or edits != Cache.edits or len(nums) != len(cache):
+            nums, den = _scaled(cache)
+            nums = list(nums)  # _scaled hands all-int values back as given, and nums grows
+            binom = [comb(len(nums), k) for k in range(len(nums) + 1)]
         while len(nums) <= n:
             m = len(nums)
             binom = [1, *map(add, binom, binom[1:]), 1]  # C(m+1, k)
@@ -52,8 +64,11 @@ def bernoulli(n: int) -> Fraction:
                 nums = [x * (grown // den) for x in nums]
                 den = grown
             nums.append(value.numerator * (den // value.denominator))
-            _bernoulli.append(value)
-    return _bernoulli[n]
+            # kept before the value enters the cache: stopped between the two,
+            # the kept values are one longer than the cache, and are made again
+            _scaled_bernoulli = (cache, Cache.edits, nums, den, binom)
+            cache.append(value)
+    return cache[n]
 
 
 def _check_bernoulli(m: int, value: Fraction) -> None:

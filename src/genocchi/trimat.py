@@ -81,22 +81,29 @@ def _scaled(values: Sequence[Scalar]) -> Tuple[Sequence[int], int]:
 class Cache(list):
     """A number or polynomial cache that counts the edits made to it.
 
-    c[i] = x, c[:] = v and del c[i] can change a held value, so each adds 1
-    to Cache.edits, one count shared by every cache: a result computed from
-    cached values is still current while the count is unchanged.  append
-    and extend only grow a cache, by values computed from the held ones, so
-    they count nothing.
+    Every list method that can change or drop a held value (item and slice
+    assignment, del, pop, insert, remove, clear, sort, reverse and *=) adds
+    1 to Cache.edits, one count shared by every cache: a result computed
+    from cached values is still current while the count is unchanged.
+    append, extend and += only grow a cache, by values computed from the
+    held ones, so they count nothing.
     """
 
     edits = 0
 
-    def __setitem__(self, index, value) -> None:
-        Cache.edits += 1
-        super().__setitem__(index, value)
 
-    def __delitem__(self, index) -> None:
+def _counted(method):
+    def counted(self, *args, **kwargs):
         Cache.edits += 1
-        super().__delitem__(index)
+        return method(self, *args, **kwargs)
+
+    counted.__name__, counted.__qualname__ = method.__name__, f"Cache.{method.__name__}"
+    return counted
+
+
+for _name in ("__setitem__", "__delitem__", "__imul__", "pop", "insert", "remove", "clear",
+              "sort", "reverse"):
+    setattr(Cache, _name, _counted(getattr(list, _name)))
 
 
 class SingularMatrixError(ValueError):

@@ -9,6 +9,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -513,13 +514,65 @@ def test_closed_stdout_exits_one_without_traceback():
     assert err == b""
 
 
-def test_cli_import_leaves_out_dataclasses_and_inspect():
-    # -S keeps site from importing modules on the package's behalf
+def _python(*args, **kwargs):
+    """A fresh interpreter run with the package's source directory on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = "import sys, genocchi.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=60, **kwargs)
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # -S keeps site from importing modules on the package's behalf.  json and
+    # csv load only for the format that prints through them, so importing the
+    # CLI loads neither and a run loads at most the one its --format names.
+    code = ("import sys, genocchi.cli\n"
+            "code = genocchi.cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+            "print(code, sorted({'csv', 'dataclasses', 'inspect', 'json'} & set(sys.modules)),"
+            " file=sys.stderr)")
+    for fmt, loaded in ((None, []), ("table", []), ("csv", ["csv"]), ("json", ["json"])):
+        argv = [] if fmt is None else ["verify", "all", "--depth", "2", "--format", fmt]
+        proc = _python("-S", "-c", code, *argv, text=True)
+        assert (proc.returncode, proc.stderr) == (0, f"0 {loaded}\n"), fmt
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["verify", "all", "--depth", "6", "--format", "json"], 0),
+    (["verify", "9.99"], 2),
+])
+def test_python_m_prints_what_main_prints(capfdbinary, argv, code):
+    assert cli.main(argv) == code
+    sys.stdout.flush()
+    want = capfdbinary.readouterr()
+    proc = _python("-m", "genocchi", *argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, want.out, want.err)
+    assert len(proc.stderr.splitlines()) == (1 if code else 0)
+
+
+def test_entry_point_freezes_the_heap_once_main_has_returned():
+    # gc.freeze skips the collections at shutdown; it must come after main,
+    # which tests and library callers run many times in one process
+    code = textwrap.dedent("""
+        import gc, runpy, sys
+        from genocchi import cli
+        calls, main, freeze = [], cli.main, gc.freeze
+
+        def traced_main():
+            calls.append("main")
+            code = main()
+            calls.append("main returned")
+            return code
+
+        cli.main = traced_main
+        gc.freeze = lambda: calls.append("freeze") or freeze()
+        sys.argv = ["genocchi", "sequence", "genocchi", "-n", "3"]
+        try:
+            runpy.run_module("genocchi", run_name="__main__")
+        except SystemExit as exc:
+            print(exc.code, calls, gc.get_freeze_count() > 0, file=sys.stderr)
+    """)
+    proc = _python("-c", code, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        0, "1 1 3\n", "0 ['main', 'main returned', 'freeze'] True\n")
 
 
 

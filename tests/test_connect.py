@@ -984,8 +984,17 @@ def test_cache_counts_the_writes_that_can_change_a_held_value():
     c, start = Cache([1, 2, 3]), Cache.edits
     c.append(4)
     c.extend([5, 6])
-    assert Cache.edits == start
+    c += [7]
+    assert Cache.edits == start and type(c) is Cache
     c[0] = 7
-    c[:] = [1, 2]
+    c[:] = [3, 1, 2]
     del c[1]
-    assert Cache.edits == start + 3 and c == [1]
+    c.pop()
+    c.insert(0, 2)
+    c.remove(2)
+    c.sort(reverse=True)
+    c.reverse()
+    c *= 2
+    assert Cache.edits == start + 9 and c == [3, 3] and type(c) is Cache
+    c.clear()
+    assert Cache.edits == start + 10 and c == []

@@ -8,7 +8,7 @@ import golden
 from fixtures import perturbed
 from genocchi import numbers
 from genocchi.seidel import seidel_array
-from genocchi.trimat import TriMatrix
+from genocchi.trimat import Cache, TriMatrix
 
 
 def test_bernoulli_values():
@@ -202,6 +202,46 @@ def test_bernoulli_check_runs_as_a_value_enters_the_cache(monkeypatch, index, va
     with pytest.raises(ArithmeticError, match=rf"^{shown}$"):
         numbers.bernoulli(index + 1)
     assert numbers._bernoulli == perturbed
+
+
+@pytest.mark.parametrize("change", [
+    "edited in place", "popped and appended again", "swapped for a same-length copy",
+])
+def test_bernoulli_check_sees_a_change_between_extensions(monkeypatch, change):
+    # bernoulli keeps its scaled values between extending calls; a cached value
+    # changed after one extension must still reach the next value's check
+    cache = Cache([Fraction(1)])
+    monkeypatch.setattr(numbers, "_bernoulli", cache)
+    numbers.bernoulli(8)
+    if change == "popped and appended again":
+        cache.append(cache.pop() + Fraction(1, 7))
+    else:
+        if change == "swapped for a same-length copy":
+            cache = list(cache)  # a plain list counts no edits, so only its identity differs
+            monkeypatch.setattr(numbers, "_bernoulli", cache)
+        cache[8] += Fraction(1, 7)
+    with pytest.raises(ArithmeticError, match=r"^bernoulli\(9\) came out as -9/14, expected 0$"):
+        numbers.bernoulli(9)
+    assert len(numbers._bernoulli) == 9
+
+
+class _StopsBeforeAppend(Cache):
+    def append(self, value):
+        raise KeyboardInterrupt
+
+
+def test_bernoulli_regrows_after_an_extension_stopped_before_its_append(monkeypatch):
+    # the scaled values are kept just before a value enters the cache, so an
+    # extension stopped between the two leaves them one longer than the cache
+    cache = Cache([Fraction(1)])
+    monkeypatch.setattr(numbers, "_bernoulli", cache)
+    numbers.bernoulli(6)
+    cache.__class__ = _StopsBeforeAppend
+    with pytest.raises(KeyboardInterrupt):
+        numbers.bernoulli(7)
+    cache.__class__ = Cache
+    assert numbers.bernoulli(10) == Fraction(5, 66)
+    assert cache == fraction_bernoulli(10)
 
 
 def test_median_genocchi_cross_check_runs_as_a_value_enters_the_cache(monkeypatch):
