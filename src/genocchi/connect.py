@@ -29,15 +29,21 @@ the rows of A, the differences of consecutive A1 rows and the prefix sums of
 those differences of A^-1.  MATRICES names the sides the triangle subcommand
 prints.  One evaluator, _Table, plans every read before it builds, builds
 each side once at the largest order planned and serves each read as a
-leading block.  Every table reads its builder sides from _KEPT, the one
-store this module keeps for the life of the process: each builder side any
-table has read, at the largest order read so far.  A kept side is built
-again when its builder on this module is swapped, so a swapped builder is
-seen by every label that reads it, when its preset's PRESETS entry changes,
-or when any number or polynomial cache is edited in place (trimat.Cache
-counts the edits); a cache replaced by another object, or a swapped function
-on numbers or polyalg, is not seen by a kept side.  Derived sides (products,
-solves, sums and the other operators) are made per table.
+leading block.  Every table reads its builder sides and kernel outputs
+(products and solves) from _KEPT, the one store this module keeps for the
+life of the process, each at the largest order read so far: every builder
+side any table has read, and every kernel output a table has made a second
+time, so a run that makes each product once, as a cold verify all does,
+keeps none.  A kept side is made again when its builder on this module is
+swapped, so a swapped builder is seen by every label that reads it, when its
+preset's PRESETS entry changes, when any number or polynomial cache is edited
+in place (trimat.Cache counts the edits), or, for a kernel output, when an
+_OPERATORS entry or a builder under it changes.  A cache replaced by another
+object, a swapped function on numbers or polyalg, a patched _Table.get and a
+swapped TriMatrix method are not seen by a kept side.  A build entering the
+store takes its leading rows from the kept build that shares the most of
+them, so equal sides, such as the two of an identity that holds, are held
+once.  Entrywise operators (sums, column scaling and the rest) run per table.
 shared_builds(labels, depth) returns a table planned by walking the sides
 those rows read, without running a case, and evaluate(side, order) one
 planned for a single side.  verify(label, depth, table=None), the one
@@ -271,13 +277,15 @@ class _Table:
     Truncation commutes with building and with every operator, so a side is
     built once, at the largest order planned for it.  Every read is planned
     before the table is read: a side read but never planned is a KeyError.
-    Builder sides come from _kept; derived sides are made by the table.
+    Builder sides and kernel outputs come through _kept, which serves them
+    from _KEPT while they hold there; entrywise operators run in the table.
     """
 
     def __init__(self, runs: Iterable[Tuple[Row, int]] = ()):
         self.planned: Dict[_Side, int] = {}  # side -> largest order the run reads
         self.last: Dict[_Side, Optional[Row]] = {}  # side -> the last row that reads it
         self.entries: Dict[_Side, TriMatrix] = {}
+        self.keys: Dict[_Side, tuple] = {}  # side -> the _key of what its entry was made from
         self.reports: Dict[Tuple[Row, int], IdentityReport] = {}
         self.runs = dict.fromkeys(runs)  # the (row, depth) planned, in the order they run
         for row, depth in self.runs:
@@ -296,46 +304,100 @@ class _Table:
     def get(self, side: _Side, order: int) -> TriMatrix:
         m = self.entries.get(side)
         if m is None:
-            op, args = side
             n = self.planned[side]
-            if op in _OPERATORS:
-                offset, f = _OPERATORS[op]
-                operands = [self.get(x, n + offset) if isinstance(x, _Side) else x for x in args]
-                m = f(*operands or [n])
-            else:
-                m = _kept(side, n)
-            self.entries[side] = m
+            key, m = _kept(side, n, self.make) if _keeps(side) else self.make(side, n)
+            self.keys[side], self.entries[side] = key, m
         return m if m.order == order else m.leading_submatrix(order)
 
+    def make(self, side: _Side, order: int) -> Tuple[tuple, TriMatrix]:
+        """(key, side at the order): a builder call, or its operator over operands from this table.
 
-# Every builder side a table has read: side -> (key, build).  See _kept.
-_KEPT: Dict[_Side, Tuple[tuple, TriMatrix]] = {}
+        The key is _key(side) as of the operands this table read, which it
+        may have held since before a change.
+        """
+        op, args = side
+        if op in _OPERATORS:
+            offset, f = entry = _OPERATORS[op]
+            operands = [self.get(x, order + offset) if isinstance(x, _Side) else x for x in args]
+            key = (entry, *(self.keys[x] if isinstance(x, _Side) else id(x) for x in args))
+            return key, f(*operands or [order])
+        build = globals()[op]  # looked up now, so that a swapped builder is seen
+        stirling = op in ("stirling1", "stirling2")
+        return _key(side), build(*(map(preset, args) if stirling else args), order)
 
 
-def _kept(side: _Side, order: int) -> TriMatrix:
-    """A builder side at the order or above, kept in _KEPT for later reads.
+# The operators whose outputs _kept keeps: each entry of one costs many
+# multiply-adds, where an entrywise operator costs one operation per entry.
+_KERNELS = ("@", "solve", "solve_right")
 
-    A kept build is read while its key holds: the builder that the side's
-    name looks up, Cache.edits and, for a Stirling side, the PRESETS entry
-    its preset name resolves to (preset makes a new spec for a shifted
-    name on every call).  Otherwise, and for a read above the kept order,
-    the side is built again at the order read and replaces the kept build,
-    so _KEPT holds one order of each side.
+
+def _keeps(side: _Side) -> bool:
+    """Whether _kept serves the side: a builder side or a kernel output."""
+    return side.op not in _OPERATORS or side.op in _KERNELS
+
+
+def _key(side: _Side) -> tuple:
+    """What a kept build of the side was made from; the build is read while this is unchanged.
+
+    For a builder side: the builder that its name looks up, Cache.edits and,
+    for a Stirling side, the PRESETS entry its preset name resolves to
+    (preset makes a new spec for a shifted name on every call).  For an
+    operator side: its _OPERATORS entry, its other args by identity and the
+    keys of its operands, down to the builder sides under it.
     """
     op, args = side
-    build = globals()[op]  # looked up now, so that a swapped builder is seen
-    key = (build, Cache.edits)
-    stirling = op in ("stirling1", "stirling2")
-    if stirling:
+    if op in _OPERATORS:
+        return (_OPERATORS[op], *(_key(x) if isinstance(x, _Side) else id(x) for x in args))
+    key = (globals()[op], Cache.edits)
+    if op in ("stirling1", "stirling2"):
         key += tuple(PRESETS.get(name.split("-shifted")[0]) for name in args)
-    held = _KEPT.pop(side, None)
-    if held and held[0] == key and held[1].order >= order:
-        m = held[1]
-    else:
-        del held  # dropped before the new build, so one order of a side is held at a time
-        m = build(*(map(preset, args) if stirling else args), order)
-    _KEPT[side] = key, m
-    return m
+    return key
+
+
+# The builds kept for the life of the process: side -> (key, build).  See _kept.
+_KEPT: Dict[_Side, Tuple[tuple, TriMatrix]] = {}
+# The kernel outputs made once, which _kept keeps when they are made again.
+_SEEN: set = set()
+
+
+def _kept(side: _Side, order: int,
+          make: Callable[[_Side, int], Tuple[tuple, TriMatrix]]) -> Tuple[tuple, TriMatrix]:
+    """(key, build) of a builder side or kernel output at the order or above, kept in _KEPT.
+
+    A kept build is read while its order is at least the order read and its
+    key is the side's _key now.  Otherwise make builds the side at the order
+    read, and its key is what that build was made from.  A builder side
+    enters _KEPT on its first build, a kernel output on its second, so a run
+    that makes each product once, such as a cold verify all, keeps none.  A
+    build that enters replaces the side's kept build, so _KEPT holds one
+    order of each side, and takes its leading rows from the kept build whose
+    leading rows equal the most of them (_share): a side that grows keeps its
+    old row objects, and equal sides, such as the two of an identity that
+    holds, are held once and compare row by row as the same objects.
+    """
+    held = _KEPT.get(side)
+    if held and held[1].order >= order and held[0] == _key(side):
+        return held
+    key, m = make(side, order)
+    if side.op in _OPERATORS and side not in _SEEN:
+        _SEEN.add(side)
+        return key, m
+    _KEPT[side] = key, _share(m)
+    return _KEPT[side]
+
+
+def _share(m: TriMatrix) -> TriMatrix:
+    """m over the row objects of the kept build whose leading rows equal the most of m's."""
+    rows, best = m.rows, ()
+    for _, kept in _KEPT.values():
+        n = 0
+        for a, b in zip(rows, kept.rows):
+            if a is not b and a != b:
+                break
+            n += 1
+        if n > len(best):
+            best = kept.rows[:n]
+    return TriMatrix._trusted(best + rows[len(best):]) if best else m
 
 
 def evaluate(side: _Side, order: int) -> TriMatrix:
@@ -608,9 +670,11 @@ def verify(label: str, depth: int, table: Optional[_Table] = None) -> IdentityRe
     which then drops those this row reads last, and a label whose row the
     table checked at this depth before (an alias such as 4.6, or a repeated
     label) reuses that report.  Otherwise they come from a table planned for
-    this one run.  Either table reads its builder sides from _KEPT, so a
-    warm process builds a family again only for a larger order or after its
-    builder, preset or a cache changed; derived sides are made per table.
+    this one run.  Either table reads its builder sides and kernel outputs
+    from _KEPT, so a warm process builds a family, or makes a product or
+    solve it has made twice, again only for a larger order or after a
+    builder, preset or cache under it changed; entrywise sides are made per
+    table.
     """
     if label not in CATALOG:
         raise UnknownIdentityError(label, tuple(CATALOG))

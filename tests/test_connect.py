@@ -1,3 +1,4 @@
+from contextlib import ExitStack
 from fractions import Fraction
 
 import pytest
@@ -490,8 +491,25 @@ def _bump_target(name):
 
 
 @pytest.fixture
-def cold_verify():
-    """connect.verify with the kept builder sides dropped before each call, as in a fresh process.
+def forget():
+    """Empties connect's store and its set of kernel outputs made once, as in a fresh process.
+
+    Called before each change the store does not see, so that nothing made
+    before it is served; the fixture empties both again at teardown, so that
+    nothing made under the change is served to a later test.
+    """
+
+    def clear():
+        connect._KEPT.clear()
+        connect._SEEN.clear()
+
+    yield clear
+    clear()
+
+
+@pytest.fixture
+def cold_verify(forget):
+    """connect.verify with the kept sides dropped before each call, as in a fresh process.
 
     A bump lands at a site of whatever order the bumped builder makes, so a
     bumped build kept at a larger order by an earlier label would move the
@@ -500,7 +518,7 @@ def cold_verify():
     """
 
     def verify(label, depth):
-        connect._KEPT.clear()
+        forget()
         return connect.verify(label, depth)
 
     return verify
@@ -621,12 +639,15 @@ DERIVED_LABELS = {
 @pytest.mark.parametrize(
     "side", list(DERIVED_LABELS), ids=["A1", "A2", "Z", "Fsum-odd", "Fsum-even"]
 )
-def test_bumped_derived_side_fails_its_readers(side, shared, monkeypatch):
+def test_bumped_derived_side_fails_its_readers(side, shared, monkeypatch, forget):
     # Every read of this side alone is bumped; in a shared run at the sites of
-    # an order-6 build, as for the builders above.
+    # an order-6 build, as for the builders above.  A kept product is not made
+    # again, so it does not see the patched _Table.get: the store is emptied
+    # before each site, and each product over the side is made once per site.
     labels, get, failed = list(connect.CATALOG), connect._Table.get, set()
     assert [label for label in labels if side in _planned([label], 6)] == DERIVED_LABELS[side]
     for site in BUMP_SITES:
+        forget()
         at = (lambda n, site=site: site(min(n, 6))) if shared else site
 
         def bumped(table, read, order, at=at):
@@ -939,12 +960,12 @@ def test_a_changed_preset_after_a_warm_call_is_seen(monkeypatch):
     ("2.2", numbers._bernoulli, 8, lambda b: b + 1),
     ("3.18", polyalg._fib, 6, lambda p: p + Poly.one()),
 ], ids=["bernoulli", "fibonacci"])
-def test_a_perturbed_cache_after_a_warm_call_is_seen(label, cache, index, change):
+def test_a_perturbed_cache_after_a_warm_call_is_seen(label, cache, index, change, forget):
     numbers.bernoulli(60)
     assert connect.verify(label, 12).passed
     with perturbed(cache, index, change):
         report = connect.verify(label, 12)
-        connect._KEPT.clear()
+        forget()
         assert not report.passed and report == connect.verify(label, 12)
     assert connect.verify(label, 12).passed
 
@@ -959,16 +980,143 @@ def test_a_named_triangle_fills_the_store_that_verify_reads(monkeypatch):
     assert builds == [("stirling2", "central-factorial-shifted", 12)]
 
 
-def test_verify_all_fills_the_store_with_every_builder_side_it_reads(monkeypatch, capsys):
-    connect._KEPT.clear()
+def test_verify_all_fills_the_store_with_every_builder_side_it_reads(monkeypatch, capsys, forget):
+    forget()
     builds = _record_builds(monkeypatch)
     assert cli.main(["verify", "all", "--depth", "6"]) == 0
     plan = connect.shared_builds(connect.CATALOG, 6).planned
-    assert {side: m.order for side, (_, m) in connect._KEPT.items()} == {
-        side: order for side, order in plan.items() if side.op not in connect._OPERATORS
-    }
+    kept = lambda: {side: m.order for side, (_, m) in connect._KEPT.items()}  # noqa: E731
+    assert kept() == {side: order for side, order in plan.items() if side.op not in connect._OPERATORS}
     builds.clear()
     assert all(connect.verify(label, 6).passed for label in connect.CATALOG) and builds == []
+    # The labels one by one make each product and solve a second time, so the
+    # store keeps it too, at the largest order a label reads.
+    assert kept() == {side: order for side, order in plan.items() if connect._keeps(side)}
+
+
+# ----------------------------------------------------------------------
+# kernel outputs kept once they are made a second time
+
+
+def test_a_third_warm_verify_makes_no_product_or_solve(monkeypatch, forget):
+    forget()
+    calls = []
+    for name in ("__matmul__", "solve", "solve_right"):
+
+        def recorded(*args, method=getattr(TriMatrix, name), name=name):
+            calls.append(name)
+            return method(*args)
+
+        monkeypatch.setattr(TriMatrix, name, recorded)
+    # Both sides of 3.18 are a @ x^-1, each one solve_right of one solve.
+    first = connect.verify("3.18", 48)
+    assert first.passed and sorted(calls) == ["solve", "solve", "solve_right", "solve_right"]
+    calls.clear()
+    assert connect.verify("3.18", 48) == first and len(calls) == 4
+    calls.clear()
+    assert connect.verify("3.18", 48) == first and calls == []
+
+
+def test_a_cold_verify_all_keeps_builder_sides_only(capsys, forget):
+    # It makes each product and solve once, so it keeps none of them.
+    forget()
+    assert cli.main(["verify", "all", "--depth", "48"]) == 0
+    plan = connect.shared_builds(connect.CATALOG, 48).planned
+    assert all(side.op not in connect._OPERATORS for side in connect._KEPT)
+    assert connect._SEEN == {side for side in plan if side.op in connect._KERNELS}
+
+
+def _swap_builder(monkeypatch, stack):
+    monkeypatch.setattr(connect, "basis_matrix", _bumped(connect.basis_matrix, BUMP_SITES[0]))
+
+
+def _change_preset(monkeypatch, stack):
+    w = stirling.PRESETS["central-factorial"].w
+    monkeypatch.setitem(
+        stirling.PRESETS, "central-factorial",
+        WeightSpec("central-factorial", lambda n: w(n) + 1 if n == 3 else w(n)),
+    )
+
+
+def _perturb_cache(monkeypatch, stack):
+    stack.enter_context(perturbed(polyalg._fib, 6, lambda p: p + Poly.one()))
+
+
+# A change under one kept product, and that product: its readers compare it
+# with sides the change leaves as they are.
+KEPT_PRODUCT_CHANGES = {
+    "builder": (_swap_builder, connect._Feven @ connect._Fodd.inv),
+    "preset": (_change_preset, connect._Tsh.cols(connect._nat) @ connect._Tsh.inv),
+    "cache": (_perturb_cache, connect._Feven @ connect._Fodd.inv),
+}
+
+
+@pytest.mark.parametrize("change", list(KEPT_PRODUCT_CHANGES))
+def test_a_change_under_a_kept_product_fails_its_readers(change, monkeypatch, forget):
+    make, product = KEPT_PRODUCT_CHANGES[change]
+    readers = [label for label in connect.CATALOG if product in _planned([label], 12)]
+    assert len(readers) > 2
+    forget()
+    assert all(connect.verify(label, 12).passed for label in readers)
+    assert product in connect._KEPT
+    with ExitStack() as stack:
+        make(monkeypatch, stack)
+        # the first reader makes the product again and the store keeps it
+        # under the changed key, which the later readers read
+        assert [label for label in readers if connect.verify(label, 12).passed] == []
+        monkeypatch.undo()
+    assert all(connect.verify(label, 12).passed for label in readers)
+
+
+def test_a_product_made_from_sides_held_across_a_change_is_not_served_after_it(
+        monkeypatch, forget):
+    # A shared table holds F_even and F_odd from 3.17 and 3.16 to 3.18, so
+    # 3.18 reads the product of the builds made before basis_matrix was
+    # swapped.  The store keeps that product under the builder it was made
+    # from, so 4.11, which reads it in a table of its own, sees the swap.
+    forget()
+    assert connect.verify("4.11", 12).passed
+    table = connect.shared_builds(["3.17", "3.16", "3.18"], 12)
+    assert connect.verify("3.17", 12, table).passed and connect.verify("3.16", 12, table).passed
+    monkeypatch.setattr(connect, "basis_matrix", _bumped(connect.basis_matrix, BUMP_SITES[0]))
+    assert connect.verify("3.18", 12, table).passed
+    assert connect._Feven @ connect._Fodd.inv in connect._KEPT
+    assert not connect.verify("4.11", 12).passed
+    monkeypatch.undo()
+    assert connect.verify("4.11", 12).passed
+
+
+def test_equal_kept_sides_share_row_objects(forget):
+    forget()
+    # 6.6 reads stirling2 of stirling-shift at depth + 1, 3.11 the equal
+    # triangle of the shifted stirling preset at depth.
+    assert connect.verify("6.6", 12).passed and connect.verify("3.11", 12).passed
+    (_, shift), (_, shifted) = connect._KEPT[connect._s2("stirling-shift")], connect._KEPT[connect._Ssh]
+    assert (shift.order, shifted.order) == (13, 12)
+    assert all(a is b for a, b in zip(shift.rows, shifted.rows))
+    # the two sides of 3.18, kept on its second run, and the Genocchi matrix
+    # they both equal, which 4.11 reads
+    assert connect.verify("4.11", 12).passed
+    for _ in range(2):
+        assert connect.verify("3.18", 12).passed
+    held = [connect._KEPT[side][1].rows for side in
+            (connect._G, connect._Feven @ connect._Fodd.inv,
+             connect._Tsh.cols(connect._nat) @ connect._Tsh.inv)]
+    assert held[1] is held[2] is held[0]
+
+
+def test_a_grown_side_keeps_its_old_row_objects(forget):
+    forget()
+    product = connect.CATALOG["5.10"].reads[1][0]  # U.cols((2j+1)/2) @ u, equal to B
+    for depth in (8, 8, 20):
+        assert connect.verify("5.10", depth).passed
+        if depth == 8:
+            old = {side: connect._KEPT[side][1].rows for side in connect._KEPT}
+    new = {side: connect._KEPT[side][1].rows for side in connect._KEPT}
+    assert {side: (len(old[side]), len(rows)) for side, rows in new.items()} == {
+        connect._B: (8, 20), connect._U: (8, 20), connect._u: (8, 20), product: (8, 20),
+    }
+    assert all(a is b for side in new for a, b in zip(old[side], new[side]))
 
 
 def test_verify_after_evaluate_reports_as_a_cold_run(cold_verify):
