@@ -373,11 +373,17 @@ def _kept(side: _Side, order: int,
     order of each side, and takes its leading rows from the kept build whose
     leading rows equal the most of them (_share): a side that grows keeps its
     old row objects, and equal sides, such as the two of an identity that
-    holds, are held once and compare row by row as the same objects.
+    holds, are held once and compare row by row as the same objects.  A kept
+    build whose key no longer holds is dropped before make runs; one that is
+    only too small stays while the larger build is made, so _share can give
+    the larger build its rows.
     """
     held = _KEPT.get(side)
-    if held and held[1].order >= order and held[0] == _key(side):
-        return held
+    if held:
+        if held[0] != _key(side):
+            del _KEPT[side]
+        elif held[1].order >= order:
+            return held
     key, m = make(side, order)
     if side.op in _OPERATORS and side not in _SEEN:
         _SEEN.add(side)

@@ -1,6 +1,6 @@
 """Mutation sweep: make one small change to the package at a time and run tier-1 on it.
 
-    python tests/mutation_sweep.py MODULE [MODULE ...] [--function REGEX] [--out FILE] [--jobs N]
+    python tests/mutation_sweep.py MODULE [MODULE ...] [--function REGEX] [--jobs N]
 
 MODULE is a module of the package, such as ``genocchi.connect``.  Each
 mutant changes one operator or literal of one function whose qualified name
@@ -14,9 +14,9 @@ Each of N workers copies ``src``, ``tests`` and ``pyproject.toml`` into a
 temporary directory and runs ``pytest -x -q`` there on one mutant at a
 time, with the mutated package first on ``PYTHONPATH`` and bytecode caching
 off.  A mutant is killed when the run fails or takes longer than
-TIMEOUT_S.  The survivors are written to FILE (standard output by
-default), one a line as ``path:line: function: change: mutated line``; a
-count goes to standard error.
+TIMEOUT_S.  The survivors are written to standard output, one a line as
+``path:line: function: change: mutated line``; a count goes to standard
+error.
 
 The file is not a test module, so tier-1 does not collect it.  It uses the
 standard library only.
@@ -161,7 +161,6 @@ def main(argv=None) -> int:
     parser.add_argument("modules", nargs="+", help="package modules, such as genocchi.connect")
     parser.add_argument("--function", default=".*",
                         help="regex over qualified function names, matched in full")
-    parser.add_argument("--out", type=Path, help="file for the survivors (default: standard output)")
     parser.add_argument("--jobs", type=int, default=1, choices=(1, 2, 3, 4))
     args = parser.parse_args(argv)
 
@@ -179,11 +178,7 @@ def main(argv=None) -> int:
                  for m, alive in zip(found, lived) if alive]
     print(f"{len(found)} mutants, {len(found) - len(survivors)} killed, "
           f"{len(survivors)} survived", file=sys.stderr)
-    text = "".join(line + "\n" for line in survivors)
-    if args.out:
-        args.out.write_text(text)
-    else:
-        sys.stdout.write(text)
+    sys.stdout.write("".join(line + "\n" for line in survivors))
     return 0
 
 

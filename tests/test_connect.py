@@ -1119,6 +1119,24 @@ def test_a_grown_side_keeps_its_old_row_objects(forget):
     assert all(a is b for side in new for a, b in zip(old[side], new[side]))
 
 
+def test_a_kept_build_that_no_longer_holds_is_dropped_before_it_is_made_again(
+        monkeypatch, forget):
+    forget()
+    assert connect.verify("3.16", 12).passed and connect._Fodd in connect._KEPT
+    made = []
+
+    def make(side, order):
+        made.append(side in connect._KEPT)
+        return connect._key(side), connect.basis_matrix(*side.args, order)
+
+    # too small: the old build stays while the larger one is made
+    connect._kept(connect._Fodd, 14, make)
+    monkeypatch.setattr(connect, "basis_matrix", _bumped(connect.basis_matrix, BUMP_SITES[0]))
+    # its key no longer holds: the old build is gone before the new one is made
+    connect._kept(connect._Fodd, 14, make)
+    assert made == [True, False]
+
+
 def test_verify_after_evaluate_reports_as_a_cold_run(cold_verify):
     connect._KEPT.clear()
     for side in connect.MATRICES.values():
