@@ -29,27 +29,26 @@ the rows of A, the differences of consecutive A1 rows and the prefix sums of
 those differences of A^-1.  MATRICES names the sides the triangle subcommand
 prints.  One evaluator, _Table, plans every read before it builds, builds
 each side once at the largest order planned and serves each read as a
-leading block.  Every table reads its builder sides and kernel outputs
-(products and solves) from _KEPT, the one store this module keeps for the
-life of the process, each at the largest order read so far: every builder
-side any table has read, and every kernel output a table has made a second
-time, so a run that makes each product once, as a cold verify all does,
-keeps none.  A kept side is made again when its builder on this module is
-swapped, so a swapped builder is seen by every label that reads it, when its
-preset's PRESETS entry changes, when any number or polynomial cache is edited
-in place (trimat.Cache counts the edits), or, for a kernel output, when an
-_OPERATORS entry or a builder under it changes.  A cache replaced by another
-object, a swapped function on numbers or polyalg, a patched _Table.get and a
-swapped TriMatrix method are not seen by a kept side.  A build entering the
-store takes its leading rows from the kept build that shares the most of
-them, so equal sides, such as the two of an identity that holds, are held
-once.  Entrywise operators (sums, column scaling and the rest) run per table.
-shared_builds(labels, depth) returns a table planned by walking the sides
-those rows read, without running a case, and evaluate(side, order) one
-planned for a single side.  verify(label, depth, table=None), the one
-runner, reads a row's sides from that table, or from one it plans for that
-row alone, drops each side from the table after its last reader and keeps
-the report there, so an alias label such as 4.6 reuses its twin's report.
+leading block.  Every table reads every side from _KEPT, the one store this
+module keeps for the life of the process, each at the largest order read so
+far: every builder side any table has read, and every operator side a table
+has made a second time, so a run that makes each operator side once, as a
+cold verify all does, keeps none of them.  A kept side is made again when
+its builder on this module is swapped, so a swapped builder is seen by every
+label that reads it, when its preset's PRESETS entry changes, when any
+number or polynomial cache is edited in place (trimat.Cache counts the
+edits), or, for an operator side, when an _OPERATORS entry or a builder
+under it changes.  A cache replaced by another object, a swapped function on
+numbers or polyalg, a patched _Table.get and a swapped TriMatrix method are
+not seen by a kept side.  A build entering the store takes its leading rows
+from the kept build that shares the most of them, so equal sides, such as
+the two of an identity that holds, are held once.  shared_builds(labels,
+depth) returns a table planned by walking the sides those rows read,
+without running a case, and evaluate(side, order) one planned for a single
+side.  verify(label, depth, table=None), the one runner, reads a row's
+sides from that table, or from one it plans for that row alone, drops each
+side from the table after its last reader and keeps the report there, so
+an alias label such as 4.6 reuses its twin's report.
 Labels such as "3.9" or "5.10" are part of the command line contract.
 """
 
@@ -277,8 +276,8 @@ class _Table:
     Truncation commutes with building and with every operator, so a side is
     built once, at the largest order planned for it.  Every read is planned
     before the table is read: a side read but never planned is a KeyError.
-    Builder sides and kernel outputs come through _kept, which serves them
-    from _KEPT while they hold there; entrywise operators run in the table.
+    Every side comes through _kept, which serves it from _KEPT while it
+    holds there.
     """
 
     def __init__(self, runs: Iterable[Tuple[Row, int]] = ()):
@@ -304,8 +303,7 @@ class _Table:
     def get(self, side: _Side, order: int) -> TriMatrix:
         m = self.entries.get(side)
         if m is None:
-            n = self.planned[side]
-            key, m = _kept(side, n, self.make) if _keeps(side) else self.make(side, n)
+            key, m = _kept(side, self.planned[side], self.make)
             self.keys[side], self.entries[side] = key, m
         return m if m.order == order else m.leading_submatrix(order)
 
@@ -324,16 +322,6 @@ class _Table:
         build = globals()[op]  # looked up now, so that a swapped builder is seen
         stirling = op in ("stirling1", "stirling2")
         return _key(side), build(*(map(preset, args) if stirling else args), order)
-
-
-# The operators whose outputs _kept keeps: each entry of one costs many
-# multiply-adds, where an entrywise operator costs one operation per entry.
-_KERNELS = ("@", "solve", "solve_right")
-
-
-def _keeps(side: _Side) -> bool:
-    """Whether _kept serves the side: a builder side or a kernel output."""
-    return side.op not in _OPERATORS or side.op in _KERNELS
 
 
 def _key(side: _Side) -> tuple:
@@ -356,27 +344,27 @@ def _key(side: _Side) -> tuple:
 
 # The builds kept for the life of the process: side -> (key, build).  See _kept.
 _KEPT: Dict[_Side, Tuple[tuple, TriMatrix]] = {}
-# The kernel outputs made once, which _kept keeps when they are made again.
+# The operator sides made once, which _kept keeps when they are made again.
 _SEEN: set = set()
 
 
 def _kept(side: _Side, order: int,
           make: Callable[[_Side, int], Tuple[tuple, TriMatrix]]) -> Tuple[tuple, TriMatrix]:
-    """(key, build) of a builder side or kernel output at the order or above, kept in _KEPT.
+    """(key, build) of a side at the order or above, kept in _KEPT.
 
     A kept build is read while its order is at least the order read and its
     key is the side's _key now.  Otherwise make builds the side at the order
     read, and its key is what that build was made from.  A builder side
-    enters _KEPT on its first build, a kernel output on its second, so a run
-    that makes each product once, such as a cold verify all, keeps none.  A
-    build that enters replaces the side's kept build, so _KEPT holds one
-    order of each side, and takes its leading rows from the kept build whose
-    leading rows equal the most of them (_share): a side that grows keeps its
-    old row objects, and equal sides, such as the two of an identity that
-    holds, are held once and compare row by row as the same objects.  A kept
-    build whose key no longer holds is dropped before make runs; one that is
-    only too small stays while the larger build is made, so _share can give
-    the larger build its rows.
+    enters _KEPT on its first build, an operator side on its second, so a run
+    that makes each operator side once, such as a cold verify all, keeps
+    none of them.  A build that enters replaces the side's kept build, so
+    _KEPT holds one order of each side, and takes its leading rows from the
+    kept build whose leading rows equal the most of them (_share): a side
+    that grows keeps its old row objects, and equal sides, such as the two of
+    an identity that holds, are held once and compare row by row as the same
+    objects.  A kept build whose key no longer holds is dropped before make
+    runs; one that is only too small stays while the larger build is made,
+    so _share can give the larger build its rows.
     """
     held = _KEPT.get(side)
     if held:
@@ -676,11 +664,10 @@ def verify(label: str, depth: int, table: Optional[_Table] = None) -> IdentityRe
     which then drops those this row reads last, and a label whose row the
     table checked at this depth before (an alias such as 4.6, or a repeated
     label) reuses that report.  Otherwise they come from a table planned for
-    this one run.  Either table reads its builder sides and kernel outputs
-    from _KEPT, so a warm process builds a family, or makes a product or
-    solve it has made twice, again only for a larger order or after a
-    builder, preset or cache under it changed; entrywise sides are made per
-    table.
+    this one run.  Either table reads its sides from _KEPT, so a warm
+    process builds a family, or makes an operator side it has made twice,
+    again only for a larger order or after a builder, preset or cache under
+    it changed.
     """
     if label not in CATALOG:
         raise UnknownIdentityError(label, tuple(CATALOG))

@@ -492,7 +492,7 @@ def _bump_target(name):
 
 @pytest.fixture
 def forget():
-    """Empties connect's store and its set of kernel outputs made once, as in a fresh process.
+    """Empties connect's store and its set of operator sides made once, as in a fresh process.
 
     Called before each change the store does not see, so that nothing made
     before it is served; the fixture empties both again at teardown, so that
@@ -989,18 +989,21 @@ def test_verify_all_fills_the_store_with_every_builder_side_it_reads(monkeypatch
     assert kept() == {side: order for side, order in plan.items() if side.op not in connect._OPERATORS}
     builds.clear()
     assert all(connect.verify(label, 6).passed for label in connect.CATALOG) and builds == []
-    # The labels one by one make each product and solve a second time, so the
+    # The labels one by one make each operator side a second time, so the
     # store keeps it too, at the largest order a label reads.
-    assert kept() == {side: order for side, order in plan.items() if connect._keeps(side)}
+    assert kept() == plan
 
 
 # ----------------------------------------------------------------------
-# kernel outputs kept once they are made a second time
+# operator sides kept once they are made a second time
 
 
 def test_a_third_warm_verify_makes_no_product_or_solve(monkeypatch, forget):
     forget()
-    calls = []
+    calls, made, make = [], [], connect._Table.make
+    monkeypatch.setattr(
+        connect._Table, "make", lambda table, side, order: made.append(side) or make(table, side, order)
+    )
     for name in ("__matmul__", "solve", "solve_right"):
 
         def recorded(*args, method=getattr(TriMatrix, name), name=name):
@@ -1015,15 +1018,53 @@ def test_a_third_warm_verify_makes_no_product_or_solve(monkeypatch, forget):
     assert connect.verify("3.18", 48) == first and len(calls) == 4
     calls.clear()
     assert connect.verify("3.18", 48) == first and calls == []
+    # Every side, entrywise ones included, is kept by its second make: a third
+    # call of each label, or of each named triangle built by operators, makes none.
+    forget()
+    for label in connect.CATALOG:
+        reports = [connect.verify(label, 12) for _ in range(2)]
+        made.clear()
+        assert connect.verify(label, 12) == reports[0] and made == [], label
+    for name in ("z", "a1", "a2"):
+        builds = [connect.evaluate(connect.MATRICES[name], 30) for _ in range(2)]
+        made.clear()
+        assert connect.evaluate(connect.MATRICES[name], 30) == builds[0] and made == [], name
 
 
 def test_a_cold_verify_all_keeps_builder_sides_only(capsys, forget):
-    # It makes each product and solve once, so it keeps none of them.
+    # It makes each operator side once, so it keeps none of them.
     forget()
     assert cli.main(["verify", "all", "--depth", "48"]) == 0
     plan = connect.shared_builds(connect.CATALOG, 48).planned
     assert all(side.op not in connect._OPERATORS for side in connect._KEPT)
-    assert connect._SEEN == {side for side in plan if side.op in connect._KERNELS}
+    assert connect._SEEN == {side for side in plan if side.op in connect._OPERATORS}
+
+
+# A label, the entrywise side it reads, the builder under that side and which
+# of its calls a bump changes.  Each label fails when its bump lands in the
+# first column of the last row.
+KEPT_ENTRYWISE_SIDES = {
+    "3.12": (connect._Ssh.cols(connect._nat), "stirling2",
+             lambda args: args[0].name == "stirling-shifted"),
+    "5.8": (connect.CATALOG["5.8"].reads[1][0], "stirling2",
+            lambda args: args[0].name == "u-half-odd"),
+    "4.50": (connect._Seven, "basis_matrix", lambda args: True),
+}
+
+
+@pytest.mark.parametrize("label", list(KEPT_ENTRYWISE_SIDES))
+def test_a_change_under_a_kept_entrywise_side_is_seen(label, monkeypatch, cold_verify):
+    side, name, reads = KEPT_ENTRYWISE_SIDES[label]
+    build = getattr(connect, name)
+    bumped = _bumped(build, BUMP_SITES[0], reads)
+    cold_verify(label, 12)
+    assert connect.verify(label, 12).passed and side in connect._KEPT
+    monkeypatch.setattr(connect, name, bumped)
+    warm = connect.verify(label, 12)
+    monkeypatch.setattr(connect, name, build)
+    assert connect.verify(label, 12).passed
+    monkeypatch.setattr(connect, name, bumped)
+    assert not warm.passed and warm == cold_verify(label, 12)
 
 
 def _swap_builder(monkeypatch, stack):
@@ -1115,6 +1156,7 @@ def test_a_grown_side_keeps_its_old_row_objects(forget):
     new = {side: connect._KEPT[side][1].rows for side in connect._KEPT}
     assert {side: (len(old[side]), len(rows)) for side, rows in new.items()} == {
         connect._B: (8, 20), connect._U: (8, 20), connect._u: (8, 20), product: (8, 20),
+        product.args[0]: (8, 20),
     }
     assert all(a is b for side in new for a, b in zip(old[side], new[side]))
 
