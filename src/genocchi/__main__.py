@@ -11,7 +11,7 @@ def run() -> None:
 
     The heap is frozen once main has returned and flushed its output, so
     the interpreter's collections at shutdown skip every object the run
-    left alive (the kept builder sides and the number caches among them)
+    left alive (the number and polynomial caches among them)
     instead of walking them just before the process ends.  No object in
     the package has a finalizer for such a collection to run.  main itself
     never freezes: tests and library callers run it many times in one

@@ -611,6 +611,7 @@ def test_every_public_function_is_run_by_the_cli_or_exported(monkeypatch):
                                  (numbers, "_medians", 0)):
         monkeypatch.setattr(module, cache, getattr(module, cache)[:fresh])
     monkeypatch.setattr(connect, "_KEPT", {})
+    monkeypatch.setattr(connect, "_SEEN", set())
     run_codes = set()
     sys.setprofile(lambda frame, event, arg: event == "call" and run_codes.add(frame.f_code))
     try:

@@ -492,7 +492,7 @@ def _bump_target(name):
 
 @pytest.fixture
 def forget():
-    """Empties connect's store and its set of operator sides made once, as in a fresh process.
+    """Empties connect's store and its set of sides made once, as in a fresh process.
 
     Called before each change the store does not see, so that nothing made
     before it is served; the fixture empties both again at teardown, so that
@@ -898,7 +898,7 @@ def test_truncation_consistency_of_every_shared_family():
 
 
 # ----------------------------------------------------------------------
-# builder sides kept for the life of the process
+# builder sides in the store
 
 
 def _record_builds(monkeypatch):
@@ -970,32 +970,32 @@ def test_a_perturbed_cache_after_a_warm_call_is_seen(label, cache, index, change
     assert connect.verify(label, 12).passed
 
 
-def test_a_named_triangle_fills_the_store_that_verify_reads(monkeypatch):
-    connect._KEPT.clear()
+def test_a_named_triangle_fills_the_store_that_verify_reads(monkeypatch, forget):
+    forget()
     builds = _record_builds(monkeypatch)
-    assert cli.build_triangle("genocchi-matrix", 40, "second").order == 40
-    assert builds == [("genocchi_matrix", 40)]
+    assert all(cli.build_triangle("genocchi-matrix", 40, "second").order == 40 for _ in range(2))
+    assert builds == [("genocchi_matrix", 40)] * 2
     builds.clear()
     assert connect.verify("4.12", 12).passed
     assert builds == [("stirling2", "central-factorial-shifted", 12)]
 
 
-def test_verify_all_fills_the_store_with_every_builder_side_it_reads(monkeypatch, capsys, forget):
+def test_each_label_after_verify_all_fills_the_store_with_every_side_it_reads(
+        monkeypatch, capsys, forget):
     forget()
     builds = _record_builds(monkeypatch)
-    assert cli.main(["verify", "all", "--depth", "6"]) == 0
+    assert cli.main(["verify", "all", "--depth", "6"]) == 0 and connect._KEPT == {}
+    # The labels one by one make each side a second time, so the store keeps
+    # it, at the largest order a label reads, and a second pass builds nothing.
+    assert all(connect.verify(label, 6).passed for label in connect.CATALOG)
     plan = connect.shared_builds(connect.CATALOG, 6).planned
-    kept = lambda: {side: m.order for side, (_, m) in connect._KEPT.items()}  # noqa: E731
-    assert kept() == {side: order for side, order in plan.items() if side.op not in connect._OPERATORS}
+    assert {side: m.order for side, (_, m) in connect._KEPT.items()} == plan
     builds.clear()
     assert all(connect.verify(label, 6).passed for label in connect.CATALOG) and builds == []
-    # The labels one by one make each operator side a second time, so the
-    # store keeps it too, at the largest order a label reads.
-    assert kept() == plan
 
 
 # ----------------------------------------------------------------------
-# operator sides kept once they are made a second time
+# operator sides in the store
 
 
 def test_a_third_warm_verify_makes_no_product_or_solve(monkeypatch, forget):
@@ -1031,13 +1031,11 @@ def test_a_third_warm_verify_makes_no_product_or_solve(monkeypatch, forget):
         assert connect.evaluate(connect.MATRICES[name], 30) == builds[0] and made == [], name
 
 
-def test_a_cold_verify_all_keeps_builder_sides_only(capsys, forget):
-    # It makes each operator side once, so it keeps none of them.
+def test_a_cold_verify_all_keeps_nothing(capsys, forget):
+    # It makes each side once, so it keeps none of them.
     forget()
-    assert cli.main(["verify", "all", "--depth", "48"]) == 0
-    plan = connect.shared_builds(connect.CATALOG, 48).planned
-    assert all(side.op not in connect._OPERATORS for side in connect._KEPT)
-    assert connect._SEEN == {side for side in plan if side.op in connect._OPERATORS}
+    assert cli.main(["verify", "all", "--depth", "48"]) == 0 and connect._KEPT == {}
+    assert connect._SEEN == set(connect.shared_builds(connect.CATALOG, 48).planned)
 
 
 # A label, the entrywise side it reads, the builder under that side and which
@@ -1130,16 +1128,17 @@ def test_a_product_made_from_sides_held_across_a_change_is_not_served_after_it(
 def test_equal_kept_sides_share_row_objects(forget):
     forget()
     # 6.6 reads stirling2 of stirling-shift at depth + 1, 3.11 the equal
-    # triangle of the shifted stirling preset at depth.
-    assert connect.verify("6.6", 12).passed and connect.verify("3.11", 12).passed
+    # triangle of the shifted stirling preset at depth; each is kept on its
+    # second run.
+    for _ in range(2):
+        assert connect.verify("6.6", 12).passed and connect.verify("3.11", 12).passed
     (_, shift), (_, shifted) = connect._KEPT[connect._s2("stirling-shift")], connect._KEPT[connect._Ssh]
     assert (shift.order, shifted.order) == (13, 12)
     assert all(a is b for a, b in zip(shift.rows, shifted.rows))
-    # the two sides of 3.18, kept on its second run, and the Genocchi matrix
-    # they both equal, which 4.11 reads
-    assert connect.verify("4.11", 12).passed
+    # the two sides of 3.18 and the Genocchi matrix they both equal, which
+    # 4.11 reads
     for _ in range(2):
-        assert connect.verify("3.18", 12).passed
+        assert connect.verify("4.11", 12).passed and connect.verify("3.18", 12).passed
     held = [connect._KEPT[side][1].rows for side in
             (connect._G, connect._Feven @ connect._Fodd.inv,
              connect._Tsh.cols(connect._nat) @ connect._Tsh.inv)]
@@ -1164,7 +1163,7 @@ def test_a_grown_side_keeps_its_old_row_objects(forget):
 def test_a_kept_build_that_no_longer_holds_is_dropped_before_it_is_made_again(
         monkeypatch, forget):
     forget()
-    assert connect.verify("3.16", 12).passed and connect._Fodd in connect._KEPT
+    assert all(connect.verify("3.16", 12).passed for _ in range(2)) and connect._Fodd in connect._KEPT
     made = []
 
     def make(side, order):
@@ -1179,9 +1178,9 @@ def test_a_kept_build_that_no_longer_holds_is_dropped_before_it_is_made_again(
     assert made == [True, False]
 
 
-def test_verify_after_evaluate_reports_as_a_cold_run(cold_verify):
-    connect._KEPT.clear()
-    for side in connect.MATRICES.values():
+def test_verify_after_evaluate_reports_as_a_cold_run(cold_verify, forget):
+    forget()
+    for side in [*connect.MATRICES.values()] * 2:  # twice, so the store keeps each
         assert connect.evaluate(side, 40).order == 40
     warm = {label: connect.verify(label, 12) for label in connect.CATALOG}
     assert warm == {label: cold_verify(label, 12) for label in connect.CATALOG}
