@@ -19,7 +19,7 @@ from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence
 
 from . import akiyama, connect, numbers, seidel
 from .reports import IdentityReport
-from .stirling import PRESETS, preset, stirling1, stirling2
+from .stirling import PRESETS, preset
 from .trimat import TriMatrix
 
 FORMATS = ("table", "csv", "json")
@@ -68,13 +68,13 @@ SEQUENCES: Dict[str, Callable[[int], List[Fraction | int]]] = {
 # triangles
 
 TRIANGLE_NAMES = tuple(PRESETS) + tuple(connect.MATRICES)
-KINDS = {"second": stirling2, "first": stirling1}
+KINDS = {"second": "stirling2", "first": "stirling1"}
 
 
 def build_triangle(name: str, rows: int, kind: str) -> TriMatrix:
     (builder,) = _lookup(KINDS, [kind], "kind", "kinds")
     if name in PRESETS:
-        return builder(PRESETS[name], rows)
+        return connect.evaluate(connect._Side(builder, (name,)), rows)
     (side,) = _lookup(connect.MATRICES, [name], "triangle", "names", TRIANGLE_NAMES)
     if kind != "second":
         raise ValueError(f"--kind {kind} applies to weight presets only, not to {name!r}")

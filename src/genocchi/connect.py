@@ -27,28 +27,27 @@ x.inv @ b is the side x.solve(b) and a @ x.inv the side x.solve_right(a),
 and a catalog run inverts no matrix.  A1, A2 and Z are the prefix sums of
 the rows of A, the differences of consecutive A1 rows and the prefix sums of
 those differences of A^-1.  MATRICES names the sides the triangle subcommand
-prints.  One evaluator, _Table, plans every read before it builds, builds
-each side once at the largest order planned and serves each read as a
-leading block.  Every table reads its sides through _KEPT, the one store
-this module keeps for the life of the process, each at the largest order
-read so far: a side enters it the second time the process makes it, so a
-run that makes each side once, as a cold verify all does, keeps nothing.  A
-kept side is made again when its builder on this module is swapped, so a
-swapped builder is seen by every label that reads it, when its preset's
-PRESETS entry changes, when any number or polynomial cache is edited in
-place (trimat.Cache counts the edits), or, for an operator side, when an
-_OPERATORS entry or a builder under it changes.  A cache replaced by
-another object, a swapped function on numbers or polyalg, a patched
-_Table.get and a swapped TriMatrix method are not seen by a kept side.  A
-build entering the store takes its leading rows from the kept build that
-shares the most of them, so equal sides, such as the two of an identity
-that holds, are held once.  shared_builds(labels, depth) returns a table
-planned by walking the sides those rows read, without running a case, and
-evaluate(side, order) one planned for a single side.  verify(label, depth,
-table=None), the one runner, reads a row's sides from that table, or from
-one it plans for that row alone, drops each side from the table after its
-last reader and keeps the report there, so an alias label such as 4.6
-reuses its twin's report.
+prints; a weight preset's triangle there is its stirling2 or stirling1 side.
+One evaluator, _Table, plans every read before it builds, builds each side
+once at the largest order planned and serves each read as a leading block.
+Every table reads its sides through _KEPT, the one store this module keeps
+for the life of the process (see _kept): a side read whole (_READ: by a row,
+as a named matrix or as a preset's triangle) is kept from its second make,
+at the largest order read so far, so a cold verify all, which makes each
+side once, keeps nothing, and an operand only, such as Ginv.diffs() under Z,
+is made again with the side over it.  A kept side is made again when its
+builder on this module is swapped, so a swapped builder is seen by every
+label that reads it, when its preset's PRESETS entry changes, when any
+number or polynomial cache is edited in place (trimat.Cache counts the
+edits), or, for an operator side, when an _OPERATORS entry or a builder
+under it changes.  A cache replaced by another object, a swapped function on
+numbers or polyalg, a patched _Table.get and a swapped TriMatrix method are
+not seen by a kept side.  shared_builds(labels, depth) plans one table for
+those rows without running a case, and evaluate(side, order) one for a
+single side.  verify(label, depth, table=None), the one runner, reads a
+row's sides from that table, or from one it plans for that row alone, drops
+each side from the table after its last reader and keeps the report there,
+so an alias label such as 4.6 reuses its twin's report.
 Labels such as "3.9" or "5.10" are part of the command line contract.
 """
 
@@ -64,7 +63,7 @@ from . import numbers
 from .akiyama import odd_double_factorial
 from .polyalg import Poly, basis_matrix
 from .reports import IdentityReport, UnknownIdentityError
-from .stirling import PRESETS, preset, stirling1, stirling2
+from .stirling import PRESETS, _unshifted, preset, stirling1, stirling2
 from .trimat import Cache, TriMatrix, _ratio, _scaled
 
 # ----------------------------------------------------------------------
@@ -338,13 +337,13 @@ def _key(side: _Side) -> tuple:
         return (_OPERATORS[op], *(_key(x) if isinstance(x, _Side) else id(x) for x in args))
     key = (globals()[op], Cache.edits)
     if op in ("stirling1", "stirling2"):
-        key += tuple(PRESETS.get(name.split("-shifted")[0]) for name in args)
+        key += tuple(PRESETS.get(_unshifted(name)[0]) for name in args)
     return key
 
 
 # The builds kept for the life of the process: side -> (key, build).  See _kept.
 _KEPT: Dict[_Side, Tuple[tuple, TriMatrix]] = {}
-# The sides made once, which _kept keeps when they are made again.
+# The sides made once, which _kept keeps when they are made again if in _READ.
 _SEEN: set = set()
 
 
@@ -354,16 +353,16 @@ def _kept(side: _Side, order: int,
 
     A kept build is read while its order is at least the order read and its
     key is the side's _key now.  Otherwise make builds the side at the order
-    read, and its key is what that build was made from.  A side enters _KEPT
-    on its second make, so a run that makes each side once, such as a cold
-    verify all, keeps nothing.  A build that enters replaces the side's kept
-    build, so _KEPT holds one order of each side, and takes its leading rows
-    from the kept build whose leading rows equal the most of them (_share):
-    a side that grows keeps its old row objects, and equal sides, such as the
-    two of an identity that holds, are held once and compare row by row as
-    the same objects.  A kept build whose key no longer holds is dropped
-    before make runs; one that is only too small stays while the larger
-    build is made, so _share can give the larger build its rows.
+    read, and its key is what that build was made from.  A side in _READ
+    enters _KEPT on its second make, so a run that makes each side once, such
+    as a cold verify all, keeps nothing.  A build that enters replaces the
+    side's kept build, so _KEPT holds one order of each side, and takes its
+    leading rows from the kept build whose leading rows equal the most of
+    them (_share): a side that grows keeps its old row objects, and equal
+    sides, such as the two of an identity that holds, are held once and
+    compare row by row as the same objects.  A kept build whose key no longer
+    holds is dropped before make runs; one that is only too small stays while
+    the larger build is made, so _share can give the larger build its rows.
     """
     held = _KEPT.get(side)
     if held:
@@ -372,7 +371,7 @@ def _kept(side: _Side, order: int,
         elif held[1].order >= order:
             return held
     key, m = make(side, order)
-    if side not in _SEEN:
+    if side not in _SEEN or side not in _READ:
         _SEEN.add(side)
         return key, m
     _KEPT[side] = key, _share(m)
@@ -630,6 +629,10 @@ CATALOG: Dict[str, Row] = {
         lambda n: numbers.bernoulli(2 * n),
     ),
 }
+
+# The sides _kept may keep: those read whole by a row, as a named matrix or a preset triangle.
+_READ = {side for row in CATALOG.values() for side, _ in row.reads}
+_READ |= {*MATRICES.values(), *(kind(name) for name in PRESETS for kind in (_s1, _s2))}
 
 FACTORIZATION_IDS: Tuple[str, ...] = tuple(
     label for label, row in CATALOG.items() if row.kind == "factorization"

@@ -35,10 +35,6 @@ class Poly:
         self.coeffs: Tuple[Scalar, ...] = tuple(cs)
 
     @classmethod
-    def zero(cls) -> "Poly":
-        return cls()
-
-    @classmethod
     def one(cls) -> "Poly":
         return cls((1,))
 

@@ -59,9 +59,7 @@ def preset(name: str) -> WeightSpec:
 
     central-factorial-shifted-shifted is the weight sequence (n+2)**2.
     """
-    base, shifts = name, 0
-    while base.endswith("-shifted"):
-        base, shifts = base[: -len("-shifted")], shifts + 1
+    base, shifts = _unshifted(name)
     try:
         spec = PRESETS[base]
     except KeyError:
@@ -69,6 +67,14 @@ def preset(name: str) -> WeightSpec:
             f"unknown weight preset {base!r}; valid presets: {', '.join(PRESETS)}"
         ) from None
     return shift_weight(spec, shifts) if shifts else spec
+
+
+def _unshifted(name: str) -> tuple[str, int]:
+    """(base, shifts): name without its trailing -shifted suffixes, and how many there were."""
+    base, shifts = name, 0
+    while base.endswith("-shifted"):
+        base, shifts = base[: -len("-shifted")], shifts + 1
+    return base, shifts
 
 
 def shift_weight(spec: WeightSpec, by: int = 1) -> WeightSpec:

@@ -652,7 +652,7 @@ def test_every_public_function_is_run_by_the_cli_or_exported(monkeypatch):
     # CLI rejects an unknown label itself, before connect.verify would.
     assert unreached == {
         *(f"Poly.{name}" for name in (
-            "zero", "one", "monomial", "degree", "eval", "__call__", "truncate", "__sub__",
+            "one", "monomial", "degree", "eval", "__call__", "truncate", "__sub__",
             "__neg__", "__mul__", "__rmul__", "__repr__", "__hash__")),
         *(f"TriMatrix.{name}" for name in ("column", "inverse", "__repr__", "__hash__")),
         "SingularMatrixError.__init__",

@@ -935,25 +935,49 @@ def test_a_larger_read_rebuilds_once(monkeypatch):
     assert kept == stirling2(preset("u-half-odd"), 21)
 
 
-def test_a_builder_swapped_after_a_warm_call_is_seen(monkeypatch):
-    assert connect.verify("5.7", 12).passed
-    monkeypatch.setattr(connect, "tangent_matrix", _bumped(connect.tangent_matrix, BUMP_SITES[0]))
-    assert connect.verify("5.7", 12).counterexample[0] == "entry (11,0)"
+def _seen_warm(read, change, monkeypatch, forget):
+    """Reads twice, so the store keeps what read reads, then under change and after it.
+
+    Under the change the warm read must differ from the read before it and
+    equal a cold read; after it the read must be as before.
+    """
+    forget()
+    before = [read() for _ in range(2)]
+    change()
+    warm = read()
+    forget()
+    assert warm != before[0] and warm == read()
     monkeypatch.undo()
-    assert connect.verify("5.7", 12).passed
+    assert read() == before[0]
+    return warm
 
 
-def test_a_changed_preset_after_a_warm_call_is_seen(monkeypatch):
-    # 3.18 reads the shifted preset, for which preset() makes a new spec on every call.
-    assert connect.verify("3.18", 12).passed
+def test_a_builder_swapped_after_a_warm_call_is_seen(monkeypatch, forget):
+    def swap(name):
+        return lambda: monkeypatch.setattr(connect, name, _bumped(getattr(connect, name), BUMP_SITES[0]))
+
+    warm = _seen_warm(lambda: connect.verify("5.7", 12), swap("tangent_matrix"), monkeypatch, forget)
+    assert warm.counterexample[0] == "entry (11,0)"
+    # a preset triangle of the triangle subcommand reads its builder through the store too
+    triangle = _seen_warm(lambda: cli.build_triangle("u-half-odd", 12, "first"), swap("stirling1"),
+                          monkeypatch, forget)
+    assert triangle == _bumped(stirling.stirling1, BUMP_SITES[0])(preset("u-half-odd"), 12)
+
+
+def test_a_changed_preset_after_a_warm_call_is_seen(monkeypatch, forget):
     w = stirling.PRESETS["central-factorial"].w
-    monkeypatch.setitem(
-        stirling.PRESETS, "central-factorial",
-        WeightSpec("central-factorial", lambda n: w(n) + 1 if n == 3 else w(n)),
-    )
-    assert not connect.verify("3.18", 12).passed
-    monkeypatch.undo()
-    assert connect.verify("3.18", 12).passed
+
+    def change():
+        monkeypatch.setitem(
+            stirling.PRESETS, "central-factorial",
+            WeightSpec("central-factorial", lambda n: w(n) + 1 if n == 3 else w(n)),
+        )
+
+    # 3.18 reads the shifted preset, for which preset() makes a new spec on every call.
+    assert not _seen_warm(lambda: connect.verify("3.18", 12), change, monkeypatch, forget).passed
+    for kind in cli.KINDS:
+        _seen_warm(lambda: cli.build_triangle("central-factorial", 12, kind), change,
+                   monkeypatch, forget)
 
 
 @pytest.mark.parametrize("label, cache, index, change", [
@@ -986,10 +1010,13 @@ def test_each_label_after_verify_all_fills_the_store_with_every_side_it_reads(
     builds = _record_builds(monkeypatch)
     assert cli.main(["verify", "all", "--depth", "6"]) == 0 and connect._KEPT == {}
     # The labels one by one make each side a second time, so the store keeps
-    # it, at the largest order a label reads, and a second pass builds nothing.
+    # each side a label reads whole, at the largest order a label reads, and
+    # a second pass builds nothing.
     assert all(connect.verify(label, 6).passed for label in connect.CATALOG)
     plan = connect.shared_builds(connect.CATALOG, 6).planned
-    assert {side: m.order for side, (_, m) in connect._KEPT.items()} == plan
+    assert {side: m.order for side, (_, m) in connect._KEPT.items()} == {
+        side: order for side, order in plan.items() if side in connect._READ
+    }
     builds.clear()
     assert all(connect.verify(label, 6).passed for label in connect.CATALOG) and builds == []
 
@@ -1029,6 +1056,33 @@ def test_a_third_warm_verify_makes_no_product_or_solve(monkeypatch, forget):
         builds = [connect.evaluate(connect.MATRICES[name], 30) for _ in range(2)]
         made.clear()
         assert connect.evaluate(connect.MATRICES[name], 30) == builds[0] and made == [], name
+
+
+def test_a_warm_preset_triangle_makes_nothing(monkeypatch, forget):
+    forget()
+    made, make = [], connect._Table.make
+    monkeypatch.setattr(
+        connect._Table, "make", lambda table, side, order: made.append(side) or make(table, side, order)
+    )
+    for name, spec in stirling.PRESETS.items():
+        for kind, builder in cli.KINDS.items():
+            assert [cli.build_triangle(name, 40, kind) for _ in range(2)] == [
+                getattr(stirling, builder)(spec, 40)] * 2
+            assert made == [connect._Side(builder, (name,))] * 2, (name, kind)
+            made.clear()
+            assert cli.build_triangle(name, 40, kind).order == 40 and made == [], (name, kind)
+
+
+def test_only_the_sides_read_whole_are_kept(forget):
+    # An operand only, such as Ginv.diffs() under z, is made again when the
+    # side over it is; the side over it is kept.
+    forget()
+    for _ in range(2):
+        assert all(connect.verify(label, 12).passed for label in connect.CATALOG)
+        assert all(connect.evaluate(side, 30).order == 30 for side in connect.MATRICES.values())
+    operands = connect._SEEN - connect._READ
+    assert len(operands) == 10 and connect._Ginv.diffs() in operands
+    assert set(connect._KEPT) == connect._SEEN & connect._READ
 
 
 def test_a_cold_verify_all_keeps_nothing(capsys, forget):
@@ -1155,7 +1209,6 @@ def test_a_grown_side_keeps_its_old_row_objects(forget):
     new = {side: connect._KEPT[side][1].rows for side in connect._KEPT}
     assert {side: (len(old[side]), len(rows)) for side, rows in new.items()} == {
         connect._B: (8, 20), connect._U: (8, 20), connect._u: (8, 20), product: (8, 20),
-        product.args[0]: (8, 20),
     }
     assert all(a is b for side in new for a, b in zip(old[side], new[side]))
 
