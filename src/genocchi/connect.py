@@ -9,25 +9,27 @@ analogue does the same with tangent numbers and half-odd eigenvalues.
 CATALOG holds all 56 identities in label order, each a Row(kind, reads,
 cases) from one adapter: the matrix sides it reads, each at depth + an
 offset, and cases(depth, *matrices), which yields (where, reference,
-*others).  A factorization has one case of whole matrices; a connection
-identity one per index n, the polynomials of row n of a basis matrix and of
-the products that rewrite it, or one per (n, k) pair, the entries of a
-product and of a triangle, so no case builds a matrix; a summation identity
-one per n, a weighted sum along a row of one triangle (6.6 to 6.17, the
+*others).  A factorization or connection identity is one case of whole
+matrices, compared by TriMatrix equality (equal kept sides share their row
+objects, so a warm check compares them by identity); its where renders a
+failure at the first difference, as "entry (i,j)", as "n=i,k=j" for a
+product against a triangle, or as "n=i" with row i of each side as a
+polynomial when a basis matrix is rewritten.  A summation identity has one
+case per n, a weighted sum along a row of one triangle (6.6 to 6.17, the
 sums the Akiyama-Tanigawa engine's first column computes on Stirling
-triangles, and 4.17, Seidel's alternating Genocchi sum, which is column 0
-of E G = O up to sign, on the choose-even matrix E) or over a binomial row
-(4.48, the one label that reads no matrix); each case sum runs in ints
-over the scales of its terms and is divided back once.  Each matrix side
-is data, a _Side: a builder read by name (stirling2 of a preset,
-basis_matrix of a basis, genocchi_matrix, ...) or a @ b, a + b, x.inv,
-x.cols(scale), x.down(), x.drop(), x.sums() or x.diffs() of other sides.  A
-product with an inverse operand is a solve against the matrix it inverts, so
-x.inv @ b is the side x.solve(b) and a @ x.inv the side x.solve_right(a),
-and a catalog run inverts no matrix.  A1, A2 and Z are the prefix sums of
-the rows of A, the differences of consecutive A1 rows and the prefix sums of
-those differences of A^-1.  MATRICES names the sides the triangle subcommand
-prints; a weight preset's triangle there is its stirling2 or stirling1 side.
+triangles, and 4.17, Seidel's alternating Genocchi sum, column 0 of E G = O
+up to sign, on the choose-even matrix E) or over a binomial row (4.48, the
+one label that reads no matrix), summed in ints over the scales of its terms
+and divided back once.  Each matrix side is data, a _Side: a builder read by
+name (stirling2 of a preset, basis_matrix of a basis, genocchi_matrix, ...)
+or a @ b, a + b, x.inv, x.cols(scale), x.down(), x.drop(), x.sums() or
+x.diffs() of other sides.  A product with an inverse operand is a solve
+against the matrix it inverts, so x.inv @ b is the side x.solve(b) and a @
+x.inv the side x.solve_right(a), and a catalog run inverts no matrix.  A1, A2
+and Z are the prefix sums of the rows of A, the differences of consecutive
+A1 rows and the prefix sums of those differences of A^-1.  MATRICES names the
+sides the triangle subcommand prints; a weight preset's triangle there is
+its stirling2 or stirling1 side.
 One evaluator, _Table, plans every read before it builds, builds each side
 once at the largest order planned and serves each read as a leading block.
 Every table reads its sides through _KEPT, the one store this module keeps
@@ -54,6 +56,7 @@ Labels such as "3.9" or "5.10" are part of the command line contract.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate, pairwise
 from math import comb, factorial
 from operator import add, matmul, mul, sub
@@ -233,8 +236,9 @@ class _Side(NamedTuple):
 
 
 # One check of a catalog identity: (where, reference, *others).  It holds
-# when every other side equals the reference; the sides are matrices,
-# polynomials or scalars.
+# when every other side equals the reference.  Its sides are scalars, or the
+# whole matrices of a factorization or connection row, whose where renders
+# their first difference.
 Case = Tuple[Any, ...]
 
 
@@ -394,6 +398,8 @@ def _share(m: TriMatrix) -> TriMatrix:
 
 def evaluate(side: _Side, order: int) -> TriMatrix:
     """side at the order, from a table planned for this one read."""
+    if order < 1:
+        raise ValueError("order must be >= 1")
     table = _Table()
     table.plan(side, order)
     return table.get(side, order)
@@ -409,44 +415,38 @@ def shared_builds(labels: Iterable[str], depth: int) -> _Table:
     return _Table((CATALOG[label], depth) for label in labels if label in CATALOG)
 
 
-def _matrices(*sides: _Side) -> Row:
-    """A factorization as one case: every side built whole at the order."""
+def _first_entry(where: str, reference: TriMatrix, *others: TriMatrix) -> Tuple[str, str, str]:
+    """Renders a failing case at the first differing entry (i, j) of its first differing side."""
+    other = next(m for m in others if m != reference)
+    i, j = reference.first_difference(other)
+    return where.format(i, j), str(reference[i, j]), str(other[i, j])
 
-    def cases(order: int, *matrices: TriMatrix) -> Iterator[Case]:
-        yield ("entry", *matrices)
 
-    return Row("factorization", tuple((side, 0) for side in sides), cases)
+def _first_row(reference: TriMatrix, *others: TriMatrix) -> Tuple[str, str, str]:
+    """Renders a failing case at the earliest row n that differs in any side, as polynomials."""
+    n = min(reference.first_difference(m)[0] for m in others if m != reference)
+    other = next(m for m in others if m.rows[n] != reference.rows[n])
+    return f"n={n}", str(Poly(reference.rows[n])), str(Poly(other.rows[n]))
+
+
+def _matrices(*sides: _Side, kind: str = "factorization", offset: int = 0,
+              at: Callable[..., tuple] = partial(_first_entry, "entry ({},{})")) -> Row:
+    """An identity as one case of whole matrices, each side read at order depth + offset.
+
+    It holds when every side equals the first; its where, at, renders it if it fails.
+    """
+    return Row(kind, tuple((side, offset) for side in sides), lambda depth, *ms: [(at, *ms)])
 
 
 def _poly_rows(reference: _Side, *products: _Side) -> Row:
-    """A connection identity as the rows of matrices whose row k is a polynomial.
-
-    Case n compares the polynomial of row n of each product, typically a
-    coefficient matrix @ a basis matrix, with that of row n of reference,
-    all read at order depth + 1.
-    """
-
-    def cases(depth: int, *matrices: TriMatrix) -> Iterator[Case]:
-        for n in range(depth + 1):
-            yield (f"n={n}", *(Poly(m.rows[n]) for m in matrices))
-
-    return Row("connection", tuple((side, 1) for side in (reference, *products)), cases)
+    """A connection identity: products, such as coefficients @ a basis, equal to a basis matrix."""
+    return _matrices(reference, *products, kind="connection", offset=1, at=_first_row)
 
 
 def _entries(product: _Side, triangle: _Side) -> Row:
-    """A connection identity as the entries of one matrix product.
-
-    Case (n, k) compares entry (n, k) of product with entry (n, k) of
-    triangle, both read at order depth + 1.
-    """
-
-    def cases(depth: int, *matrices: TriMatrix) -> Iterator[Case]:
-        lhs, rhs = (m.rows for m in matrices)
-        for n in range(depth + 1):
-            for k in range(n + 1):
-                yield (f"n={n},k={k}", lhs[n][k], rhs[n][k])
-
-    return Row("connection", ((product, 1), (triangle, 1)), cases)
+    """A connection identity: a product equal to a triangle, entry (n, k) by entry."""
+    at = partial(_first_entry, "n={},k={}")
+    return _matrices(product, triangle, kind="connection", offset=1, at=at)
 
 
 def _row_sums(triangle: _Side, weight: Callable[[int, int], Fraction | int],
@@ -643,18 +643,15 @@ CONNECTION_IDS: Tuple[str, ...] = tuple(
 
 
 def first_mismatch(cases: Iterable[Case]) -> Optional[Tuple[str, str, str]]:
-    """The (where, lhs, rhs) strings of the first case whose sides differ.
+    """The (where, lhs, rhs) strings of the first case whose sides differ, or None.
 
-    Matrix sides are compared whole and located at their first differing
-    entry in row-major order, so their where reads "entry (i,j)".  Returns
-    None when every case holds.
+    A case of whole matrices is rendered by its where, called with its sides.
     """
     for where, reference, *others in cases:
         for other in others:
             if other != reference:
-                if isinstance(reference, TriMatrix):
-                    i, j = reference.first_difference(other)
-                    return (f"{where} ({i},{j})", str(reference[i, j]), str(other[i, j]))
+                if callable(where):
+                    return where(reference, *others)
                 return (where, str(reference), str(other))
     return None
 

@@ -8,7 +8,8 @@ route for the first column of the row-difference-and-scale engine, which
 `at_first_column` reads off an engine run.  `perturbed` changes one entry
 of a number or polynomial cache for the length of a with block.
 `catalog_cases` lists the cases of a catalog row, its sides built by
-`connect.evaluate`.
+`connect.evaluate`: one case of whole matrices for a factorization or
+connection row, one per n for a summation row.
 """
 
 from contextlib import contextmanager
@@ -69,8 +70,17 @@ def perturbed(cache, index, change):
             c[:] = values
 
 
+# The connection rows that compare a product with a triangle entry by entry;
+# the others compare rows as polynomials.
+ENTRY_ROWS = ("3.14", "3.15", "3.20", "3.21", "5.8", "5.9")
+
+
 def catalog_cases(label, depth):
-    """The cases of the label's catalog row at the depth, each side it reads evaluated alone."""
+    """The cases of the label's catalog row at the depth, each side it reads evaluated alone.
+
+    A factorization or connection row has one case, (where, *matrices), whose
+    where renders a failure; a summation row has one case per n, of scalars.
+    """
     row = connect.CATALOG[label]
     return list(row.cases(depth, *(connect.evaluate(side, depth + offset)
                                    for side, offset in row.reads)))

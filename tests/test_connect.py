@@ -4,7 +4,9 @@ from fractions import Fraction
 import pytest
 
 import golden
-from fixtures import CACHES, catalog_cases, perturbed, tangent_matrix_inverse_printed
+from fixtures import (
+    CACHES, ENTRY_ROWS, catalog_cases, perturbed, tangent_matrix_inverse_printed,
+)
 from genocchi import cli, connect, numbers, polyalg, stirling
 from genocchi.polyalg import Poly, basis_matrix, fib_poly
 from genocchi.reports import UnknownIdentityError
@@ -299,16 +301,26 @@ def test_every_label_reports_a_perturbed_side(label):
     assert connect.verify(label, depth).passed
     where, bumped, found = _mismatch_with_last_side(label, depth, _bump)
     if isinstance(bumped, TriMatrix):
-        assert found[0] == f"{where} ({bumped.order - 1},0)"
+        # the one case of whole matrices fails at the bumped entry, (n, 0)
+        n = bumped.order - 1
+        if connect.CATALOG[label].kind == "factorization":
+            assert found[0] == f"entry ({n},0)" and found[2] == str(bumped[n, 0])
+        elif label in ENTRY_ROWS:
+            assert found[0] == f"n={n},k=0" and found[2] == str(bumped[n, 0])
+        else:
+            assert found[0] == f"n={n}" and found[2] == str(Poly(bumped.rows[n]))
     else:
         assert found[0] == where and found[2] == str(bumped)
 
 
 # The report of each connection and summation label at depth 6 with _bump
 # applied to the last side of its last case, recorded when the connection
-# cases built their basis matrix from fib_poly and lucas_poly and the
-# summation sums ran in Fraction arithmetic: the cases now read table
-# sides, and the sums run in ints, whose str must be the Fraction's.
+# cases built their basis matrix from fib_poly and lucas_poly, one case per
+# row or per entry, and the summation sums ran in Fraction arithmetic.  The
+# one case of a connection row now holds whole matrices, so its last side is
+# bumped where the last case's was: at (n, n) for an entry row and at (n, 0),
+# the constant term, for a polynomial row.  The sums run in ints, whose str
+# must be the Fraction's.
 PERTURBED_LAST_CASES = {
     "2.1": (
         "2.1: FAIL at n=6: lhs=1 + 12*s + 55*s^2 + 120*s^3 + 126*s^4 + 56*s^5 + 7*s^6 "
@@ -376,10 +388,11 @@ def test_perturbed_summations_render_as_pinned(monkeypatch):
     for label, pinned in PERTURBED_LAST_CASES.items():
         row = connect.CATALOG[label]
 
-        def cases(depth, *matrices, row=row):
+        def cases(depth, *matrices, row=row, label=label):
             listed = list(row.cases(depth, *matrices))
             where, *sides = listed[-1]
-            listed[-1] = (where, *sides[:-1], _bump(sides[-1]))
+            last = _bump_at(sides[-1], BUMP_SITES[1]) if label in ENTRY_ROWS else _bump(sides[-1])
+            listed[-1] = (where, *sides[:-1], last)
             return listed
 
         monkeypatch.setitem(connect.CATALOG, label, row._replace(cases=cases))
@@ -573,6 +586,31 @@ def test_no_label_builds_a_family_twice(monkeypatch, cold_verify):
         ("basis_matrix", "F_odd", 12),
         ("stirling2", "central-factorial-shifted", 12),
     }
+
+
+# Two sides of a row with several sides made to fail at once, and the
+# report that picks among them: a polynomial row (2.3) reports its earliest
+# differing n, a factorization (3.9) the first side that differs, at its first
+# differing entry.
+SEVERAL_FAILING_SIDES = {
+    "2.3": (
+        {"tangent_matrix": (5, 0), "_genocchi_over_lucas": (3, 0)},
+        "2.3: FAIL at n=3: lhs=1 + 7*s + 14*s^2 + 7*s^3 rhs=3 + 7*s + 14*s^2 + 7*s^3",
+    ),
+    "3.9": (
+        {"pascal_plus_matrix": (5, 0), "stirling1": (2, 0)},
+        "3.9: FAIL at entry (5,0): lhs=-1 rhs=0",
+    ),
+}
+
+
+@pytest.mark.parametrize("label", list(SEVERAL_FAILING_SIDES))
+def test_several_failing_sides_report_as_pinned(label, monkeypatch, cold_verify):
+    bumps, pinned = SEVERAL_FAILING_SIDES[label]
+    for name, site in bumps.items():
+        bumped = _bumped(getattr(connect, name), lambda n, site=site: site)
+        monkeypatch.setattr(connect, name, bumped)
+    assert cold_verify(label, 6).describe() == pinned
 
 
 # ----------------------------------------------------------------------
@@ -926,6 +964,15 @@ def test_a_warm_verify_calls_no_builder(monkeypatch):
     assert connect.verify("3.18", 48) == first and builds == []
 
 
+def test_a_warm_connection_verify_builds_no_poly(monkeypatch):
+    for _ in range(2):
+        assert all(connect.verify(label, 12).passed for label in connect.CONNECTION_IDS)
+    made, init = [], Poly.__init__
+    monkeypatch.setattr(Poly, "__init__", lambda p, *args: made.append(args) or init(p, *args))
+    assert all(connect.verify(label, 12).passed for label in connect.CONNECTION_IDS)
+    assert len(connect.CONNECTION_IDS) == 15 and made == []
+
+
 def test_a_larger_read_rebuilds_once(monkeypatch):
     builds = _record_builds(monkeypatch)
     for depth in (8, 20, 12, 20, 8):
@@ -1083,6 +1130,20 @@ def test_only_the_sides_read_whole_are_kept(forget):
     operands = connect._SEEN - connect._READ
     assert len(operands) == 10 and connect._Ginv.diffs() in operands
     assert set(connect._KEPT) == connect._SEEN & connect._READ
+
+
+@pytest.mark.parametrize("name, kind", [
+    ("stirling", "first"), ("genocchi-matrix", "second"), ("z", "second"),
+])
+def test_an_order_below_one_is_rejected_however_warm(name, kind, forget):
+    # The same message cold, after one build and after two, when a build is kept.
+    forget()
+    for _ in range(3):
+        for order in (0, -1):
+            with pytest.raises(ValueError, match=r"^order must be >= 1$"):
+                cli.build_triangle(name, order, kind)
+        cli.build_triangle(name, 5, kind)
+    assert connect._KEPT
 
 
 def test_a_cold_verify_all_keeps_nothing(capsys, forget):
