@@ -58,7 +58,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import partial
 from itertools import accumulate, pairwise
-from math import comb, factorial
+from math import comb, factorial, lcm
 from operator import add, matmul, mul, sub
 from typing import Any, Callable, Dict, Iterable, Iterator, NamedTuple, Optional, Tuple
 
@@ -67,7 +67,7 @@ from .akiyama import odd_double_factorial
 from .polyalg import Poly, basis_matrix
 from .reports import IdentityReport, UnknownIdentityError
 from .stirling import PRESETS, _unshifted, preset, stirling1, stirling2
-from .trimat import Cache, TriMatrix, _ratio, _scaled
+from .trimat import Cache, Row, TriMatrix, _ratio, _scaled
 
 # ----------------------------------------------------------------------
 # matrix builders
@@ -77,44 +77,42 @@ def genocchi_matrix(order: int) -> TriMatrix:
     """Matrix taking the odd Fibonacci basis to the even one."""
     g = [numbers.genocchi(d + 1) for d in range(order)]
 
-    def rule(n: int, k: int) -> Fraction | int:
-        return _ratio((-1) ** (n - k) * comb(2 * n + 2, 2 * k) * g[n - k], 2 * k + 1)
+    def rule(n: int, k: int) -> Tuple[int, int]:
+        return (-1) ** (n - k) * comb(2 * n + 2, 2 * k) * g[n - k], 2 * k + 1
 
-    return TriMatrix.from_rule(rule, order)
+    return TriMatrix.from_ratios(rule, order)
 
 
 def genocchi_matrix_squared(order: int) -> TriMatrix:
     """Closed form for the square of the Genocchi matrix."""
     g = [numbers.genocchi(d + 2) for d in range(order)]
 
-    def rule(n: int, k: int) -> Fraction | int:
-        return _ratio(
-            (-1) ** (n - k) * comb(2 * n + 2, 2 * k) * (n + k + 2) * g[n - k],
-            (2 * k + 1) * (n + 2 - k),
-        )
+    def rule(n: int, k: int) -> Tuple[int, int]:
+        num = (-1) ** (n - k) * comb(2 * n + 2, 2 * k) * (n + k + 2) * g[n - k]
+        return num, (2 * k + 1) * (n + 2 - k)
 
-    return TriMatrix.from_rule(rule, order)
+    return TriMatrix.from_ratios(rule, order)
 
 
 def genocchi_matrix_inverse(order: int) -> TriMatrix:
     """Closed form for the inverse of the Genocchi matrix."""
     b = [numbers.bernoulli(2 * d) for d in range(order)]
 
-    def rule(j: int, k: int) -> Fraction | int:
+    def rule(j: int, k: int) -> Tuple[int, int]:
         x = b[j - k]
-        return _ratio(comb(2 * j + 1, 2 * k + 1) * x.numerator, x.denominator * (k + 1))
+        return comb(2 * j + 1, 2 * k + 1) * x.numerator, x.denominator * (k + 1)
 
-    return TriMatrix.from_rule(rule, order)
+    return TriMatrix.from_ratios(rule, order)
 
 
 def tangent_matrix(order: int) -> TriMatrix:
     """Matrix taking the even Lucas basis to the odd one."""
     t = [numbers.tangent(d) for d in range(order)]
 
-    def rule(i: int, j: int) -> Fraction | int:
-        return _ratio((-1) ** (i - j) * t[i - j] * comb(2 * i + 1, 2 * j), 2 ** (2 * (i - j) + 1))
+    def rule(i: int, j: int) -> Tuple[int, int]:
+        return (-1) ** (i - j) * t[i - j] * comb(2 * i + 1, 2 * j), 2 ** (2 * (i - j) + 1)
 
-    return TriMatrix.from_rule(rule, order)
+    return TriMatrix.from_ratios(rule, order)
 
 
 def tangent_matrix_inverse(order: int) -> TriMatrix:
@@ -125,22 +123,22 @@ def tangent_matrix_inverse(order: int) -> TriMatrix:
     """
     b = [numbers.bernoulli(2 * d) for d in range(order)]
 
-    def rule(i: int, j: int) -> Fraction | int:
+    def rule(i: int, j: int) -> Tuple[int, int]:
         x = b[i - j]
-        return _ratio(2 * comb(2 * i, 2 * j) * x.numerator, x.denominator * (2 * j + 1))
+        return 2 * comb(2 * i, 2 * j) * x.numerator, x.denominator * (2 * j + 1)
 
-    return TriMatrix.from_rule(rule, order)
+    return TriMatrix.from_ratios(rule, order)
 
 
 def _genocchi_over_lucas(order: int) -> TriMatrix:
     """The tangent matrix in Genocchi numbers: (-1)**d C(2n+1, 2k) G(d+1) / (2d+2), d = n-k."""
     g = [numbers.genocchi(d + 1) for d in range(order)]
 
-    def rule(n: int, k: int) -> Fraction | int:
+    def rule(n: int, k: int) -> Tuple[int, int]:
         d = n - k
-        return _ratio((-1) ** d * comb(2 * n + 1, 2 * k) * g[d], 2 * d + 2)
+        return (-1) ** d * comb(2 * n + 1, 2 * k) * g[d], 2 * d + 2
 
-    return TriMatrix.from_rule(rule, order)
+    return TriMatrix.from_ratios(rule, order)
 
 
 def c_matrix(order: int) -> TriMatrix:
@@ -152,11 +150,11 @@ def c_matrix_inverse(order: int) -> TriMatrix:
     """Closed-form inverse of the signed augmented Pascal matrix."""
     b = [numbers.bernoulli_b(d) for d in range(order)]
 
-    def rule(i: int, j: int) -> Fraction | int:
+    def rule(i: int, j: int) -> Tuple[int, int]:
         x = b[i - j]
-        return _ratio(comb(i, j) * x.numerator, x.denominator * (j + 1))
+        return comb(i, j) * x.numerator, x.denominator * (j + 1)
 
-    return TriMatrix.from_rule(rule, order)
+    return TriMatrix.from_ratios(rule, order)
 
 
 def pascal_matrix(order: int) -> TriMatrix:
@@ -178,9 +176,22 @@ def choose_odd_matrix(order: int) -> TriMatrix:
 
 
 def _cols(m: TriMatrix, scale: Callable[[int], Fraction | int]) -> TriMatrix:
-    """m with column j multiplied by scale(j), that is m @ diag(scale(0), scale(1), ...)."""
-    scales = [scale(j) for j in range(m.order)]
-    return TriMatrix([map(mul, row, scales) for row in m.rows])
+    """m with column j multiplied by scale(j), that is m @ diag(scale(0), scale(1), ...).
+
+    The scales are brought over s, the lcm of their denominators, so row i's
+    ints are multiplied in int arithmetic and held over s times its denominator.
+    """
+    scales, s = _scaled([scale(j) for j in range(m.order)])
+    return TriMatrix.from_scaled((list(map(mul, row, scales)), den * s) for row, den in m.scaled_rows)
+
+
+def _combined(op: Callable[[int, int], int], x: Row, y: Row) -> Tuple[list, int]:
+    """op entrywise on two stored rows, over the lcm of their denominators; as long as the shorter."""
+    (a, da), (b, db) = x, y
+    if da == db:
+        return list(map(op, a, b)), da
+    d = lcm(da, db)
+    return list(map(op, [v * (d // da) for v in a], [v * (d // db) for v in b])), d
 
 
 # ----------------------------------------------------------------------
@@ -257,18 +268,23 @@ class Row(NamedTuple):
 # op -> (offset, f): f takes the operands of a side, each read at the side's
 # order + offset, and its other args; the identity, which has no operand,
 # takes the order.  Each operator is a kernel call (@, solve, solve_right,
-# drop) or plain int and Fraction arithmetic at one operation per entry,
-# where scaling to ints would cost more than it saves (see trimat).
+# drop) or int arithmetic on the stored rows at one operation per entry (see
+# trimat).  A zero appended to a row, and the prefix sums of its ints, leave
+# the gcd with its denominator at 1, so down and sums keep the stored form.
 _OPERATORS: Dict[str, Tuple[int, Callable[..., TriMatrix]]] = {
     "@": (0, matmul),
-    "+": (0, lambda a, b: TriMatrix([map(add, x, y) for x, y in zip(a.rows, b.rows)])),
-    "down": (0, lambda m: TriMatrix([(0,), *((*row, 0) for row in m.rows[:-1])])),
+    "+": (0, lambda a, b: TriMatrix.from_scaled(
+        map(partial(_combined, add), a.scaled_rows, b.scaled_rows))),
+    "down": (0, lambda m: TriMatrix._trusted(
+        [((0,), 1), *(((*row, 0), den) for row, den in m.scaled_rows[:-1])])),
     "solve": (0, lambda x, b: x.solve(b)),  # x^-1 @ b
     "solve_right": (0, lambda a, x: x.solve_right(a)),  # a @ x^-1
     "cols": (0, _cols),
     "drop": (1, lambda m: m.drop_leading()),
-    "sums": (0, lambda m: TriMatrix([accumulate(row) for row in m.rows])),
-    "diffs": (1, lambda m: TriMatrix([map(sub, a, b) for a, b in pairwise(m.rows)])),
+    "sums": (0, lambda m: TriMatrix._trusted(
+        (tuple(accumulate(row)), den) for row, den in m.scaled_rows)),
+    "diffs": (1, lambda m: TriMatrix.from_scaled(
+        _combined(sub, x, y) for x, y in pairwise(m.scaled_rows))),
     "identity": (0, TriMatrix.identity),
 }
 
@@ -383,16 +399,16 @@ def _kept(side: _Side, order: int,
 
 
 def _share(m: TriMatrix) -> TriMatrix:
-    """m over the row objects of the kept build whose leading rows equal the most of m's."""
-    rows, best = m.rows, ()
+    """m over the stored rows of the kept build whose leading rows equal the most of m's."""
+    rows, best = m.scaled_rows, ()
     for _, kept in _KEPT.values():
         n = 0
-        for a, b in zip(rows, kept.rows):
+        for a, b in zip(rows, kept.scaled_rows):
             if a is not b and a != b:
                 break
             n += 1
         if n > len(best):
-            best = kept.rows[:n]
+            best = kept.scaled_rows[:n]
     return TriMatrix._trusted(best + rows[len(best):]) if best else m
 
 
@@ -459,9 +475,9 @@ def _row_sums(triangle: _Side, weight: Callable[[int, int], Fraction | int],
     """
 
     def cases(depth: int, matrix: TriMatrix) -> Iterator[Case]:
-        rows = matrix.rows
+        rows = matrix.scaled_rows
         for n in range(first, depth + 1):
-            row, dr = _scaled(rows[n - first])
+            row, dr = rows[n - first]
             weights, dw = _scaled([weight(n, k) for k in range(len(row))])
             yield (f"n={n}", _ratio(sum(map(mul, weights, row)), dw * dr), rhs(n))
 

@@ -10,7 +10,6 @@ is raised.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
 from operator import add
 from typing import Iterable, Tuple
 
@@ -33,6 +32,13 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs: Tuple[Scalar, ...] = tuple(cs)
+
+    @classmethod
+    def _trusted(cls, coeffs: Tuple[int, ...]) -> "Poly":
+        """A polynomial over int coefficients with a nonzero last one, taken as given."""
+        p = object.__new__(cls)
+        p.coeffs = coeffs
+        return p
 
     @classmethod
     def one(cls) -> "Poly":
@@ -131,12 +137,35 @@ _lucas: list[Poly] = Cache([Poly([2]), Poly([1])])
 
 
 def _fib_closed(n: int) -> Poly:
-    return Poly([comb(n - 1 - k, k) for k in range((n - 1) // 2 + 1)])
+    """F(n) for n >= 2 in closed form, coefficient k being C(n-1-k, k).
+
+    Each binomial is the one before it in the row times
+    (n-1-2k)(n-2-2k) / ((k+1)(n-1-k)), an exact int division.
+    """
+    cs = [1]
+    for k in range((n - 1) // 2):
+        cs.append(cs[-1] * (n - 1 - 2 * k) * (n - 2 - 2 * k) // ((k + 1) * (n - 1 - k)))
+    return Poly._trusted(tuple(cs))
 
 
 def _lucas_closed(n: int) -> Poly:
-    # n / (n-k) C(n-k, k) = C(n-k, k) + C(n-k-1, k-1), in ints
-    return Poly([1, *(comb(n - k, k) + comb(n - k - 1, k - 1) for k in range(1, n // 2 + 1))])
+    """L(n) for n >= 2 in closed form, coefficient k being n / (n-k) C(n-k, k).
+
+    Each coefficient is the one before it in the row times
+    (n-2k)(n-2k-1) / ((k+1)(n-k-1)), an exact int division.
+    """
+    cs = [1]
+    for k in range(n // 2):
+        cs.append(cs[-1] * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * (n - k - 1)))
+    return Poly._trusted(tuple(cs))
+
+
+def _recursion(a: Poly, b: Poly) -> Tuple[int, ...]:
+    """The coefficients of a + s*b, for the int polynomials of the two caches."""
+    x, y = a.coeffs, (0, *b.coeffs)
+    if len(x) < len(y):
+        x, y = y, x
+    return (*map(add, x, y), *x[len(y):])
 
 
 def fib_poly(n: int) -> Poly:
@@ -145,9 +174,8 @@ def fib_poly(n: int) -> Poly:
         raise ValueError("index must be >= 0")
     while len(_fib) <= n:
         m = len(_fib)
-        nxt = _fib[m - 1] + _fib[m - 2].shift(1)
         closed = _fib_closed(m)
-        if nxt != closed:
+        if _recursion(_fib[m - 1], _fib[m - 2]) != closed.coeffs:
             raise ArithmeticError(f"fibonacci routes disagree at {m}")
         _fib.append(closed)
     return _fib[n]
@@ -159,11 +187,10 @@ def lucas_poly(n: int) -> Poly:
         raise ValueError("index must be >= 0")
     while len(_lucas) <= n:
         m = len(_lucas)
-        nxt = _lucas[m - 1] + _lucas[m - 2].shift(1)
         closed = _lucas_closed(m)
-        if nxt != closed:
+        if _recursion(_lucas[m - 1], _lucas[m - 2]) != closed.coeffs:
             raise ArithmeticError(f"lucas routes disagree at {m}")
-        if closed != fib_poly(m + 1) + fib_poly(m - 1).shift(1):
+        if _recursion(fib_poly(m + 1), fib_poly(m - 1)) != closed.coeffs:
             raise ArithmeticError(f"lucas/fibonacci bridge fails at {m}")
         _lucas.append(closed)
     return _lucas[n]

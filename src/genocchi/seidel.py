@@ -71,7 +71,8 @@ def seidel_array(variant: str, k: int = 0, *, rows: int) -> SeidelArray:
         # diagonal (k past the row) is 0.
         seeds = [0] * min(k, top + 1)
         if k <= top:
-            seeds += [row[k] for row in _second_kind(preset(name), top + 1, k + 1)[k:]]
+            column, d = _second_kind(preset(name), top + 1, k + 1)
+            seeds += [_ratio(row[k], d ** (n - k)) for n, row in enumerate(column) if n >= k]
 
     # Row r is held as ints h(r, j) over a scale D_r, the lcm of D_{r-1} and
     # its head's denominator, so h(r, j) = h(r, j-1) - (D_r/D_{r-1}) h(r-1, j-1).

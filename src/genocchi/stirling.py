@@ -11,17 +11,19 @@ of the shifted weights w(n+1), the preset named with a -shifted suffix.
 
 Both builds run in int arithmetic.  The weights are scaled by the lcm d of
 their denominators, so d**(n-k) times entry (n, k) follows the same
-recurrence with the int weights d * w, and each entry is divided back once
-by d**(n-k).  Integral weights have d = 1 and are used as given.
+recurrence with the int weights d * w.  Row n is then held as those ints
+times d**k over d**n, TriMatrix's stored form once their gcd is divided
+out, so no entry is divided back.  Integral weights have d = 1 and are used
+as given.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from operator import add, mul, sub
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, Tuple
 
-from .trimat import Scalar, TriMatrix, _exact, _ratio, _scaled
+from .trimat import Scalar, TriMatrix, _exact, _scaled
 
 
 class WeightSpec(NamedTuple):
@@ -83,12 +85,12 @@ def shift_weight(spec: WeightSpec, by: int = 1) -> WeightSpec:
     return WeightSpec(spec.name + "-shifted" * by, lambda n: inner(n + by))
 
 
-def _second_kind(spec: WeightSpec, order: int, width: int) -> list[list[Scalar]]:
-    """Exact rows 0..order-1 of the second-kind triangle, in columns k < width.
+def _second_kind(spec: WeightSpec, order: int, width: int) -> Tuple[Iterator[list[int]], int]:
+    """(rows, d): d**(n-k) times entry (n, k) of the second-kind triangle, in columns k < width.
 
-    Column k reads only columns up to k, so each row of a narrow build is a
-    prefix of the whole triangle's row; only w(k) for k < min(width, order-1)
-    are read and scaled.
+    rows yields rows 0..order-1, one at a time.  Column k reads only
+    columns up to k, so each row of a narrow build is a prefix of the whole
+    triangle's row; only w(k) for k < min(width, order-1) are read and scaled.
     """
     weights, d = _scaled([spec(k) for k in range(min(width, order - 1))])
 
@@ -102,25 +104,22 @@ def _second_kind(spec: WeightSpec, order: int, width: int) -> list[list[Scalar]]
                 row.pop()
             yield row
 
-    return _unscaled(rows(), d, order)
+    return rows(), d
 
 
-def _unscaled(rows: Iterable[list[int]], d: int, order: int) -> list[list[Scalar]]:
-    """Rows of d**(n-k) times entry (n, k), with each entry divided back once.
-
-    The scaled rows are read one at a time, so only the result is held whole.
-    """
+def _triangle(rows: Iterable[list[int]], d: int, order: int) -> TriMatrix:
+    """The matrix whose entry (n, k) is rows[n][k] / d**(n-k), row n held over d**n."""
     if d == 1:
-        return list(rows)
+        return TriMatrix.from_scaled((row, 1) for row in rows)
     powers = [d**e for e in range(order)]
-    return [list(map(_ratio, row, powers[n::-1])) for n, row in enumerate(rows)]
+    return TriMatrix.from_scaled((list(map(mul, row, powers)), powers[n]) for n, row in enumerate(rows))
 
 
 def stirling2(spec: WeightSpec, order: int) -> TriMatrix:
     """Second-kind triangle for the given weights, as an order-N matrix."""
     if order < 1:
         raise ValueError("order must be >= 1")
-    return TriMatrix(_second_kind(spec, order, order))
+    return _triangle(*_second_kind(spec, order, order), order)
 
 
 def stirling1(spec: WeightSpec, order: int) -> TriMatrix:
@@ -137,5 +136,4 @@ def stirling1(spec: WeightSpec, order: int) -> TriMatrix:
             row = list(map(sub, [0, *row], [*(wn * x for x in row), 0]))
             yield row
 
-    return TriMatrix(_unscaled(rows(), d, order))
-
+    return _triangle(rows(), d, order)

@@ -4,27 +4,30 @@ Every matrix in this package is a finite leading block of an infinite
 lower-triangular matrix, so truncation consistency (the order-k block of an
 order-N build equals the order-k build) is a tested property throughout.
 
-Exact values are held as an int when integral and as a Fraction otherwise
-(see _exact).  Products and solves run on a scaled-integer kernel: each
-rational row or column is scaled once to ints by the lcm of its
-denominators (_scaled), the work is done in int arithmetic, and each result
-entry is divided back once (_ratio).  Integral matrices skip the scaling.
-x.solve(b), that is x^-1 @ b, is one fraction-free forward substitution per
-column of b; a +1/-1 pivot never grows a column's denominator, so an
-integral matrix with a +1/-1 diagonal is solved in int arithmetic
-throughout.  A product with an inverse operand is a solve and never forms
-the inverse: a @ x^-1 is x.solve_right(a), the solve of the anti-transposes
-(flip), and inverse() is the solve against the identity.
+A TriMatrix holds each row once, in one canonical exact form: a tuple of
+ints over one positive row denominator with no factor common to all of
+them, so an integral row is its ints over 1 and equal matrices compare and
+hash equal as int tuples.  Products, solves, slices and the catalog's
+entrywise operators (a + b, column scaling, moving down a row, prefix sums
+and row differences) all run in int arithmetic on that form, and the
+rational builders emit it directly.  A value, an int when integral and a
+Fraction otherwise (see _exact), is made only where it leaves a matrix:
+rows, m[i, j] and what is rendered from them.  x.solve(b), that is
+x^-1 @ b, is one fraction-free forward substitution per column of b; a
++1/-1 pivot never grows a column's denominator, so an integral matrix with
+a +1/-1 diagonal is solved in int arithmetic throughout.  A product with an
+inverse operand is a solve and never forms the inverse: a @ x^-1 is
+x.solve_right(a), the solve of the anti-transposes (flip), and inverse() is
+the solve against the identity.
 
-Scaling pays where each output entry costs many multiply-adds: kernels,
-recurrences and dot-product sums.  The package's rational builds of that
-kind use the same two helpers, each in int arithmetic over one common
-denominator per build, row or sequence: the Bernoulli recurrence, the
-Stirling triangles with the Seidel seeds, the Akiyama-Tanigawa engine, the
-closed-form connection matrices and the catalog's case sums.  Where an
-entry costs one operation, plain int and Fraction arithmetic is faster than
-the round trip, so the catalog's entrywise operators (a + b, column scaling,
-moving down a row, prefix sums and row differences) do not scale.
+Holding the rows scaled pays twice: an entry of a product or solve costs
+many multiply-adds, which run on ints, and an entrywise operator costs one
+int operation per entry and one gcd per rational row, where a Fraction
+costs a gcd per entry.  The package's other rational builds of the kernel
+kind scale through _scaled and divide back through _ratio, each in int
+arithmetic over one common denominator per build, row or sequence: the
+Bernoulli recurrence, the Stirling weights, the Seidel seeds, the
+Akiyama-Tanigawa engine and the catalog's case sums.
 
 Cache, the list type of the number and polynomial caches, lives here
 beside _scaled and _ratio, at the bottom of the imports: it counts the
@@ -35,12 +38,14 @@ keeps may read a changed value.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 Scalar = Fraction | int
 Rule = Callable[[int, int], Scalar]
+Row = Tuple[Tuple[int, ...], int]  # a stored row: (nums, den), entry j being nums[j] / den
 
 
 def _exact(x) -> Scalar:
@@ -76,6 +81,22 @@ def _scaled(values: Sequence[Scalar]) -> Tuple[Sequence[int], int]:
         return values, 1
     d = lcm(*dens)
     return [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in values], d
+
+
+def _reduced(row: Tuple[Iterable[int], int]) -> Row:
+    """(nums, den) with den > 0 in the stored form, divided by gcd(den, *nums)."""
+    nums, den = tuple(row[0]), row[1]
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            return tuple([x // g for x in nums]), den // g
+    return nums, den
+
+
+def _over_lcm(rows: Sequence[Row]) -> Tuple[Sequence[Sequence[int]], int]:
+    """(ints, s): the stored rows' ints brought over s, the lcm of their denominators."""
+    s = lcm(*(den for _, den in rows))
+    return [nums if den == s else [x * (s // den) for x in nums] for nums, den in rows], s
 
 
 class Cache(list):
@@ -117,10 +138,12 @@ class SingularMatrixError(ValueError):
 class TriMatrix:
     """Immutable lower-triangular matrix with exact rational entries.
 
-    Row i stores the entries (i, 0), ..., (i, i); entries with j > i are an
-    implicit zero.  An entry is an int when it is integral and a Fraction
-    otherwise, whichever of the two it was given as, so equal matrices
-    compare and hash equal.  All operations return new values, so matrices
+    Row i holds the entries (i, 0), ..., (i, i); entries with j > i are an
+    implicit zero.  The row is stored once as a pair (nums, den), an int
+    tuple and an int den > 0 with gcd(den, *nums) = 1, entry (i, j) being
+    nums[j] / den.  The form is unique, so equal matrices compare and hash
+    equal.  rows and m[i, j] read entries as values, an int when integral
+    and a Fraction otherwise.  All operations return new values, so matrices
     can be shared freely between threads and identity checks never observe
     mutation.
     """
@@ -133,17 +156,19 @@ class TriMatrix:
             entries = tuple(map(_exact, row))
             if len(entries) != i + 1:
                 raise ValueError(f"row {i} has {len(entries)} entries, expected {i + 1}")
-            packed.append(entries)
+            # over the lcm of reduced denominators, the ints share no factor with it
+            nums, den = _scaled(entries)
+            packed.append((tuple(nums), den))
         if not packed:
             raise ValueError("order must be >= 1")
-        self._rows: Tuple[Tuple[Scalar, ...], ...] = tuple(packed)
+        self._rows: Tuple[Row, ...] = tuple(packed)
 
     @classmethod
-    def _trusted(cls, rows: Iterable[Tuple[Scalar, ...]]) -> "TriMatrix":
-        """A matrix over rows that are already exact tuples of lengths 1, 2, ...
+    def _trusted(cls, rows: Iterable[Row]) -> "TriMatrix":
+        """A matrix over rows already in the stored form, of lengths 1, 2, ...
 
-        Skips the per-entry normalisation of __init__; only the kernel's own
-        results and slices of existing matrices come through here.
+        Skips the reduction of from_scaled; only rows that keep the form,
+        such as slices of existing matrices, come through here.
         """
         m = object.__new__(cls)
         m._rows = tuple(rows)
@@ -158,10 +183,35 @@ class TriMatrix:
         return cls([[rule(i, j) for j in range(i + 1)] for i in range(order)])
 
     @classmethod
+    def from_ratios(cls, rule: Callable[[int, int], Tuple[int, int]], order: int) -> "TriMatrix":
+        """Materialize the entries num / den, for (num, den) = rule(i, j) with den > 0.
+
+        Each row is brought over the lcm of its dens, so no entry is made a value.
+        """
+        if order < 1:
+            raise ValueError("order must be >= 1")
+
+        def row(i: int) -> Tuple[list, int]:
+            pairs = [rule(i, j) for j in range(i + 1)]
+            den = lcm(*(d for _, d in pairs))
+            return [num * (den // d) for num, d in pairs], den
+
+        return cls.from_scaled(map(row, range(order)))
+
+    @classmethod
+    def from_scaled(cls, rows: Iterable[Tuple[Iterable[int], int]]) -> "TriMatrix":
+        """The matrix whose row i holds nums[j] / den, for its (nums, den) with den > 0.
+
+        The rows must have lengths 1, 2, ...; each is divided by
+        gcd(den, *nums) into the stored form.
+        """
+        return cls._trusted(map(_reduced, rows))
+
+    @classmethod
     def identity(cls, order: int) -> "TriMatrix":
         if order < 1:
             raise ValueError("order must be >= 1")
-        return cls._trusted((0,) * i + (1,) for i in range(order))
+        return cls._trusted(((0,) * i + (1,), 1) for i in range(order))
 
     # ------------------------------------------------------------------
     # accessors
@@ -171,15 +221,26 @@ class TriMatrix:
         return len(self._rows)
 
     @property
-    def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
+    def scaled_rows(self) -> Tuple[Row, ...]:
+        """The stored rows: (nums, den) for each row, entry j being nums[j] / den."""
         return self._rows
+
+    @property
+    def rows(self) -> Tuple[Tuple[Scalar, ...], ...]:
+        """The entries as values, made on each read; an integral row is its stored tuple."""
+        return tuple(
+            nums if den == 1 else tuple([_ratio(x, den) for x in nums]) for nums, den in self._rows
+        )
 
     def __getitem__(self, ij: Tuple[int, int]) -> Scalar:
         i, j = ij
         n = self.order
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"entry ({i},{j}) outside order-{n} matrix")
-        return self._rows[i][j] if j <= i else 0
+        if j > i:
+            return 0
+        nums, den = self._rows[i]
+        return _ratio(nums[j], den)
 
     def column(self, j: int) -> Tuple[Scalar, ...]:
         return tuple(self[i, j] for i in range(self.order))
@@ -190,23 +251,19 @@ class TriMatrix:
     def mul(self, other: "TriMatrix") -> "TriMatrix":
         """Exact product; both operands must have the same order.
 
-        Each row of self and each column of other is scaled to ints by the
-        lcm of its denominators, so every entry is an int dot product
-        divided back once by the two scales.
+        other's rows are brought over s, the lcm of their denominators, so
+        entry (i, j) is an int dot product over s times row i's denominator.
         """
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        n, a, b = self.order, self._rows, other._rows
-        # cols[j] holds the entries (j, j), ..., (n-1, j) of other, so entry
-        # (i, j) of the product is the dot product of a[i][j:] with it.
+        n = self.order
+        b, s = _over_lcm(other._rows)
+        # cols[j] holds s times the entries (j, j), ..., (n-1, j) of other, so
+        # entry (i, j) of the product is the dot product of a[i][j:] with it.
         cols = [[b[k][j] for k in range(j, n)] for j in range(n)]
-        right = [_scaled(col) for col in cols]
-        return TriMatrix._trusted(
-            tuple(
-                _ratio(sum(map(mul, row[j:], col)), dr * dc)
-                for j, (col, dc) in zip(range(i + 1), right)
-            )
-            for i, (row, dr) in enumerate(map(_scaled, a))
+        return TriMatrix.from_scaled(
+            ([sum(map(mul, row[j:], col)) for j, col in zip(range(i + 1), cols)], den * s)
+            for i, (row, den) in enumerate(self._rows)
         )
 
     __matmul__ = mul
@@ -214,25 +271,28 @@ class TriMatrix:
     def solve(self, b: "TriMatrix") -> "TriMatrix":
         """self^-1 @ b by fraction-free forward substitution, never forming self^-1.
 
-        self is first scaled row by row to an int matrix R = D A, with D
-        diagonal, so that A^-1 B = R^-1 (D B), and R y = c is solved one
-        column at a time, c being column j of D B scaled to ints by the lcm
-        s of its denominators.  The column's entries are int numerators over
-        one common denominator: an entry is its row's sum over den * R[i][i],
-        so the denominator grows only by the part of the pivot R[i][i] that
-        does not divide the sum, and a +1/-1 pivot divides every sum.  Each
-        entry is divided back once, by den * s.
+        self's stored rows are an int matrix R = D A, with D the diagonal of
+        its row denominators, so that A^-1 B = R^-1 (D B), and R y = c is
+        solved one column at a time, c being s times column j of D B, s the
+        lcm of the denominators of b's rows j, ..., n-1.  The column's entries
+        are int numerators over one common denominator: an entry is its
+        row's sum over den * R[i][i], so the denominator grows only by the
+        part of the pivot R[i][i] that does not divide the sum, and a +1/-1
+        pivot divides every sum.  Column j's entries are over den * s, and row
+        i of the solution is held over the lcm of those of columns 0..i.
 
         Raises SingularMatrixError naming the first zero diagonal index.
         """
         if self.order != b.order:
             raise ValueError(f"order mismatch: {self.order} vs {b.order}")
         self._check_pivots()
-        n, rhs = self.order, b._rows
-        r, scales = zip(*map(_scaled, self._rows))
-        out: list[list[Scalar]] = [[] for _ in range(n)]
-        for j in range(n):
-            c, s = _scaled([rhs[k][j] for k in range(j, n)])
+        n = self.order
+        r, scales = zip(*self._rows)
+        rhs, dens = zip(*b._rows)
+        tails = list(accumulate(reversed(dens), lcm))[::-1]  # tails[j] = lcm(dens[j:])
+        cols = []
+        for j, s in enumerate(tails):
+            c = [rhs[k][j] * (s // dens[k]) for k in range(j, n)]
             # column j of the solution: entry (j + t, j) is p[t] / (den * s)
             p, den = [], 1
             for i in range(j, n):
@@ -248,11 +308,13 @@ class TriMatrix:
                     den *= f
                     num *= f
                 p.append(num // d)
-            if den * s != 1:
-                p = [_ratio(x, den * s) for x in p]
+            cols.append((p, den * s))
+        over = list(accumulate((e for _, e in cols), lcm))  # over[i]: row i's denominator
+        out: list[list[int]] = [[] for _ in range(n)]
+        for j, (p, e) in enumerate(cols):
             for t, x in enumerate(p):
-                out[j + t].append(x)
-        return TriMatrix._trusted(map(tuple, out))
+                out[j + t].append(x if over[j + t] == e else x * (over[j + t] // e))
+        return TriMatrix.from_scaled(zip(out, over))
 
     def solve_right(self, a: "TriMatrix") -> "TriMatrix":
         """a @ self^-1, as flip(flip(self).solve(flip(a))), since flip(a @ x) = flip(x) @ flip(a).
@@ -273,15 +335,19 @@ class TriMatrix:
         return self.solve(TriMatrix.identity(self.order))
 
     def _check_pivots(self) -> None:
-        for i, row in enumerate(self._rows):
-            if row[i] == 0:
+        for i, (nums, _) in enumerate(self._rows):
+            if nums[i] == 0:
                 raise SingularMatrixError(i)
 
     def flip(self) -> "TriMatrix":
-        """The anti-transpose: entry (i, j) moves to (n-1-j, n-1-i), again lower-triangular."""
-        rows, n = self._rows, self.order
-        return TriMatrix._trusted(
-            tuple(rows[i][j] for i in range(n - 1, j - 1, -1)) for j in range(n - 1, -1, -1)
+        """The anti-transpose: entry (i, j) moves to (n-1-j, n-1-i), again lower-triangular.
+
+        A row of the flip is a column of self, read over the lcm of self's row denominators.
+        """
+        n = self.order
+        rows, s = _over_lcm(self._rows)
+        return TriMatrix.from_scaled(
+            ([rows[i][j] for i in range(n - 1, j - 1, -1)], s) for j in range(n - 1, -1, -1)
         )
 
     def leading_submatrix(self, order: int) -> "TriMatrix":
@@ -294,16 +360,17 @@ class TriMatrix:
         """Delete the first row and column."""
         if self.order == 1:
             raise ValueError("cannot drop the only row of an order-1 matrix")
-        return TriMatrix._trusted(row[1:] for row in self._rows[1:])
+        return TriMatrix.from_scaled((nums[1:], den) for nums, den in self._rows[1:])
 
     def first_difference(self, other: "TriMatrix") -> Optional[Tuple[int, int]]:
         """Row-major position of the first differing entry, or None."""
         if self.order != other.order:
             raise ValueError(f"order mismatch: {self.order} vs {other.order}")
-        for i in range(self.order):
-            for j in range(i + 1):
-                if self._rows[i][j] != other._rows[i][j]:
-                    return (i, j)
+        for i, (x, y) in enumerate(zip(self._rows, other._rows)):
+            if x != y:
+                # rows in the stored form differ only where some entry does
+                (a, da), (b, db) = x, y
+                return i, next(j for j in range(i + 1) if a[j] * db != b[j] * da)
         return None
 
     # ------------------------------------------------------------------
@@ -318,6 +385,6 @@ class TriMatrix:
 
     def __repr__(self) -> str:
         if self.order <= 6:
-            body = "; ".join(" ".join(str(x) for x in row) for row in self._rows)
+            body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
             return f"TriMatrix[{body}]"
         return f"TriMatrix(order={self.order})"

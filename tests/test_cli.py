@@ -644,16 +644,18 @@ def test_every_public_function_is_run_by_the_cli_or_exported(monkeypatch):
         and code not in run_codes
     }
     # Kept though no subcommand runs them.  The tests use Poly arithmetic,
-    # truncate, monomial and eval as reference routes (the Stirling row and
-    # generating-function expansions, the Binet oracle), and perfbench/shim.py
+    # shift, truncate, monomial and eval as reference routes (the Stirling row
+    # and generating-function expansions, the Binet oracle, the Lucas bridge);
+    # the polynomial caches check their recursion in ints.  perfbench/shim.py
     # looks up Poly.__mul__/__rmul__ and TriMatrix.inverse by name.  __hash__
     # goes with __eq__ and __repr__ with debugging.  The two errors reach
     # library callers only: no matrix the CLI solves has a zero pivot, and the
     # CLI rejects an unknown label itself, before connect.verify would.
     assert unreached == {
         *(f"Poly.{name}" for name in (
-            "one", "monomial", "degree", "eval", "__call__", "truncate", "__sub__",
-            "__neg__", "__mul__", "__rmul__", "__repr__", "__hash__")),
+            "one", "monomial", "degree", "is_zero", "eval", "__call__", "shift", "truncate",
+            "__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "__repr__", "__eq__",
+            "__hash__")),
         *(f"TriMatrix.{name}" for name in ("column", "inverse", "__repr__", "__hash__")),
         "SingularMatrixError.__init__",
         "UnknownIdentityError.__init__",

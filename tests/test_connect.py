@@ -1249,12 +1249,12 @@ def test_equal_kept_sides_share_row_objects(forget):
         assert connect.verify("6.6", 12).passed and connect.verify("3.11", 12).passed
     (_, shift), (_, shifted) = connect._KEPT[connect._s2("stirling-shift")], connect._KEPT[connect._Ssh]
     assert (shift.order, shifted.order) == (13, 12)
-    assert all(a is b for a, b in zip(shift.rows, shifted.rows))
+    assert all(a is b for a, b in zip(shift.scaled_rows, shifted.scaled_rows))
     # the two sides of 3.18 and the Genocchi matrix they both equal, which
     # 4.11 reads
     for _ in range(2):
         assert connect.verify("4.11", 12).passed and connect.verify("3.18", 12).passed
-    held = [connect._KEPT[side][1].rows for side in
+    held = [connect._KEPT[side][1].scaled_rows for side in
             (connect._G, connect._Feven @ connect._Fodd.inv,
              connect._Tsh.cols(connect._nat) @ connect._Tsh.inv)]
     assert held[1] is held[2] is held[0]
@@ -1266,8 +1266,8 @@ def test_a_grown_side_keeps_its_old_row_objects(forget):
     for depth in (8, 8, 20):
         assert connect.verify("5.10", depth).passed
         if depth == 8:
-            old = {side: connect._KEPT[side][1].rows for side in connect._KEPT}
-    new = {side: connect._KEPT[side][1].rows for side in connect._KEPT}
+            old = {side: connect._KEPT[side][1].scaled_rows for side in connect._KEPT}
+    new = {side: connect._KEPT[side][1].scaled_rows for side in connect._KEPT}
     assert {side: (len(old[side]), len(rows)) for side, rows in new.items()} == {
         connect._B: (8, 20), connect._U: (8, 20), connect._u: (8, 20), product: (8, 20),
     }

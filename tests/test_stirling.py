@@ -231,8 +231,10 @@ def test_narrow_second_kind_reads_only_the_weights_of_its_columns(name):
                 raise IndexError(f"read w({n}) for order {order}, width {width}")
             return spec(n)
 
-        rows = _second_kind(WeightSpec("strict", w), order, width)
-        assert rows == [list(row[:width]) for row in stirling2(spec, order).rows]
+        rows, d = _second_kind(WeightSpec("strict", w), order, width)
+        # row n holds d**(n-k) times entry (n, k)
+        got = [[Fraction(x, d ** (n - k)) for k, x in enumerate(row)] for n, row in enumerate(rows)]
+        assert got == [list(row[:width]) for row in stirling2(spec, order).rows]
 
 
 def test_order_validation():
