@@ -186,17 +186,22 @@ class TriMatrix:
     def from_ratios(cls, rule: Callable[[int, int], Tuple[int, int]], order: int) -> "TriMatrix":
         """Materialize the entries num / den, for (num, den) = rule(i, j) with den > 0.
 
-        Each row is brought over the lcm of its dens, so no entry is made a value.
+        Each entry is reduced by gcd(num, den) and its row brought over the lcm
+        of the reduced dens, which leaves the stored form with no entry made a value.
         """
         if order < 1:
             raise ValueError("order must be >= 1")
 
-        def row(i: int) -> Tuple[list, int]:
-            pairs = [rule(i, j) for j in range(i + 1)]
-            den = lcm(*(d for _, d in pairs))
-            return [num * (den // d) for num, d in pairs], den
+        def row(i: int) -> Row:
+            nums, dens = [], []
+            for num, den in (rule(i, j) for j in range(i + 1)):
+                g = gcd(num, den)
+                nums.append(num // g)
+                dens.append(den // g)
+            d = lcm(*dens)
+            return tuple([x if e == d else x * (d // e) for x, e in zip(nums, dens)]), d
 
-        return cls.from_scaled(map(row, range(order)))
+        return cls._trusted(map(row, range(order)))
 
     @classmethod
     def from_scaled(cls, rows: Iterable[Tuple[Iterable[int], int]]) -> "TriMatrix":
@@ -230,6 +235,15 @@ class TriMatrix:
         """The entries as values, made on each read; an integral row is its stored tuple."""
         return tuple(
             nums if den == 1 else tuple([_ratio(x, den) for x in nums]) for nums, den in self._rows
+        )
+
+    def texts(self) -> Tuple[Tuple[str, ...], ...]:
+        """str of every entry's value, read off the stored rows without making a Fraction."""
+        return tuple(
+            tuple(map(str, nums)) if den == 1 else tuple([
+                f"{x // g}/{den // g}" if (g := gcd(x, den)) != den else str(x // g) for x in nums
+            ])
+            for nums, den in self._rows
         )
 
     def __getitem__(self, ij: Tuple[int, int]) -> Scalar:
