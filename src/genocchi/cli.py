@@ -163,7 +163,7 @@ def _cmd_sequence(args) -> int:
 
 
 def _cmd_triangle(args) -> int:
-    render_rows(build_triangle(args.name, args.rows, args.kind).texts(), args.format, args.name)
+    render_rows(build_triangle(args.name, args.rows, args.kind).cells(), args.format, args.name)
     return 0
 
 

@@ -237,10 +237,14 @@ class TriMatrix:
             nums if den == 1 else tuple([_ratio(x, den) for x in nums]) for nums, den in self._rows
         )
 
-    def texts(self) -> Tuple[Tuple[str, ...], ...]:
-        """str of every entry's value, read off the stored rows without making a Fraction."""
+    def cells(self) -> Tuple[Tuple[int | str, ...], ...]:
+        """The rows for printing with str, read without making a Fraction.
+
+        An integral row is its stored ints; in any other row each entry is
+        the text str gives its value, an int's digits or p/q in lowest terms.
+        """
         return tuple(
-            tuple(map(str, nums)) if den == 1 else tuple([
+            nums if den == 1 else tuple([
                 f"{x // g}/{den // g}" if (g := gcd(x, den)) != den else str(x // g) for x in nums
             ])
             for nums, den in self._rows
