@@ -1,14 +1,17 @@
 """The int/Fraction kernel under TriMatrix and Poly against all-Fraction references.
 
-Every value the kernel holds must be an int when it is integral and a
+Every value the kernel hands out must be an int when it is integral and a
 Fraction otherwise, never a float; the references below compute the same
 products and inverses, and the catalog's exact-arithmetic operators, with
-every entry a Fraction, entry by entry, with no scaling to ints.
+every entry a Fraction, entry by entry, with no scaling to ints.  Every
+matrix checked here is also checked in its stored form: each row ints over
+one positive denominator sharing no factor with all of them, which reads
+back through rows, m[i, j] and cells() and rebuilds an equal matrix.
 """
 
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import assume, given, settings
@@ -35,6 +38,22 @@ def assert_exact(values):
 def assert_exact_matrix(m: TriMatrix):
     for row in m.rows:
         assert_exact(row)
+    assert_stored_form(m)
+
+
+def assert_stored_form(m: TriMatrix):
+    rows = m.rows
+    assert len(m.scaled_rows) == m.order == len(rows)
+    for i, (nums, den) in enumerate(m.scaled_rows):
+        assert type(nums) is tuple and len(nums) == i + 1
+        assert all(type(x) is int for x in nums) and type(den) is int
+        assert den > 0 and gcd(den, *nums) == 1, (i, nums, den)
+        assert rows[i] == tuple(Fraction(x, den) for x in nums)
+        for j, x in enumerate(rows[i]):
+            assert m[i, j] == x and type(m[i, j]) is type(x)
+    assert [list(map(str, row)) for row in m.cells()] == [list(map(str, row)) for row in rows]
+    again = TriMatrix(rows)
+    assert again == m and hash(again) == hash(m) and again.scaled_rows == m.scaled_rows
 
 
 def ref_mul(a, b):
@@ -328,3 +347,74 @@ def test_library_factorizations_invert_like_the_reference():
         assert_kernel_outputs_exact(inv)
         assert_kernel_outputs_exact(m @ m)
     assert varying == connect.tangent_matrix(order)
+
+
+# ----------------------------------------------------------------------
+# the stored form
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_scaled_and_ratio_constructors_match_fraction_entries(data):
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    nums = st.integers(min_value=-40, max_value=40)
+    dens = st.integers(min_value=1, max_value=24)
+    # rows with a common factor left in, which from_scaled divides out
+    scaled = [([data.draw(nums) for _ in range(i + 1)], data.draw(dens)) for i in range(n)]
+    want = TriMatrix([[Fraction(x, den) for x in row] for row, den in scaled])
+    assert TriMatrix.from_scaled(scaled) == want
+    assert_exact_matrix(TriMatrix.from_scaled(scaled))
+    ratios = [[(data.draw(nums), data.draw(dens)) for _ in range(i + 1)] for i in range(n)]
+    got = TriMatrix.from_ratios(lambda i, j: ratios[i][j], n)
+    assert got == TriMatrix.from_rule(lambda i, j: Fraction(*ratios[i][j]), n)
+    assert_exact_matrix(got)
+
+
+def test_stored_rows_are_reduced_and_read_back_exactly():
+    m = TriMatrix.from_scaled([((6,), 4), ((2, 4), 2), ((0, 3, 9), 6)])
+    assert m.scaled_rows == (((3,), 2), ((1, 2), 1), ((0, 1, 3), 2))
+    assert m.rows == ((Fraction(3, 2),), (1, 2), (0, Fraction(1, 2), Fraction(3, 2)))
+    assert type(m[1, 0]) is int and type(m[2, 0]) is int and m[0, 1] == 0
+    assert m.cells() == (("3/2",), (1, 2), ("0", "1/2", "3/2"))
+    # a zero row is held over 1, and an integral row is its ints over 1
+    assert TriMatrix([[0], [0, 0]]).scaled_rows == (((0,), 1), ((0, 0), 1))
+    assert TriMatrix([[Fraction(4, 2)], [1, -3]]).scaled_rows == (((2,), 1), ((1, -3), 1))
+    with pytest.raises(TypeError, match="is not an int or Fraction$"):
+        TriMatrix([[Fraction(1, 2)], [1, 0.5]])
+
+
+def test_first_difference_compares_rows_over_different_denominators():
+    a = TriMatrix([[Fraction(1, 2)], [Fraction(1, 3), Fraction(2, 3)]])
+    b = TriMatrix([[Fraction(1, 2)], [Fraction(1, 3), Fraction(3, 4)]])
+    c = TriMatrix([[Fraction(1, 2)], [Fraction(1, 6), Fraction(2, 3)]])
+    assert a.first_difference(b) == (1, 1) and b.first_difference(a) == (1, 1)
+    assert a.first_difference(c) == (1, 0)
+    assert a.first_difference(TriMatrix([[Fraction(1, 3)], [0, 1]])) == (0, 0)
+    assert a.first_difference(a) is None
+
+
+def test_dropping_a_column_reduces_the_row():
+    m = TriMatrix([[1], [Fraction(1, 2), 1], [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)]])
+    dropped = m.drop_leading()
+    assert dropped.scaled_rows == (((1,), 1), ((1, 2), 3))
+    assert_exact_matrix(dropped)
+
+
+SIDE_NAMES = ("genocchi-matrix", "genocchi-matrix-squared", "genocchi-matrix-inverse",
+              "tangent-matrix", "tangent-matrix-inverse", "c-matrix-inverse", "a1", "a2", "z")
+
+
+@pytest.mark.parametrize("name", SIDE_NAMES)
+def test_builders_and_operator_sides_hold_the_stored_form(name):
+    m = connect.evaluate(connect.MATRICES[name], 14)
+    assert_kernel_outputs_exact(m)
+    assert m == TriMatrix.from_rule(lambda i, j: m[i, j], 14)
+
+
+def test_rational_products_and_solves_rebuild_from_their_rows():
+    b, u = stirling2(PRESETS["u-half-odd"], 9), stirling1(PRESETS["u-half-odd"], 9)
+    g = connect._genocchi_over_lucas(9)
+    sums, diffs = connect._OPERATORS["sums"][1](g), connect._OPERATORS["diffs"][1](g)
+    for m in (g @ b, b.solve(g), u.solve_right(g), sums, diffs, connect.tangent_matrix_inverse(9)):
+        assert any(den != 1 for _, den in m.scaled_rows)
+        assert_kernel_outputs_exact(m)
