@@ -19,17 +19,19 @@ case per n, a weighted sum along a row of one triangle (6.6 to 6.17, the
 sums the Akiyama-Tanigawa engine's first column computes on Stirling
 triangles, and 4.17, Seidel's alternating Genocchi sum, column 0 of E G = O
 up to sign, on the choose-even matrix E) or over a binomial row (4.48, the
-one label that reads no matrix), summed in ints over the scales of its terms
-and divided back once.  Each matrix side is data, a _Side: a builder read by
-name (stirling2 of a preset, basis_matrix of a basis, genocchi_matrix, ...)
-or a @ b, a + b, x.inv, x.cols(scale), x.down(), x.drop(), x.sums() or
-x.diffs() of other sides.  A product with an inverse operand is a solve
-against the matrix it inverts, so x.inv @ b is the side x.solve(b) and a @
-x.inv the side x.solve_right(a), and a catalog run inverts no matrix.  A1, A2
-and Z are the prefix sums of the rows of A, the differences of consecutive
-A1 rows and the prefix sums of those differences of A^-1.  MATRICES names the
-sides the triangle subcommand prints; a weight preset's triangle there is
-its stirling2 or stirling1 side.
+one label that reads no matrix), summed in ints, a triangle row as its
+stored ints, and divided back once into the value compared.  Every side is
+held in TriMatrix's stored form, ints over one denominator per row, so a
+matrix case that holds reads no entry as a value.  Each matrix side is
+data, a _Side: a builder read by name (stirling2 of a preset, basis_matrix
+of a basis, genocchi_matrix, ...) or a @ b, a + b, x.inv, x.cols(scale),
+x.down(), x.drop(), x.sums() or x.diffs() of other sides.  A product with
+an inverse operand is a solve against the matrix it inverts, so x.inv @ b is
+the side x.solve(b) and a @ x.inv the side x.solve_right(a), and a catalog
+run inverts no matrix.  A1, A2 and Z are the prefix sums of the rows of A,
+the differences of consecutive A1 rows and the prefix sums of those
+differences of A^-1.  MATRICES names the sides the triangle subcommand
+prints; a weight preset's triangle there is its stirling2 or stirling1 side.
 One evaluator, _Table, plans every read before it builds, builds each side
 once at the largest order planned and serves each read as a leading block.
 Every table reads its sides through _KEPT, the one store this module keeps
@@ -67,7 +69,7 @@ from .akiyama import odd_double_factorial
 from .polyalg import Poly, basis_matrix
 from .reports import IdentityReport, UnknownIdentityError
 from .stirling import PRESETS, _unshifted, preset, stirling1, stirling2
-from .trimat import Cache, Row, TriMatrix, _ratio, _scaled
+from .trimat import Cache, ScaledRow, TriMatrix, _ratio, _scaled
 
 # ----------------------------------------------------------------------
 # matrix builders
@@ -178,14 +180,13 @@ def choose_odd_matrix(order: int) -> TriMatrix:
 def _cols(m: TriMatrix, scale: Callable[[int], Fraction | int]) -> TriMatrix:
     """m with column j multiplied by scale(j), that is m @ diag(scale(0), scale(1), ...).
 
-    The scales are brought over s, the lcm of their denominators, so row i's
-    ints are multiplied in int arithmetic and held over s times its denominator.
+    The scales are ints over s, the lcm of their denominators, so row i is over s times its own.
     """
     scales, s = _scaled([scale(j) for j in range(m.order)])
     return TriMatrix.from_scaled((list(map(mul, row, scales)), den * s) for row, den in m.scaled_rows)
 
 
-def _combined(op: Callable[[int, int], int], x: Row, y: Row) -> Tuple[list, int]:
+def _combined(op: Callable[[int, int], int], x: ScaledRow, y: ScaledRow) -> Tuple[list, int]:
     """op entrywise on two stored rows, over the lcm of their denominators; as long as the shorter."""
     (a, da), (b, db) = x, y
     if da == db:

@@ -10,6 +10,7 @@ is raised.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import zip_longest
 from operator import add
 from typing import Iterable, Tuple
 
@@ -137,11 +138,8 @@ _lucas: list[Poly] = Cache([Poly([2]), Poly([1])])
 
 
 def _fib_closed(n: int) -> Poly:
-    """F(n) for n >= 2 in closed form, coefficient k being C(n-1-k, k).
-
-    Each binomial is the one before it in the row times
-    (n-1-2k)(n-2-2k) / ((k+1)(n-1-k)), an exact int division.
-    """
+    """F(n), n >= 2, in closed form: coefficient k is C(n-1-k, k), the one before it
+    times (n-1-2k)(n-2-2k) / ((k+1)(n-1-k)), an exact int division."""
     cs = [1]
     for k in range((n - 1) // 2):
         cs.append(cs[-1] * (n - 1 - 2 * k) * (n - 2 - 2 * k) // ((k + 1) * (n - 1 - k)))
@@ -149,11 +147,8 @@ def _fib_closed(n: int) -> Poly:
 
 
 def _lucas_closed(n: int) -> Poly:
-    """L(n) for n >= 2 in closed form, coefficient k being n / (n-k) C(n-k, k).
-
-    Each coefficient is the one before it in the row times
-    (n-2k)(n-2k-1) / ((k+1)(n-k-1)), an exact int division.
-    """
+    """L(n), n >= 2, in closed form: coefficient k is n / (n-k) C(n-k, k), the one
+    before it times (n-2k)(n-2k-1) / ((k+1)(n-k-1)), an exact int division."""
     cs = [1]
     for k in range(n // 2):
         cs.append(cs[-1] * (n - 2 * k) * (n - 2 * k - 1) // ((k + 1) * (n - k - 1)))
@@ -162,10 +157,7 @@ def _lucas_closed(n: int) -> Poly:
 
 def _recursion(a: Poly, b: Poly) -> Tuple[int, ...]:
     """The coefficients of a + s*b, for the int polynomials of the two caches."""
-    x, y = a.coeffs, (0, *b.coeffs)
-    if len(x) < len(y):
-        x, y = y, x
-    return (*map(add, x, y), *x[len(y):])
+    return tuple([x + y for x, y in zip_longest(a.coeffs, (0, *b.coeffs), fillvalue=0)])
 
 
 def fib_poly(n: int) -> Poly:

@@ -109,10 +109,9 @@ def _second_kind(spec: WeightSpec, order: int, width: int) -> Tuple[Iterator[lis
 
 def _triangle(rows: Iterable[list[int]], d: int, order: int) -> TriMatrix:
     """The matrix whose entry (n, k) is rows[n][k] / d**(n-k), row n held over d**n."""
-    if d == 1:
-        return TriMatrix.from_scaled((row, 1) for row in rows)
     powers = [d**e for e in range(order)]
-    return TriMatrix.from_scaled((list(map(mul, row, powers)), powers[n]) for n, row in enumerate(rows))
+    return TriMatrix.from_scaled(
+        (row if d == 1 else list(map(mul, row, powers)), powers[n]) for n, row in enumerate(rows))
 
 
 def stirling2(spec: WeightSpec, order: int) -> TriMatrix:

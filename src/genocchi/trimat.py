@@ -4,30 +4,28 @@ Every matrix in this package is a finite leading block of an infinite
 lower-triangular matrix, so truncation consistency (the order-k block of an
 order-N build equals the order-k build) is a tested property throughout.
 
-A TriMatrix holds each row once, in one canonical exact form: a tuple of
-ints over one positive row denominator with no factor common to all of
-them, so an integral row is its ints over 1 and equal matrices compare and
-hash equal as int tuples.  Products, solves, slices and the catalog's
-entrywise operators (a + b, column scaling, moving down a row, prefix sums
-and row differences) all run in int arithmetic on that form, and the
-rational builders emit it directly.  A value, an int when integral and a
-Fraction otherwise (see _exact), is made only where it leaves a matrix:
-rows, m[i, j] and what is rendered from them.  x.solve(b), that is
-x^-1 @ b, is one fraction-free forward substitution per column of b; a
-+1/-1 pivot never grows a column's denominator, so an integral matrix with
-a +1/-1 diagonal is solved in int arithmetic throughout.  A product with an
-inverse operand is a solve and never forms the inverse: a @ x^-1 is
-x.solve_right(a), the solve of the anti-transposes (flip), and inverse() is
-the solve against the identity.
+A TriMatrix holds each row once, as ints over one positive row denominator
+that shares no factor with all of them, so an integral row is its ints over
+1 and equal matrices compare and hash equal as int tuples.  Products,
+solves, slices and the catalog's entrywise operators run in int arithmetic
+on that form, and the rational builders emit it directly; a value, an int
+when integral and a Fraction otherwise (see _exact), is made only where it
+leaves a matrix (rows, m[i, j]).  x.solve(b), that is x^-1 @ b, is one
+fraction-free forward substitution per column of b; a +1/-1 pivot never
+grows a column's denominator, so an integral matrix with a +1/-1 diagonal
+is solved in int arithmetic throughout.  A product with an inverse operand
+is a solve and never forms the inverse: a @ x^-1 is x.solve_right(a), the
+solve of the anti-transposes (flip), and inverse() is the solve against
+the identity.
 
-Holding the rows scaled pays twice: an entry of a product or solve costs
-many multiply-adds, which run on ints, and an entrywise operator costs one
-int operation per entry and one gcd per rational row, where a Fraction
-costs a gcd per entry.  The package's other rational builds of the kernel
-kind scale through _scaled and divide back through _ratio, each in int
-arithmetic over one common denominator per build, row or sequence: the
-Bernoulli recurrence, the Stirling weights, the Seidel seeds, the
-Akiyama-Tanigawa engine and the catalog's case sums.
+Holding the rows scaled pays twice: a product or solve entry costs many
+multiply-adds, which run on ints, and an entrywise operator costs one int
+operation per entry and one gcd per rational row, where a Fraction costs a
+gcd per entry.  The package's other rational builds of the kernel kind
+scale through _scaled and divide back through _ratio, each over one common
+denominator per build, row or sequence: the Bernoulli recurrence, the
+Stirling weights, the Seidel seeds, the Akiyama-Tanigawa engine and the
+catalog's case sums.
 
 Cache, the list type of the number and polynomial caches, lives here
 beside _scaled and _ratio, at the bottom of the imports: it counts the
@@ -45,7 +43,7 @@ from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 Scalar = Fraction | int
 Rule = Callable[[int, int], Scalar]
-Row = Tuple[Tuple[int, ...], int]  # a stored row: (nums, den), entry j being nums[j] / den
+ScaledRow = Tuple[Tuple[int, ...], int]  # (nums, den), entry j being nums[j] / den
 
 
 def _exact(x) -> Scalar:
@@ -83,7 +81,7 @@ def _scaled(values: Sequence[Scalar]) -> Tuple[Sequence[int], int]:
     return [x * d if type(x) is int else x.numerator * (d // x.denominator) for x in values], d
 
 
-def _reduced(row: Tuple[Iterable[int], int]) -> Row:
+def _reduced(row: Tuple[Iterable[int], int]) -> ScaledRow:
     """(nums, den) with den > 0 in the stored form, divided by gcd(den, *nums)."""
     nums, den = tuple(row[0]), row[1]
     if den != 1:
@@ -93,7 +91,7 @@ def _reduced(row: Tuple[Iterable[int], int]) -> Row:
     return nums, den
 
 
-def _over_lcm(rows: Sequence[Row]) -> Tuple[Sequence[Sequence[int]], int]:
+def _over_lcm(rows: Sequence[ScaledRow]) -> Tuple[Sequence[Sequence[int]], int]:
     """(ints, s): the stored rows' ints brought over s, the lcm of their denominators."""
     s = lcm(*(den for _, den in rows))
     return [nums if den == s else [x * (s // den) for x in nums] for nums, den in rows], s
@@ -161,10 +159,10 @@ class TriMatrix:
             packed.append((tuple(nums), den))
         if not packed:
             raise ValueError("order must be >= 1")
-        self._rows: Tuple[Row, ...] = tuple(packed)
+        self._rows: Tuple[ScaledRow, ...] = tuple(packed)
 
     @classmethod
-    def _trusted(cls, rows: Iterable[Row]) -> "TriMatrix":
+    def _trusted(cls, rows: Iterable[ScaledRow]) -> "TriMatrix":
         """A matrix over rows already in the stored form, of lengths 1, 2, ...
 
         Skips the reduction of from_scaled; only rows that keep the form,
@@ -186,13 +184,12 @@ class TriMatrix:
     def from_ratios(cls, rule: Callable[[int, int], Tuple[int, int]], order: int) -> "TriMatrix":
         """Materialize the entries num / den, for (num, den) = rule(i, j) with den > 0.
 
-        Each entry is reduced by gcd(num, den) and its row brought over the lcm
-        of the reduced dens, which leaves the stored form with no entry made a value.
+        Each row is held over the lcm of its entries' dens in lowest terms.
         """
         if order < 1:
             raise ValueError("order must be >= 1")
 
-        def row(i: int) -> Row:
+        def row(i: int) -> ScaledRow:
             nums, dens = [], []
             for num, den in (rule(i, j) for j in range(i + 1)):
                 g = gcd(num, den)
@@ -205,11 +202,7 @@ class TriMatrix:
 
     @classmethod
     def from_scaled(cls, rows: Iterable[Tuple[Iterable[int], int]]) -> "TriMatrix":
-        """The matrix whose row i holds nums[j] / den, for its (nums, den) with den > 0.
-
-        The rows must have lengths 1, 2, ...; each is divided by
-        gcd(den, *nums) into the stored form.
-        """
+        """The matrix of rows nums[j] / den, for (nums, den) of lengths 1, 2, ... and den > 0."""
         return cls._trusted(map(_reduced, rows))
 
     @classmethod
@@ -226,7 +219,7 @@ class TriMatrix:
         return len(self._rows)
 
     @property
-    def scaled_rows(self) -> Tuple[Row, ...]:
+    def scaled_rows(self) -> Tuple[ScaledRow, ...]:
         """The stored rows: (nums, den) for each row, entry j being nums[j] / den."""
         return self._rows
 
@@ -238,11 +231,8 @@ class TriMatrix:
         )
 
     def cells(self) -> Tuple[Tuple[int | str, ...], ...]:
-        """The rows for printing with str, read without making a Fraction.
-
-        An integral row is its stored ints; in any other row each entry is
-        the text str gives its value, an int's digits or p/q in lowest terms.
-        """
+        """The rows for printing with str: an integral row as its ints, another as
+        the text of its values (p/q in lowest terms), made without a Fraction."""
         return tuple(
             nums if den == 1 else tuple([
                 f"{x // g}/{den // g}" if (g := gcd(x, den)) != den else str(x // g) for x in nums
@@ -255,10 +245,7 @@ class TriMatrix:
         n = self.order
         if not (0 <= i < n and 0 <= j < n):
             raise IndexError(f"entry ({i},{j}) outside order-{n} matrix")
-        if j > i:
-            return 0
-        nums, den = self._rows[i]
-        return _ratio(nums[j], den)
+        return _ratio(self._rows[i][0][j], self._rows[i][1]) if j <= i else 0
 
     def column(self, j: int) -> Tuple[Scalar, ...]:
         return tuple(self[i, j] for i in range(self.order))
@@ -292,12 +279,12 @@ class TriMatrix:
         self's stored rows are an int matrix R = D A, with D the diagonal of
         its row denominators, so that A^-1 B = R^-1 (D B), and R y = c is
         solved one column at a time, c being s times column j of D B, s the
-        lcm of the denominators of b's rows j, ..., n-1.  The column's entries
-        are int numerators over one common denominator: an entry is its
-        row's sum over den * R[i][i], so the denominator grows only by the
-        part of the pivot R[i][i] that does not divide the sum, and a +1/-1
-        pivot divides every sum.  Column j's entries are over den * s, and row
-        i of the solution is held over the lcm of those of columns 0..i.
+        lcm of b's row denominators.  The column's entries are int numerators
+        over one common denominator: an entry is its row's sum over
+        den * R[i][i], so the denominator grows only by the part of the pivot
+        R[i][i] that does not divide the sum, and a +1/-1 pivot divides every
+        sum.  Column j is over den * s, and row i of the solution over the
+        lcm of those of columns 0..i.
 
         Raises SingularMatrixError naming the first zero diagonal index.
         """
@@ -306,11 +293,10 @@ class TriMatrix:
         self._check_pivots()
         n = self.order
         r, scales = zip(*self._rows)
-        rhs, dens = zip(*b._rows)
-        tails = list(accumulate(reversed(dens), lcm))[::-1]  # tails[j] = lcm(dens[j:])
+        rhs, s = _over_lcm(b._rows)
         cols = []
-        for j, s in enumerate(tails):
-            c = [rhs[k][j] * (s // dens[k]) for k in range(j, n)]
+        for j in range(n):
+            c = [rhs[k][j] for k in range(j, n)]
             # column j of the solution: entry (j + t, j) is p[t] / (den * s)
             p, den = [], 1
             for i in range(j, n):
@@ -358,10 +344,7 @@ class TriMatrix:
                 raise SingularMatrixError(i)
 
     def flip(self) -> "TriMatrix":
-        """The anti-transpose: entry (i, j) moves to (n-1-j, n-1-i), again lower-triangular.
-
-        A row of the flip is a column of self, read over the lcm of self's row denominators.
-        """
+        """The anti-transpose: entry (i, j) moves to (n-1-j, n-1-i), again lower-triangular."""
         n = self.order
         rows, s = _over_lcm(self._rows)
         return TriMatrix.from_scaled(
