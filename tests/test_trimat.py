@@ -47,6 +47,14 @@ def test_entry_above_diagonal_is_zero():
     assert m[0, 1] == 0
     with pytest.raises(IndexError):
         m[0, 2]
+    with pytest.raises(IndexError, match=r"^entry \(2,0\) outside order-2 matrix$"):
+        m[2, 0]
+
+
+def test_repr_shows_the_values_of_a_matrix_up_to_order_6():
+    assert repr(TriMatrix([[Fraction(1, 2)], [1, Fraction(-3, 4)]])) == "TriMatrix[1/2; 1 -3/4]"
+    assert repr(TriMatrix.identity(6)).startswith("TriMatrix[1; 0 1; 0 0 1;")
+    assert repr(TriMatrix.identity(7)) == "TriMatrix(order=7)"
 
 
 def test_mul_identity_is_neutral():
