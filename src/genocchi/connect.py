@@ -183,11 +183,15 @@ def _cols(m: TriMatrix, scale: Callable[[int], Fraction | int]) -> TriMatrix:
     The scales are ints over s, the lcm of their denominators, so row i is over s times its own.
     """
     scales, s = _scaled([scale(j) for j in range(m.order)])
-    return TriMatrix.from_scaled((list(map(mul, row, scales)), den * s) for row, den in m.scaled_rows)
+    return TriMatrix.from_scaled(
+        (list(map(mul, row, scales)), den * s) for row, den in m.scaled_rows)
 
 
 def _combined(op: Callable[[int, int], int], x: ScaledRow, y: ScaledRow) -> Tuple[list, int]:
-    """op entrywise on two stored rows, over the lcm of their denominators; as long as the shorter."""
+    """op entrywise on two stored rows, over the lcm of their denominators.
+
+    Entries pair as zip pairs them, so the result is as long as the shorter row.
+    """
     (a, da), (b, db) = x, y
     if da == db:
         return list(map(op, a, b)), da
