@@ -231,8 +231,10 @@ class TriMatrix:
         )
 
     def cells(self) -> Tuple[Tuple[int | str, ...], ...]:
-        """The rows for printing with str: an integral row as its ints, another as
-        the text of its values (p/q in lowest terms), made without a Fraction."""
+        """The rows for printing with str, read without making a Fraction.
+
+        An integral row is its ints; another row is the text of its values, p/q in lowest terms.
+        """
         return tuple(
             nums if den == 1 else tuple([
                 f"{x // g}/{den // g}" if (g := gcd(x, den)) != den else str(x // g) for x in nums
